@@ -1,8 +1,17 @@
 """Command-line surface: fragmentation runs, cocycle evaluation, verification.
 
-Exit codes: 0 success, 1 failed checks, 2 bad operands or elements outside
-the admissible neighbourhood, 3 bad geometry or malformed configuration,
-4 spectral aliasing.
+Exit codes:
+
+0  success
+1  a verification check failed
+2  bad operands: unparsable, outside the admissible neighbourhood, not
+   orientation preserving (DerivativeError), outside the principal branch of
+   the loop logarithm (BranchError) or above a module's truncation
+   (TruncationError)
+3  bad geometry or malformed configuration, including cutoffs that cannot
+   carry their prescribed mass (MassError)
+4  spectral aliasing (AliasingError); raise --grid
+5  a Newton inversion did not converge (ConvergenceError)
 """
 
 from __future__ import annotations
@@ -19,7 +28,17 @@ import numpy as np
 
 from . import cocycles, frag_diff, loops, verma
 from .diffeo import CircleDiffeo, CoverConfig, support
-from .errors import AliasingError, GeometryError, NeighbourhoodError
+from .errors import (
+    AliasingError,
+    BranchError,
+    CirclekitError,
+    ConvergenceError,
+    DerivativeError,
+    GeometryError,
+    MassError,
+    NeighbourhoodError,
+    TruncationError,
+)
 from .periodic import PeriodicFunction, grid
 from .verify import CheckResult, RunReport, digest_inputs, run_suites
 
@@ -27,10 +46,25 @@ EXIT_FAIL = 1
 EXIT_OPERAND = 2
 EXIT_GEOMETRY = 3
 EXIT_ALIASING = 4
+EXIT_CONVERGENCE = 5
 
 
 class OperandError(ValueError):
     pass
+
+
+# exit code of every error a command can raise (all CirclekitError subclasses)
+_EXIT_CODES = (
+    ((ValueError, NeighbourhoodError, DerivativeError, BranchError, TruncationError), EXIT_OPERAND),
+    ((GeometryError, MassError), EXIT_GEOMETRY),
+    ((AliasingError,), EXIT_ALIASING),
+    ((ConvergenceError,), EXIT_CONVERGENCE),
+)
+
+
+def exit_code(exc: Exception) -> int:
+    """Documented exit code for an error raised by a command."""
+    return next(code for errors, code in _EXIT_CODES if isinstance(exc, errors))
 
 
 # ---------------------------------------------------------------------------
@@ -305,15 +339,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (OperandError, NeighbourhoodError, ValueError) as exc:
+    except (CirclekitError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_OPERAND
-    except GeometryError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_GEOMETRY
-    except AliasingError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_ALIASING
+        return exit_code(exc)
 
 
 if __name__ == "__main__":

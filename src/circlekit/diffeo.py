@@ -19,7 +19,7 @@ from .errors import (
     GeometryError,
     MassError,
 )
-from .periodic import TWO_PI, PeriodicFunction, grid
+from .periodic import TWO_PI, PeriodicFunction, _caches_on_one_stencil, _lagrange_eval_two, grid
 
 __all__ = [
     "IntervalArc",
@@ -168,13 +168,11 @@ def solve_monotone(g: CircleDiffeo, targets: np.ndarray, tol: float = 1e-12, max
     initial guess u = y - p(y) already has O(|p|^2) residual, so a couple of
     Newton steps reach the 1e-12 residual target.  Steps are clamped to a
     bracket that the displacement bound provides, which cannot fail while
-    gamma' > 0.
+    gamma' > 0.  The slope only scales the step, so it is read on the stencil
+    of p's evaluation cache, whatever resolution gamma' alone would get.
     """
-    from .periodic import _lagrange_eval_two
-
     p = g.periodic_part
-    fine_p = p._fine_values()
-    fine_dp = g.deriv._fine_values()
+    fine_p, fine_dp = _caches_on_one_stencil(p, g.deriv)
     y = np.asarray(targets, dtype=float)
     bound = min(g.displacement() * 1.5 + 1e-9, 1.5)
     lo, hi = y - bound, y + bound

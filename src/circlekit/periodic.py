@@ -3,9 +3,15 @@
 A function is held as N samples at t_k = 2*pi*k/N (N a power of two) and
 identified with the unique trigonometric polynomial of degree < N/2 through
 them.  Differentiation and full-period integration act on the Fourier
-coefficients and are exact for band-limited data; evaluation between grid
-points goes through a cached oversampled grid with local polynomial
-interpolation, accurate to ~1e-13 even for modes near the Nyquist frequency.
+coefficients and are exact for band-limited data.  Evaluation between grid
+points uses 10-point local Lagrange interpolation on a cached grid whose
+resolution is chosen from the data.  For real scalar data the function's own
+spectrum certifies the interpolation error: when the summed Lagrange
+remainder bound over its modes is at most 1e-12, the samples themselves are
+the cache.  Otherwise, and for complex or matrix data, the cache is a
+zero-padded oversampling (64x for real data up to N = 2048, 8x above that
+and for complex data), which keeps modes up to the Nyquist frequency
+accurate to ~1e-13.
 
 Scalar (real or complex) and matrix-valued samples are supported; all
 spectral operations act along the first axis.
@@ -13,15 +19,18 @@ spectral operations act along the first axis.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["PeriodicFunction", "grid"]
 
 TWO_PI = 2.0 * np.pi
 
-# Oversampling factors for the point-evaluation cache.  Real scalar data is
-# the accuracy-critical path (diffeomorphism arithmetic), matrix data only
-# feeds tolerance checks at the 1e-8 level.  Long grids already resolve their
+# Oversampling factors for the point-evaluation cache when the samples alone
+# are not certified accurate enough.  Real scalar data is the
+# accuracy-critical path (diffeomorphism arithmetic), matrix data only feeds
+# tolerance checks at the 1e-8 level.  Long grids already resolve their
 # content, so their cache oversamples less.
 _EVAL_FACTOR_REAL = 64
 _EVAL_FACTOR_COMPLEX = 8
@@ -36,6 +45,20 @@ _OFFSETS = np.arange(_STENCIL) - (_STENCIL // 2 - 1)  # -4 .. 5
 _DENOM = np.array(
     [np.prod([o - p for p in _OFFSETS if p != o]) for o in _OFFSETS], dtype=float
 )
+_SNAP = 1e-11  # points this many cells from a node are snapped onto it
+
+# Error of the stencil on one Fourier mode of unit amplitude, where kh is the
+# mode's phase advance per cell.  The Lagrange remainder gives R (kh)^10 with
+# R = max_{0<=u<=1} |prod(u - o)| / 10!, attained at u = 1/2 (about 2.4e-4);
+# the mode plus the stencil's Lebesgue constant on its middle cell (1.563)
+# caps it at 2.57; snapping moves a point by at most _SNAP cells, adding
+# _SNAP kh.
+_REMAINDER = float(np.prod(np.abs(0.5 - _OFFSETS))) / math.factorial(_STENCIL)
+_MODE_ERROR_CAP = 2.57
+
+# Real scalar data evaluates straight from its own samples when their
+# certified stencil error is at most this.
+_OWN_SAMPLES_TOL = 1e-12
 
 
 def grid(n: int) -> np.ndarray:
@@ -46,6 +69,14 @@ def grid(n: int) -> np.ndarray:
 def _check_grid_size(n: int) -> None:
     if n < 16 or n & (n - 1):
         raise ValueError(f"grid size must be a power of two >= 16, got {n}")
+
+
+def _stencil_error_bound(spectrum: np.ndarray, n: int) -> float:
+    """Bound on the 10-point interpolation error of real data on its own n-point
+    grid, summed over its rfft coefficients c_k (each mode has amplitude 2|c_k|)."""
+    kh = np.arange(len(spectrum)) * (TWO_PI / n)
+    per_mode = np.minimum(_REMAINDER * kh**_STENCIL, _MODE_ERROR_CAP) + _SNAP * kh
+    return 2.0 * float(np.abs(spectrum) @ per_mode)
 
 
 def _upsample_real(samples: np.ndarray, factor: int) -> np.ndarray:
@@ -88,8 +119,8 @@ def _lagrange_weights(t: np.ndarray, m: int):
     x[x >= m] -= m  # mod can round up to the period boundary
     j0 = np.floor(x).astype(np.intp)
     u = x - j0
-    near0 = u < 1e-11
-    near1 = u > 1.0 - 1e-11
+    near0 = u < _SNAP
+    near1 = u > 1.0 - _SNAP
     u = np.where(near0, 0.0, u)
     du = u[:, None] - _OFFSETS[None, :]
     prod = du[:, 0].copy()
@@ -115,6 +146,17 @@ def _lagrange_eval(padded: np.ndarray, t: np.ndarray) -> np.ndarray:
     if vals.ndim > 2:
         return np.einsum("ps,ps...->p...", w, vals)
     return np.einsum("ps,ps->p", w, vals)
+
+
+def _caches_on_one_stencil(f: "PeriodicFunction", g: "PeriodicFunction"):
+    """f's evaluation cache and real g resampled to the same resolution, for
+    _lagrange_eval_two; g's own cache is reused when it matches."""
+    fine_f = f._fine_values()
+    factor = (len(fine_f) - _STENCIL + 1) // f.n
+    fine_g = g._fine_values() if factor > 1 else None
+    if fine_g is None or len(fine_g) != len(fine_f):
+        fine_g = _pad_fine(_upsample_real(g.samples, factor))
+    return fine_f, fine_g
 
 
 def _lagrange_eval_two(padded_a: np.ndarray, padded_b: np.ndarray, t: np.ndarray):
@@ -190,13 +232,20 @@ class PeriodicFunction:
     # -- evaluation ---------------------------------------------------
 
     def _fine_values(self) -> np.ndarray:
-        """Padded oversampled cache backing arbitrary-point evaluation."""
+        """Padded cache backing arbitrary-point evaluation: the samples
+        themselves when their certified stencil error is within
+        _OWN_SAMPLES_TOL, an oversampled grid otherwise."""
         if self._fine is None:
+            if (
+                self.is_real
+                and self.samples.ndim == 1
+                and _stencil_error_bound(self.spectrum, self.n) <= _OWN_SAMPLES_TOL
+            ):
+                self._fine = _pad_fine(self.samples)
+                return self._fine
             if self.is_real:
                 factor = _eval_factor_real(self.n)
                 fine = _upsample_real(self.samples, factor)
-                if fine is self.samples:
-                    fine = fine.copy()
             else:
                 factor = _EVAL_FACTOR_COMPLEX
                 fine = _upsample_complex(self.samples, factor)

@@ -1,4 +1,11 @@
+import os
+from pathlib import Path
+
 from hypothesis import HealthCheck, settings
+
+# `python -m circlekit` subprocesses import the same src/ as the tests
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 settings.register_profile(
     "ci",

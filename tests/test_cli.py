@@ -4,6 +4,9 @@ import sys
 
 import pytest
 
+from circlekit import cli, errors, frag_diff
+from circlekit.verify import CheckResult, RunReport
+
 CMD = [sys.executable, "-m", "circlekit"]
 
 
@@ -121,3 +124,52 @@ def test_verify_deterministic_reports(tmp_path):
     threaded = run(*args, "--threads", "3")
     assert first.returncode == 0
     assert first.stdout == second.stdout == threaded.stdout
+
+
+def test_fragment_diff_non_monotone(tmp_path):
+    r = run("fragment-diff", "--spec", "fourier:[(1,0,2.0)]", "--out", str(tmp_path))
+    assert r.returncode == 2
+    assert r.stderr.startswith("error:") and "Traceback" not in r.stderr
+
+
+def test_cocycle_bott_non_monotone():
+    r = run("cocycle", "bott", "fourier:[(1,0,2.0)]", "fourier:[(2,0.003,0)]")
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+
+
+def test_fragment_loop_branch_cut(tmp_path):
+    r = run("fragment-loop", "--spec", "exp:[(1,0,3.141592653589793,0)]", "--out", str(tmp_path))
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+
+
+def test_failed_check_exits_1(monkeypatch, capsys):
+    failing = RunReport(command="verify", checks=[CheckResult("residual", 1.0, 0.5)])
+    monkeypatch.setattr(cli, "run_suites", lambda *args, **kwargs: failing)
+    assert cli.main(["verify", "diff", "--trials", "1"]) == 1
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (errors.DerivativeError, 2),
+        (errors.BranchError, 2),
+        (errors.TruncationError, 2),
+        (errors.MassError, 3),
+        (errors.ConvergenceError, 5),
+    ],
+)
+def test_library_error_exit_codes(error, code, monkeypatch, capsys, tmp_path):
+    def fail(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(frag_diff, "fragment", fail)
+    argv = ["fragment-diff", "--spec", "fourier:[]", "--out", str(tmp_path)]
+    assert cli.main(argv) == code
+    assert capsys.readouterr().err == "error: injected\n"
+
+
+def test_every_library_error_has_an_exit_code():
+    for error in errors.CirclekitError.__subclasses__():
+        assert cli.exit_code(error("x")) in (2, 3, 4, 5)

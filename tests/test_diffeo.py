@@ -39,6 +39,16 @@ def test_inverse_examples():
     assert compose(g, gi).displacement() < 1e-8
 
 
+def test_inverse_reads_slope_on_the_stencil_of_p():
+    # Nyquist content puts p on an oversampled cache, while the spectral
+    # derivative drops that mode and is read from its own samples
+    p = PeriodicFunction(1e-3 * (-1.0) ** np.arange(64))
+    g = CircleDiffeo(p)
+    assert len(p._fine_values()) != len(g.deriv._fine_values())
+    u = inverse(g).samples
+    assert np.abs(g.eval(u) - grid(64)).max() < 1e-12
+
+
 def test_derivative_positivity_enforced():
     t = grid(N)
     with pytest.raises(DerivativeError):

@@ -12,9 +12,13 @@ from circlekit.frag_diff import (
     beta1_integral_form,
     fragment,
     fragment_pair,
+    solve_monotone,
     _fragmenter,
+    _pair_stage,
+    _solve_inside,
+    _stage_localize,
 )
-from circlekit.periodic import TWO_PI, PeriodicFunction, grid
+from circlekit.periodic import TWO_PI, PeriodicFunction, _upsample_real, grid
 from circlekit.sampling import random_diffeo, random_supported_diffeo, rng_for
 
 N = 1024
@@ -181,3 +185,58 @@ def test_fragment_pair():
     _, gr = fragment_pair(gs, left, right)
     overlap_mask = left.contains(T) & right.contains(T)
     assert np.abs(gr.periodic_part.samples[~overlap_mask]).max() < 1e-9
+
+
+@pytest.mark.parametrize("n", [1024, 4096])
+def test_interval_restricted_solves_match_full_solves(n):
+    # each factor is the identity off its interval, so Newton on the targets
+    # inside it gives what Newton on every target gives
+    frag = _fragmenter(COVER, n)
+    t_fine = grid(n * frag.factor)
+    for i in range(3):
+        g = random_diffeo(rng_for(20260810, 1, i), 0.01, n)
+        p1, _, _, _ = _stage_localize(g, frag.stage1, frag.factor)
+        xi1 = CircleDiffeo(PeriodicFunction(p1))
+        g_fine = t_fine + _upsample_real(g.periodic_part.samples, frag.factor)
+        q = _solve_inside(xi1, COVER.i1, g_fine)
+        assert np.abs(q - solve_monotone(xi1, g_fine)).max() < 1e-15
+        q_fine = CircleDiffeo(PeriodicFunction(q - t_fine))
+        p2, _, _, _ = _stage_localize(q_fine, frag.stage2, 1)
+        xi2 = CircleDiffeo(PeriodicFunction(p2))
+        q_coarse = q_fine.samples[:: frag.factor]
+        xi3 = _solve_inside(xi2, COVER.i2, q_coarse)
+        assert np.abs(xi3 - solve_monotone(xi2, q_coarse)).max() < 1e-15
+
+
+def test_fragment_pair_cutoffs_memoized():
+    left = IntervalArc(0.3, 3.6)
+    right = IntervalArc(3.1, TWO_PI + 0.8)
+    g = random_diffeo(rng_for(16, 2), 0.01, N)
+    _pair_stage.cache_clear()
+    first = fragment_pair(g, left, right)
+    again = fragment_pair(g, left, right)
+    assert _pair_stage.cache_info().hits == 1
+    for a, b in zip(first, again):
+        assert np.array_equal(a.periodic_part.samples, b.periodic_part.samples)
+
+
+def test_coarse_factors_recompose_by_direct_sum():
+    """reconstruction_error is measured through the fine factors; the coarse
+    factors a caller gets recompose gamma up to their spectral tails."""
+
+    def trig(p, x):
+        c = np.fft.rfft(p) / len(p)
+        w = np.full(len(c), 2.0)
+        w[0] = w[-1] = 1.0
+        return (np.exp(1j * np.outer(x, np.arange(len(c)))) @ (w * c)).real
+
+    frag = _fragmenter(COVER, N)
+    worst = 0.0
+    for i in range(50):
+        g = random_diffeo(rng_for(20260810, 1, i), 0.01, N)
+        res = frag.fragment(g, eps=0.01)
+        x3 = res.xi3.samples
+        x2 = x3 + trig(res.xi2.periodic_part.samples, x3)
+        x1 = x2 + trig(res.xi1.periodic_part.samples, x2)
+        worst = max(worst, float(np.abs(x1 - g.samples).max()))
+    assert worst < 1e-7

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from circlekit.periodic import PeriodicFunction, grid
+from circlekit.periodic import PeriodicFunction, _pad_fine, _stencil_error_bound, grid
+from circlekit.sampling import random_diffeo, rng_for
 
 
 def test_eval_reproduces_band_limited():
@@ -133,3 +134,31 @@ def test_matrix_valued_roundtrip():
     vals = f.eval(np.array([0.3, 1.1]))
     assert vals.shape == (2, 2, 2)
     assert abs(vals[0, 0, 1] - np.exp(0.3j)) < 1e-12
+
+
+def direct_sum(samples, x):
+    """Trigonometric interpolant of real samples summed mode by mode at x."""
+    n = len(samples)
+    c = np.fft.rfft(samples) / n
+    w = np.full(len(c), 2.0)
+    w[0] = w[-1] = 1.0
+    return (np.exp(1j * np.outer(x, np.arange(len(c)))) @ (w * c)).real
+
+
+def test_band_limited_cache_is_own_samples():
+    g = random_diffeo(rng_for(20260810, 1, 0), 0.01, 1024)
+    p = g.periodic_part
+    assert _stencil_error_bound(p.spectrum, p.n) <= 1e-12
+    assert np.array_equal(p._fine_values(), _pad_fine(p.samples))
+    x = np.random.default_rng(1).uniform(0, 2 * np.pi, 500)
+    assert np.abs(p.eval(x) - direct_sum(p.samples, x)).max() < 1e-12
+
+
+def test_near_nyquist_content_is_oversampled():
+    n = 8192
+    t = grid(n)
+    f = PeriodicFunction(np.sin(t) + 1e-5 * np.cos(4000 * t) + 1e-5 * np.sin(4090 * t))
+    assert _stencil_error_bound(f.spectrum, n) > 1e-12
+    assert len(f._fine_values()) == 8 * n + 9
+    x = np.random.default_rng(2).uniform(0, 2 * np.pi, 500)
+    assert np.abs(f.eval(x) - direct_sum(f.samples, x)).max() < 1e-12
