@@ -12,6 +12,13 @@ Exit codes:
    carry their prescribed mass (MassError)
 4  spectral aliasing (AliasingError); raise --grid
 5  a Newton inversion did not converge (ConvergenceError)
+
+Budget: `verma` takes --level 0..12 and --c/--h fractions of at most 16
+characters, without an exponent, whose numerator and denominator are below
+2^16 in absolute value; other requests exit 2 before any work.  The worst
+admitted request, level 12 with 16-bit fractional operands, takes about
+6 s (Python 3.11, one core of an Intel Xeon); --max-level only sets the
+truncation and costs nothing.
 """
 
 from __future__ import annotations
@@ -47,6 +54,10 @@ EXIT_OPERAND = 2
 EXIT_GEOMETRY = 3
 EXIT_ALIASING = 4
 EXIT_CONVERGENCE = 5
+
+VERMA_MAX_LEVEL = 12
+VERMA_MAX_CHARS = 16
+VERMA_MAX_BITS = 16
 
 
 class OperandError(ValueError):
@@ -124,6 +135,17 @@ def parse_loop(text: str, n: int) -> loops.LoopElement:
     if not text.startswith("exp:"):
         raise OperandError(f"expected 'exp:[...]', got {text!r}")
     return loops.exp_loop(parse_loop_algebra("su2:" + text[4:], n))
+
+
+def parse_verma_operand(text: str, flag: str) -> Fraction:
+    """A --c/--h fraction within the verma budget; the text is checked before
+    Fraction parses it, since an exponent alone can build a huge integer."""
+    if len(text) > VERMA_MAX_CHARS or "e" in text.lower():
+        raise OperandError(f"{flag} {text!r}: at most {VERMA_MAX_CHARS} characters, no exponent")
+    value = Fraction(text)
+    if max(abs(value.numerator), value.denominator) >= 2**VERMA_MAX_BITS:
+        raise OperandError(f"{flag} {value}: numerator and denominator must be below 2^{VERMA_MAX_BITS}")
+    return value
 
 
 def load_cover(path: str | None) -> CoverConfig:
@@ -251,8 +273,10 @@ def cmd_cocycle(args) -> int:
 
 
 def cmd_verma(args) -> int:
-    c = Fraction(args.c)
-    h = Fraction(args.h)
+    if not 0 <= args.level <= VERMA_MAX_LEVEL:
+        raise OperandError(f"--level {args.level}: must lie in 0..{VERMA_MAX_LEVEL}")
+    c = parse_verma_operand(args.c, "--c")
+    h = parse_verma_operand(args.h, "--h")
     max_level = max(args.max_level, args.level)
     matrix = verma.gram_matrix(args.level, c, h, max_level)
     det = verma.exact_determinant(matrix)

@@ -79,15 +79,20 @@ def _stencil_error_bound(spectrum: np.ndarray, n: int) -> float:
     return 2.0 * float(np.abs(spectrum) @ per_mode)
 
 
+def _along_first_axis(k: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """Per-frequency factors shaped to broadcast along the first axis of samples."""
+    return k.reshape((-1,) + (1,) * (samples.ndim - 1))
+
+
 def _upsample_real(samples: np.ndarray, factor: int) -> np.ndarray:
     if factor == 1:
         return samples
-    n = len(samples)
-    c = np.fft.rfft(samples)
-    padded = np.zeros(factor * n // 2 + 1, dtype=complex)
+    n = samples.shape[0]
+    c = np.fft.rfft(samples, axis=0)
+    padded = np.zeros((factor * n // 2 + 1,) + samples.shape[1:], dtype=complex)
     padded[: n // 2 + 1] = c
     padded[n // 2] *= 0.5  # split the Nyquist bin symmetrically
-    return np.fft.irfft(padded, factor * n) * factor
+    return np.fft.irfft(padded, factor * n, axis=0) * factor
 
 
 def _upsample_complex(samples: np.ndarray, factor: int) -> np.ndarray:
@@ -211,7 +216,7 @@ class PeriodicFunction:
         """Two-sided Fourier coefficients c_k = fft(samples)/n (rfft layout for real data)."""
         if self._spectrum is None:
             if self.is_real:
-                self._spectrum = np.fft.rfft(self.samples) / self.n
+                self._spectrum = np.fft.rfft(self.samples, axis=0) / self.n
             else:
                 self._spectrum = np.fft.fft(self.samples, axis=0) / self.n
         return self._spectrum
@@ -277,12 +282,10 @@ class PeriodicFunction:
         if self.is_real:
             c = self.spectrum.copy()
             c[np.abs(c) < 4.0 * np.finfo(float).eps * np.abs(c).max()] = 0.0
-            c *= (1j * np.arange(n // 2 + 1)) ** order
+            c *= _along_first_axis((1j * np.arange(n // 2 + 1)) ** order, c)
             c[-1] = 0.0  # Nyquist mode dropped by convention
-            return PeriodicFunction(np.fft.irfft(c) * n)
-        k = np.fft.fftfreq(n, d=1.0 / n)
-        if self.samples.ndim == 3:
-            k = k[:, None, None]
+            return PeriodicFunction(np.fft.irfft(c, axis=0) * n)
+        k = _along_first_axis(np.fft.fftfreq(n, d=1.0 / n), self.samples)
         c = np.fft.fft(self.samples, axis=0)
         c[np.abs(c) < 4.0 * np.finfo(float).eps * np.abs(c).max()] = 0.0
         c *= (1j * k) ** order
@@ -304,17 +307,16 @@ class PeriodicFunction:
             n = self.n
             if self.is_real:
                 c = self.spectrum.copy()
-                k = np.arange(n // 2 + 1)
+                k = _along_first_axis(np.arange(n // 2 + 1), c)
                 c[1:] = c[1:] / (1j * k[1:])
                 c[0] = 0.0
                 c[-1] = 0.0
-                f = np.fft.irfft(c) * n
+                f = np.fft.irfft(c, axis=0) * n
             else:
-                k = np.fft.fftfreq(n, d=1.0 / n)
-                kk = k[:, None, None] if self.samples.ndim == 3 else k
+                k = _along_first_axis(np.fft.fftfreq(n, d=1.0 / n), self.samples)
                 c = np.fft.fft(self.samples, axis=0)
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    c = c / (1j * kk)
+                    c = c / (1j * k)
                 c[0] = 0.0
                 c[n // 2] = 0.0
                 f = np.fft.ifft(c, axis=0)
@@ -345,15 +347,15 @@ class PeriodicFunction:
         if m == n:
             return self
         if self.is_real:
-            c = np.fft.rfft(self.samples)
+            c = np.fft.rfft(self.samples, axis=0)
             if m > n:
-                out = np.zeros(m // 2 + 1, dtype=complex)
+                out = np.zeros((m // 2 + 1,) + c.shape[1:], dtype=complex)
                 out[: n // 2 + 1] = c
                 out[n // 2] *= 0.5
             else:
                 out = c[: m // 2 + 1].copy()
                 out[-1] = out[-1].real  # keep the new Nyquist bin real
-            return PeriodicFunction(np.fft.irfft(out, m) * (m / n))
+            return PeriodicFunction(np.fft.irfft(out, m, axis=0) * (m / n))
         c = np.fft.fft(self.samples, axis=0)
         out_shape = (m,) + self.samples.shape[1:]
         out = np.zeros(out_shape, dtype=complex)

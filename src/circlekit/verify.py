@@ -499,10 +499,9 @@ VERMA_PARAMETERS = (
 )
 
 
-def verma_suite(seed: int, trials: int, n: int, max_level: int = 8) -> list[CheckResult]:
+def verma_suite(max_level: int = 8) -> list[CheckResult]:
     checks = []
     failures = 0
-    total = 0
     for c, h in VERMA_PARAMETERS:
         module = verma.VermaModule(c, h, max_level)
         for m in range(-4, 5):
@@ -511,7 +510,6 @@ def verma_suite(seed: int, trials: int, n: int, max_level: int = 8) -> list[Chec
                 for level in range(top + 1):
                     for part in verma.partitions(level):
                         state = verma.VermaState({part: Fraction(1)}, c, h)
-                        total += 1
                         if not module.commutator_check(m, nn, state):
                             failures += 1
     checks.append(CheckResult("verma.commutators_exact", float(failures), 0.5))
@@ -553,7 +551,7 @@ SUITES = {
     + frag_suite(seed, trials, n, threads),
     "loop": lambda seed, trials, n, threads: loop_suite(seed, trials, n, threads),
     "cocycle": lambda seed, trials, n, threads: cocycle_suite(seed, trials, n, threads),
-    "verma": lambda seed, trials, n, threads: verma_suite(seed, trials, n),
+    "verma": lambda seed, trials, n, threads: verma_suite(),
 }
 
 

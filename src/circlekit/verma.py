@@ -7,11 +7,14 @@ Generators L_m with m in Z and a central element acting as the scalar c obey
 The module M(c, h) is spanned by ordered words L_{-n1} ... L_{-nk} |h> with
 n1 >= ... >= nk >= 1 (partitions), where L_0 |h> = h |h> and L_m |h> = 0 for
 m > 0.  All coefficients are exact rationals; states above the truncation
-level are rejected rather than silently dropped.
+level are rejected rather than silently dropped.  Gram matrices recurse on
+mu's first part over memoized lower levels; determinants run Bareiss
+elimination on rows cleared by the LCM of their own denominators.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping
@@ -32,10 +35,6 @@ __all__ = [
 Partition = tuple  # weakly decreasing tuple of positive ints
 
 DEFAULT_MAX_LEVEL = 8
-
-
-def partition_level(part: Partition) -> int:
-    return sum(part)
 
 
 def partitions(level: int, max_part: int | None = None) -> Iterator[Partition]:
@@ -68,7 +67,7 @@ class VermaState:
 
     @property
     def level(self) -> int:
-        return max((partition_level(p) for p in self.coeffs), default=0)
+        return max((sum(p) for p in self.coeffs), default=0)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -114,6 +113,7 @@ class VermaModule:
         self.h = Fraction(h)
         self.max_level = int(max_level)
         self._memo: dict = {}
+        self._grams: dict = {0: {(): {(): Fraction(1)}}}
 
     def lowest_weight_state(self) -> VermaState:
         return VermaState({(): Fraction(1)}, self.c, self.h)
@@ -189,19 +189,21 @@ class VermaModule:
             rhs = rhs + state.scaled(central)
         return lhs == rhs
 
+    def _gram(self, level: int) -> dict:
+        """G_L as {mu: {nu: ...}} in basis order: sum_rho (L_{mu_1} e_nu)[rho] G_{L-mu_1}[mu_2...][rho]."""
+        if level not in self._grams:
+            basis, gram = list(partitions(level)), {}
+            for mu in basis:
+                below = self._gram(level - mu[0])[mu[1:]]
+                gram[mu] = {nu: sum((x * below[r] for r, x in self._act_basis(mu[0], nu).items()), Fraction(0))
+                            for nu in basis}
+            self._grams[level] = gram
+        return self._grams[level]
+
     def gram_matrix(self, level: int) -> list[list[Fraction]]:
-        """Pairings <L_{-mu} h, L_{-nu} h> under the adjoint L_m* = L_{-m}."""
-        basis = self.basis(level)
-        rows = []
-        for mu in basis:
-            row = []
-            for nu in basis:
-                state = VermaState({nu: Fraction(1)}, self.c, self.h)
-                for mi in mu:  # adjoint word applies largest index first
-                    state = self.act(mi, state)
-                row.append(state.coefficient(()))
-            rows.append(row)
-        return rows
+        """Pairings <L_{-mu} h, L_{-nu} h> under the adjoint L_m* = L_{-m}, copied out of the memo."""
+        self.basis(level)  # raises TruncationError above the truncation
+        return [list(row.values()) for row in self._gram(level).values()]
 
 
 # -- convenience wrappers with a per-(c, h, level) module cache --------------
@@ -229,21 +231,18 @@ def gram_matrix(level: int, c, h, max_level: int = DEFAULT_MAX_LEVEL) -> list[li
 
 
 def exact_determinant(matrix: list[list[Fraction]]) -> Fraction:
-    """Determinant by fraction-exact Gaussian elimination."""
-    m = [row[:] for row in matrix]
-    size = len(m)
-    det = Fraction(1)
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if m[r][col] != 0), None)
+    """Each row cleared by the LCM of its own denominators, then Bareiss elimination on integers."""
+    scales = [math.lcm(*(x.denominator for x in row)) for row in matrix]
+    rows = [[x.numerator * (d // x.denominator) for x in row] for row, d in zip(matrix, scales)]
+    prev = 1
+    for col in range(len(rows)):
+        pivot = next((r for r in range(col, len(rows)) if rows[r][col]), None)
         if pivot is None:
             return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, size):
-            factor = m[r][col] * inv
-            if factor:
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return det
+        if pivot != col:  # a swap with one row negated keeps the determinant
+            rows[col], rows[pivot] = rows[pivot], [-x for x in rows[col]]
+        top = rows[col]
+        for row in rows[col + 1 :]:
+            row[col + 1 :] = [(top[col] * a - row[col] * b) // prev for a, b in zip(row[col + 1 :], top[col + 1 :])]
+        prev = top[col]
+    return Fraction(prev, math.prod(scales))

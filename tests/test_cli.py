@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from circlekit import cli, errors, frag_diff
+from circlekit import cli, errors, frag_diff, verma
 from circlekit.verify import CheckResult, RunReport
 
 CMD = [sys.executable, "-m", "circlekit"]
@@ -103,6 +103,45 @@ def test_verma_gram_json():
     assert payload["gram"] == [["1/2", "3/8"], ["3/8", "9/32"]]
     assert payload["determinant"] == "0"
     assert payload["basis"] == [[2], [1, 1]]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--level", "-1"],
+        ["--level", "13"],
+        ["--c", "1e5"],
+        ["--h", "1E-3"],
+        ["--c", "1/20000000000000000"],
+        ["--h", "123456789012345678"],
+        ["--c", "65536"],
+        ["--c=-65536/3"],
+        ["--h", "1/65536"],
+    ],
+)
+def test_verma_budget_rejections(args):
+    r = run("verma", *args)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert r.stderr.startswith("error:") and "Traceback" not in r.stderr
+
+
+def test_verma_budget_rejects_before_any_work(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("the Gram matrix was computed before the budget check")
+
+    monkeypatch.setattr(verma, "gram_matrix", fail)
+    for argv in (["--level", "13"], ["--c", "1e99999999"], ["--h", "65536/3"]):
+        assert cli.main(["verma", *argv]) == 2
+
+
+def test_verma_budget_boundary():
+    r = run("verma", "--c", "1/2", "--h", "1", "--level", "12")
+    assert r.returncode == 0, r.stderr
+    payload = json.loads(r.stdout)
+    assert len(payload["basis"]) == len(payload["gram"]) == 77
+    r = run("verma", "--c=-65535/65533", "--h", "65535", "--level", "1", "--max-level", "100000")
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["gram"] == [["131070"]]
 
 
 def test_verify_verma_exact():

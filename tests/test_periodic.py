@@ -136,6 +136,29 @@ def test_matrix_valued_roundtrip():
     assert abs(vals[0, 0, 1] - np.exp(0.3j)) < 1e-12
 
 
+def test_real_matrix_samples_match_entrywise_scalars():
+    rng = np.random.default_rng(5)
+    t = grid(64)
+    k = np.arange(6)
+    modes = np.concatenate([np.cos(np.outer(k, t)), np.sin(np.outer(k[1:], t))])
+    samples = np.einsum("mt,mij->tij", modes, rng.normal(size=(len(modes), 2, 3)))
+    f = PeriodicFunction(samples)
+    entries = [(i, j, PeriodicFunction(samples[:, i, j])) for i in range(2) for j in range(3)]
+    x = rng.uniform(-7.0, 7.0, 50)
+    vals = f.eval(x)
+    assert vals.shape == (50, 2, 3) and f.eval(0.3).shape == (2, 3)
+    for order in (1, 2, 3):
+        d = f.derivative(order).samples
+        for i, j, g in entries:
+            assert np.abs(d[:, i, j] - g.derivative(order).samples).max() < 1e-11
+    anti, up, down = f.antiderivative()[0].samples, f.resample(256).samples, f.resample(32).samples
+    for i, j, g in entries:
+        assert np.abs(vals[:, i, j] - g.eval(x)).max() < 1e-12
+        assert np.abs(anti[:, i, j] - g.antiderivative()[0].samples).max() < 1e-12
+        assert np.abs(up[:, i, j] - g.resample(256).samples).max() < 1e-12
+        assert np.abs(down[:, i, j] - g.resample(32).samples).max() < 1e-12
+
+
 def direct_sum(samples, x):
     """Trigonometric interpolant of real samples summed mode by mode at x."""
     n = len(samples)

@@ -1,9 +1,11 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
 from circlekit.errors import TruncationError
+from circlekit.verify import VERMA_PARAMETERS
 from circlekit.verma import (
     VermaModule,
     VermaState,
@@ -14,6 +16,74 @@ from circlekit.verma import (
 
 HALF = Fraction(1, 2)
 SIXTEENTH = Fraction(1, 16)
+
+small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+
+
+def kac_determinant(level, c, h):
+    """det of the level-L Gram matrix of M(c, h) by the Kac formula
+
+        prod_{rs <= L} ((2r)^s s!)^{p(L-rs) - p(L-r(s+1))} (h - h_{r,s})^{p(L-rs)},
+        h_{r,s} = (r^2 - 1) t/4 + (s^2 - 1)/(4t) - (rs - 1)/2,  t + 1/t = (13 - c)/6.
+
+    h_{r,s} and h_{s,r} enter only through their sum and product, and h_{r,r}
+    only through t + 1/t, so the formula stays rational for every rational c.
+    """
+    p = [1] + [0] * level
+    for part in range(1, level + 1):
+        for m in range(part, level + 1):
+            p[m] += p[m - part]
+
+    def count(m):
+        return p[m] if m >= 0 else 0
+
+    t_sum = (Fraction(13) - c) / 6  # t + 1/t
+    det = Fraction(1)
+    for r in range(1, level + 1):
+        for s in range(1, level // r + 1):
+            det *= Fraction((2 * r) ** s * factorial(s)) ** (count(level - r * s) - count(level - r * (s + 1)))
+            a, b, d = Fraction(r * r - 1, 4), Fraction(s * s - 1, 4), Fraction(r * s - 1, 2)
+            if r == s:
+                det *= (h - a * (t_sum - 2)) ** count(level - r * r)
+            elif r < s:  # (h - h_{r,s}) (h - h_{s,r})
+                total = (a + b) * t_sum - 2 * d
+                product = a * b * (t_sum**2 - 2) + a * a + b * b - d * (a + b) * t_sum + d * d
+                det *= (h * h - total * h + product) ** count(level - r * s)
+    return det
+
+
+def adjoint_word_gram(module, level):
+    """Reference Gram matrix, entry by entry: e_nu pushed through the whole
+    adjoint word L_{mu_k} ... L_{mu_1}, largest index first."""
+    basis = module.basis(level)
+    rows = []
+    for mu in basis:
+        row = []
+        for nu in basis:
+            state = VermaState({nu: Fraction(1)}, module.c, module.h)
+            for mi in mu:
+                state = module.act(mi, state)
+            row.append(state.coefficient(()))
+        rows.append(row)
+    return rows
+
+
+def gaussian_determinant(matrix):
+    """Reference determinant by Gaussian elimination in Fraction arithmetic."""
+    m = [[Fraction(x) for x in row] for row in matrix]
+    det = Fraction(1)
+    for col in range(len(m)):
+        pivot = next((r for r in range(col, len(m)) if m[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, len(m)):
+            factor = m[r][col] / m[col][col]
+            m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
+    return det
 
 
 def basis_state(part, c, h):
@@ -132,3 +202,86 @@ def test_full_sweep_small_truncation():
                 for part in partitions(level):
                     state = VermaState({part: Fraction(1)}, Fraction(1), Fraction(1))
                     assert module.commutator_check(m, n, state)
+
+
+@pytest.mark.parametrize("c, h", VERMA_PARAMETERS)
+def test_kac_determinant_every_level(c, h):
+    module = VermaModule(c, h, max_level=8)
+    for level in range(1, 9):
+        assert exact_determinant(module.gram_matrix(level)) == kac_determinant(level, c, h)
+
+
+@given(small_rationals, small_rationals)
+def test_kac_determinant_random_parameters(c, h):
+    module = VermaModule(c, h, max_level=6)
+    for level in range(1, 7):
+        assert exact_determinant(module.gram_matrix(level)) == kac_determinant(level, c, h)
+
+
+def test_kac_formula_reference_values():
+    # the level-2 closed form 2h (16h^2 + 2(c - 5)h + c), and a degenerate point
+    c, h = Fraction(7, 10), Fraction(3, 8)
+    assert kac_determinant(2, c, h) == 2 * h * (16 * h * h + 2 * (c - 5) * h + c)
+    assert kac_determinant(3, HALF, SIXTEENTH) == 0
+
+
+@given(small_rationals, small_rationals)
+def test_gram_matches_adjoint_word_reference(c, h):
+    module, reference = VermaModule(c, h, max_level=7), VermaModule(c, h, max_level=7)
+    for level in range(8):
+        gram = module.gram_matrix(level)
+        assert gram == adjoint_word_gram(reference, level)
+        assert all(type(x) is Fraction for row in gram for x in row)
+
+
+def test_gram_copy_is_independent_of_memo():
+    module = VermaModule(Fraction(7, 10), Fraction(3, 8))
+    first = module.gram_matrix(3)
+    want = [row[:] for row in first]
+    first[0][0] = Fraction(99)
+    first[1].append(Fraction(1))
+    first.pop()
+    assert module.gram_matrix(3) == want
+    assert module.gram_matrix(4) == adjoint_word_gram(VermaModule(Fraction(7, 10), Fraction(3, 8)), 4)
+
+
+def test_gram_above_truncation_raises():
+    with pytest.raises(TruncationError):
+        VermaModule(1, 0, max_level=4).gram_matrix(5)
+
+
+# entries are zero about half the time, so zero pivots and row swaps are common
+sparse_rationals = st.one_of(st.just(Fraction(0)), small_rationals)
+square_matrices = st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.lists(st.lists(sparse_rationals, min_size=n, max_size=n), min_size=n, max_size=n)
+)
+
+
+@given(square_matrices, st.data())
+def test_exact_determinant_matches_gaussian_reference(matrix, data):
+    assert exact_determinant(matrix) == gaussian_determinant(matrix)
+    # a row replaced by a rational combination of two others makes it singular
+    if len(matrix) >= 3:
+        i, j, k = data.draw(st.permutations(range(len(matrix))))[:3]
+        a, b = data.draw(small_rationals), data.draw(small_rationals)
+        singular = [row[:] for row in matrix]
+        singular[k] = [a * x + b * y for x, y in zip(matrix[i], matrix[j])]
+        assert exact_determinant(singular) == 0 == gaussian_determinant(singular)
+
+
+def test_exact_determinant_edge_cases():
+    F = Fraction
+    assert exact_determinant([]) == 1
+    assert exact_determinant([[F(-3, 7)]]) == F(-3, 7)
+    assert exact_determinant([[F(0)]]) == 0
+    # zero pivot in the first column and a zero pivot that appears after one step
+    swap_first = [[F(0), F(2, 3), F(1)], [F(1, 2), F(1), F(0)], [F(1), F(0), F(5, 4)]]
+    swap_later = [[F(1), F(2), F(3)], [F(2), F(4), F(5)], [F(1), F(3), F(7)]]
+    for matrix in (swap_first, swap_later):
+        assert exact_determinant(matrix) == gaussian_determinant(matrix) != 0
+    assert exact_determinant(swap_later) == 1
+    # the input is left untouched
+    before = [row[:] for row in swap_first]
+    exact_determinant(swap_first)
+    assert swap_first == before
+    assert type(exact_determinant([[F(2), F(1)], [F(1), F(2)]])) is Fraction
