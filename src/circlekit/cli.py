@@ -13,12 +13,16 @@ Exit codes:
 4  spectral aliasing (AliasingError); raise --grid
 5  a Newton inversion did not converge (ConvergenceError)
 
-Budget: `verma` takes --level 0..12 and --c/--h fractions of at most 16
-characters, without an exponent, whose numerator and denominator are below
-2^16 in absolute value; other requests exit 2 before any work.  The worst
-admitted request, level 12 with 16-bit fractional operands, takes about
-6 s (Python 3.11, one core of an Intel Xeon); --max-level only sets the
-truncation and costs nothing.
+Budget, checked before any work (exit 2 otherwise):
+
+- --grid at most 65536 on every command (fragment-diff there: 2 s, 173 MB);
+- verify: --threads 1..32, --trials x --grid at most 1000 x 1024.  Worst
+  admitted `verify all` with one thread (Python 3.11, Intel Xeon): 78 s,
+  43 MB at --trials 1000; 56 s, 219 MB at --trials 15 --grid 65536.  Each
+  trial the pool runs at once adds about 95 MB at --grid 65536;
+- verma: --level 0..12, --c/--h fractions of at most 16 characters, no
+  exponent, numerator and denominator below 2^16 in absolute value (level
+  12 with 16-bit operands: about 6 s); --max-level costs nothing.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from .errors import (
     NeighbourhoodError,
     TruncationError,
 )
-from .periodic import PeriodicFunction, grid
+from .periodic import PeriodicFunction, _fourier_samples, grid
 from .verify import CheckResult, RunReport, digest_inputs, run_suites
 
 EXIT_FAIL = 1
@@ -55,6 +59,9 @@ EXIT_GEOMETRY = 3
 EXIT_ALIASING = 4
 EXIT_CONVERGENCE = 5
 
+MAX_GRID = 65536
+MAX_THREADS = 32
+VERIFY_MAX_POINTS = 1000 * 1024  # --trials x --grid
 VERMA_MAX_LEVEL = 12
 VERMA_MAX_CHARS = 16
 VERMA_MAX_BITS = 16
@@ -83,13 +90,21 @@ def exit_code(exc: Exception) -> int:
 # ---------------------------------------------------------------------------
 
 
-def parse_fourier_terms(text: str, prefix: str) -> list[tuple[int, float, float]]:
+def _wavenumber(value) -> int:
+    """Integer mode number k; float(k) must exist, since samples take k * t."""
+    k = int(value)
+    float(k)  # OverflowError beyond the float range
+    return k
+
+
+def parse_fourier_terms(text: str, prefix: str, types=(_wavenumber, float, float)) -> list[tuple]:
+    """Term tuples from "prefix:[(...),...]", each entry converted by types in turn."""
     if not text.startswith(prefix + ":"):
         raise OperandError(f"expected '{prefix}:[...]', got {text!r}")
     try:
         terms = ast.literal_eval(text[len(prefix) + 1 :])
-        return [(int(k), float(a), float(b)) for k, a, b in terms]
-    except (ValueError, SyntaxError, TypeError) as exc:
+        return [tuple(conv(x) for conv, x in zip(types, term, strict=True)) for term in terms]
+    except (ValueError, SyntaxError, TypeError, OverflowError) as exc:
         raise OperandError(f"cannot parse {text!r}: {exc}") from exc
 
 
@@ -102,32 +117,21 @@ def parse_field(text: str, n: int) -> PeriodicFunction:
     """Vector field operand: "fourier:[(k,a,b),...]" or "monomial:k" for e^{ikt}."""
     if text.startswith("monomial:"):
         try:
-            k = int(text.split(":", 1)[1])
-        except ValueError as exc:
+            k = _wavenumber(text.split(":", 1)[1])
+        except (ValueError, OverflowError) as exc:
             raise OperandError(f"cannot parse {text!r}") from exc
         return PeriodicFunction(np.exp(1j * k * grid(n)))
-    t = grid(n)
-    f = np.zeros(n)
-    for k, a, b in parse_fourier_terms(text, "fourier"):
-        f += a * np.cos(k * t) + b * np.sin(k * t)
-    return PeriodicFunction(f)
+    return PeriodicFunction(_fourier_samples(parse_fourier_terms(text, "fourier"), n))
 
 
 def parse_loop_algebra(text: str, n: int) -> loops.LoopAlgebraElement:
     """su(2) operand "su2:[(axis,k,a,b),...]": component on i*sigma_axis."""
-    if not text.startswith("su2:"):
-        raise OperandError(f"expected 'su2:[...]', got {text!r}")
-    try:
-        terms = [(int(x), int(k), float(a), float(b)) for x, k, a, b in ast.literal_eval(text[4:])]
-    except (ValueError, SyntaxError, TypeError) as exc:
-        raise OperandError(f"cannot parse {text!r}: {exc}") from exc
-    t = grid(n)
-    comps = np.zeros((3, n))
-    for axis, k, a, b in terms:
-        if axis not in (1, 2, 3):
-            raise OperandError("axis must be 1, 2 or 3")
-        comps[axis - 1] += a * np.cos(k * t) + b * np.sin(k * t)
-    return loops.LoopAlgebraElement.from_components(*comps)
+    terms = parse_fourier_terms(text, "su2", (int, _wavenumber, float, float))
+    if any(term[0] not in (1, 2, 3) for term in terms):
+        raise OperandError("axis must be 1, 2 or 3")
+    return loops.LoopAlgebraElement.from_components(
+        *(_fourier_samples([term[1:] for term in terms if term[0] == axis], n) for axis in (1, 2, 3))
+    )
 
 
 def parse_loop(text: str, n: int) -> loops.LoopElement:
@@ -142,10 +146,26 @@ def parse_verma_operand(text: str, flag: str) -> Fraction:
     Fraction parses it, since an exponent alone can build a huge integer."""
     if len(text) > VERMA_MAX_CHARS or "e" in text.lower():
         raise OperandError(f"{flag} {text!r}: at most {VERMA_MAX_CHARS} characters, no exponent")
-    value = Fraction(text)
+    try:
+        value = Fraction(text)
+    except ZeroDivisionError as exc:
+        raise OperandError(f"{flag} {text!r}: zero denominator") from exc
     if max(abs(value.numerator), value.denominator) >= 2**VERMA_MAX_BITS:
         raise OperandError(f"{flag} {value}: numerator and denominator must be below 2^{VERMA_MAX_BITS}")
     return value
+
+
+def check_budget(args) -> None:
+    """Reject a request beyond the CLI budget (exit 2) before any work."""
+    if getattr(args, "grid", 0) > MAX_GRID:
+        raise OperandError(f"--grid {args.grid}: at most {MAX_GRID}")
+    if args.command == "verify":
+        if not 1 <= args.threads <= MAX_THREADS:
+            raise OperandError(f"--threads {args.threads}: must lie in 1..{MAX_THREADS}")
+        if args.trials * args.grid > VERIFY_MAX_POINTS:
+            raise OperandError(f"--trials x --grid = {args.trials * args.grid}: at most {VERIFY_MAX_POINTS}")
+    if args.command == "verma" and not 0 <= args.level <= VERMA_MAX_LEVEL:
+        raise OperandError(f"--level {args.level}: must lie in 0..{VERMA_MAX_LEVEL}")
 
 
 def load_cover(path: str | None) -> CoverConfig:
@@ -196,9 +216,8 @@ def cmd_fragment_diff(args) -> int:
 
     a_bound = frag_diff.alpha1_bound(cover, args.eps)
     b_bound = frag_diff.beta1_bound(cover, args.eps)
-    t = grid(args.grid)
     outside = max(
-        float(np.abs(xi.periodic_part.samples[~arc.contains(t)]).max())
+        arc.max_abs_outside(xi.periodic_part.samples)
         for xi, arc in zip((result.xi1, result.xi2, result.xi3), cover.intervals)
     )
     report = RunReport(command="fragment-diff")
@@ -233,9 +252,8 @@ def cmd_fragment_loop(args) -> int:
     xi1, xi2, xi3 = loops.fragment_loop(g, cover)
     rec = loops.multiply(xi1, loops.multiply(xi2, xi3, None), None)
     rec_err = float(np.abs(rec.samples - g.samples).max())
-    t = grid(args.grid)
     outside = max(
-        float(xi.distance_to_identity()[~arc.contains(t)].max())
+        arc.max_abs_outside(xi.distance_to_identity())
         for xi, arc in zip((xi1, xi2, xi3), cover.intervals)
     )
 
@@ -273,8 +291,6 @@ def cmd_cocycle(args) -> int:
 
 
 def cmd_verma(args) -> int:
-    if not 0 <= args.level <= VERMA_MAX_LEVEL:
-        raise OperandError(f"--level {args.level}: must lie in 0..{VERMA_MAX_LEVEL}")
     c = parse_verma_operand(args.c, "--c")
     h = parse_verma_operand(args.h, "--h")
     max_level = max(args.max_level, args.level)
@@ -362,6 +378,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        check_budget(args)
         return args.fn(args)
     except (CirclekitError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

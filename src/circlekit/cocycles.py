@@ -22,7 +22,7 @@ import numpy as np
 
 from .diffeo import CircleDiffeo, compose
 from .errors import AliasingError
-from .periodic import TWO_PI, PeriodicFunction, grid
+from .periodic import TWO_PI, PeriodicFunction, _fourier_samples
 
 __all__ = [
     "VectField",
@@ -54,11 +54,7 @@ class VectField:
 
     @classmethod
     def from_fourier(cls, terms, n: int = 1024) -> "VectField":
-        t = grid(n)
-        f = np.zeros(n)
-        for k, a, b in terms:
-            f += a * np.cos(k * t) + b * np.sin(k * t)
-        return cls(PeriodicFunction(f))
+        return cls(PeriodicFunction(_fourier_samples(terms, n)))
 
     @property
     def samples(self) -> np.ndarray:

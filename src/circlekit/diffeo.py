@@ -19,7 +19,7 @@ from .errors import (
     GeometryError,
     MassError,
 )
-from .periodic import TWO_PI, PeriodicFunction, _caches_on_one_stencil, _lagrange_eval_two, grid
+from .periodic import TWO_PI, PeriodicFunction, _caches_on_one_stencil, _fourier_samples, _lagrange_eval_two, grid
 
 __all__ = [
     "IntervalArc",
@@ -66,6 +66,12 @@ class IntervalArc:
         x = np.mod(np.asarray(t, dtype=float) - self.a, TWO_PI)
         return (x > 0) & (x < self.length)
 
+    def max_abs_outside(self, values) -> float:
+        """Largest |value| at the len(values)-point grid outside the arc; 0.0 if none."""
+        values = np.asarray(values)
+        outside = ~self.contains(grid(len(values)))
+        return float(np.abs(values[outside]).max()) if outside.any() else 0.0
+
     def contains_arc(self, other: "IntervalArc") -> bool:
         x = np.mod(other.a - self.a, TWO_PI)
         return x < self.length and x + other.length <= self.length
@@ -106,11 +112,7 @@ class CircleDiffeo:
     @classmethod
     def from_fourier(cls, terms, n: int = 1024) -> "CircleDiffeo":
         """Build gamma(t) = t + sum a_k cos(k t) + b_k sin(k t) from (k, a_k, b_k) triples."""
-        t = grid(n)
-        p = np.zeros(n)
-        for k, a, b in terms:
-            p += a * np.cos(k * t) + b * np.sin(k * t)
-        return cls(PeriodicFunction(p))
+        return cls(PeriodicFunction(_fourier_samples(terms, n)))
 
     # -- basic data -----------------------------------------------------
 

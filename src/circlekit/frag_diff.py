@@ -31,13 +31,12 @@ from .diffeo import (
     CircleDiffeo,
     CoverConfig,
     IntervalArc,
-    compose,
     make_bump,
     make_normalized_bump,
     solve_monotone,
 )
 from .errors import AliasingError, DerivativeError, GeometryError, NeighbourhoodError
-from .periodic import TWO_PI, PeriodicFunction, _upsample_real, grid
+from .periodic import TWO_PI, PeriodicFunction, _antiderivative_spectrum, _upsample_real, grid
 
 __all__ = [
     "EpsilonNeighbourhood",
@@ -165,16 +164,10 @@ def _stage_coefficients(g: CircleDiffeo, stage: _Stage, factor: int):
     """alpha, beta (boundary form), the beta used in the construction, and the
     fine-grid samples of (gamma' - 1) * Dc."""
     a, ha, hb, b = stage.endpoints
-    d_fine = _upsample_real(g.deriv.samples, factor)
-    integ = d_fine * stage.center_fine
-    m = len(integ)
-    c = np.fft.rfft(integ) / m
+    integ = _upsample_real(g.deriv.samples, factor) * stage.center_fine
+    c = PeriodicFunction(integ).spectrum
     mean = c[0].real
-    k = np.arange(len(c))
-    ca = np.zeros_like(c)
-    ca[1:] = c[1:] / (1j * k[1:])
-    ca[-1] = 0.0
-    f_vals = _trig_sum_eval(ca, np.array([0.0, ha, hb, b]))
+    f_vals = _trig_sum_eval(_antiderivative_spectrum(c), np.array([0.0, ha, hb, b]))
 
     def partial(theta, f_theta):
         return mean * theta + f_theta - f_vals[0]
@@ -195,15 +188,9 @@ def _stage_localize(g: CircleDiffeo, stage: _Stage, factor: int):
     g_fine = integ + alpha * stage.left_fine + beta_build * stage.right_fine
     if g_fine.min() <= -1.0:
         raise DerivativeError("localized factor has non-positive derivative")
-    m = len(g_fine)
-    c = np.fft.rfft(g_fine) / m
-    defect = abs(c[0].real) * TWO_PI
-    k = np.arange(len(c))
-    ca = np.zeros_like(c)
-    ca[1:] = c[1:] / (1j * k[1:])
-    ca[-1] = 0.0
-    f = np.fft.irfft(ca) * m
-    return f - f[0], alpha, beta, defect
+    pf = PeriodicFunction(g_fine)
+    defect = abs(pf.spectrum[0].real) * TWO_PI
+    return pf.antiderivative()[0].samples, alpha, beta, defect
 
 
 def _solve_inside(factor: CircleDiffeo, arc: IntervalArc, targets: np.ndarray) -> np.ndarray:
@@ -261,11 +248,7 @@ class DiffeoFragmenter:
             raise NeighbourhoodError(
                 f"eps={eps} is not below the positivity threshold {self.epsilon1:.4f}"
             )
-        hood = EpsilonNeighbourhood(eps)
-        if not hood.contains(g):
-            raise NeighbourhoodError(
-                f"element at C^1 distance {hood.distance(g):.3e} is outside the {eps} neighbourhood"
-            )
+        _check_neighbourhood(g, eps)
         p1_fine, a1, b1, defect1 = _stage_localize(g, self.stage1, self.factor)
         xi1 = _coarse_factor(p1_fine, self.factor, tail_tol)
         # remainder evaluated against the fine representation of the first
@@ -294,14 +277,9 @@ class DiffeoFragmenter:
         )
 
 
-_FRAGMENTERS: dict = {}
-
-
+@functools.lru_cache(maxsize=16)
 def _fragmenter(cover: CoverConfig, n: int) -> DiffeoFragmenter:
-    key = (cover, n)
-    if key not in _FRAGMENTERS:
-        _FRAGMENTERS[key] = DiffeoFragmenter(cover, n)
-    return _FRAGMENTERS[key]
+    return DiffeoFragmenter(cover, n)
 
 
 def fragment(
@@ -323,7 +301,7 @@ def _check_neighbourhood(g: CircleDiffeo, eps: float) -> None:
         )
 
 
-def alpha1(g: CircleDiffeo, cover: CoverConfig, bumps: IntervalBumps | None = None, eps: float = 0.01) -> float:
+def alpha1(g: CircleDiffeo, cover: CoverConfig, eps: float = 0.01) -> float:
     """Left blending coefficient of the first localization stage."""
     _check_neighbourhood(g, eps)
     frag = _fragmenter(cover, g.n)
@@ -331,13 +309,7 @@ def alpha1(g: CircleDiffeo, cover: CoverConfig, bumps: IntervalBumps | None = No
     return value
 
 
-def beta1(
-    g: CircleDiffeo,
-    cover: CoverConfig,
-    bumps: IntervalBumps | None = None,
-    alpha: float | None = None,
-    eps: float = 0.01,
-) -> float:
+def beta1(g: CircleDiffeo, cover: CoverConfig, eps: float = 0.01) -> float:
     """Right blending coefficient (boundary form)."""
     _check_neighbourhood(g, eps)
     frag = _fragmenter(cover, g.n)
@@ -345,9 +317,7 @@ def beta1(
     return value
 
 
-def beta1_integral_form(
-    g: CircleDiffeo, cover: CoverConfig, bumps: IntervalBumps | None = None, alpha: float | None = None
-) -> float:
+def beta1_integral_form(g: CircleDiffeo, cover: CoverConfig, alpha: float | None = None) -> float:
     """Equivalent full-period expression for beta1.
 
     beta1 = -2/(b - bhat) * int_0^{2pi} ((gamma'(t)-1) Dc(t) + alpha1 Dl(t)) dt.
@@ -355,7 +325,7 @@ def beta1_integral_form(
     frag = _fragmenter(cover, g.n)
     stage = frag.stage1
     if alpha is None:
-        alpha = alpha1(g, cover, bumps)
+        alpha = alpha1(g, cover)
     d_fine = _upsample_real(g.deriv.samples, frag.factor)
     step = TWO_PI / (g.n * frag.factor)
     full = (d_fine * stage.center_fine).sum() * step + alpha * stage.left_mass

@@ -15,6 +15,12 @@ accurate to ~1e-13.
 
 Scalar (real or complex) and matrix-valued samples are supported; all
 spectral operations act along the first axis.
+
+Each Fourier formula is written once, here: `_fourier_samples` turns
+(k, a_k, b_k) terms into samples, `_antiderivative_spectrum` is the real
+spectral antiderivative (also behind fragmentation's localization stages),
+and `_upsample_real`/`_upsample_complex` are the zero-pad resampling behind
+the evaluation caches and `resample`.
 """
 
 from __future__ import annotations
@@ -82,6 +88,25 @@ def _stencil_error_bound(spectrum: np.ndarray, n: int) -> float:
 def _along_first_axis(k: np.ndarray, samples: np.ndarray) -> np.ndarray:
     """Per-frequency factors shaped to broadcast along the first axis of samples."""
     return k.reshape((-1,) + (1,) * (samples.ndim - 1))
+
+
+def _fourier_samples(terms, n: int) -> np.ndarray:
+    """Samples on the n-point grid of sum a cos(k t) + b sin(k t) over (k, a, b) terms."""
+    t = grid(n)
+    out = np.zeros(n)
+    for k, a, b in terms:
+        out += a * np.cos(k * t) + b * np.sin(k * t)
+    return out
+
+
+def _antiderivative_spectrum(c: np.ndarray) -> np.ndarray:
+    """rfft coefficients of the zero-mean periodic antiderivative of real data
+    with rfft coefficients c; the mean and the Nyquist mode are dropped."""
+    k = _along_first_axis(np.arange(len(c)), c)
+    out = np.zeros_like(c)
+    out[1:] = c[1:] / (1j * k[1:])
+    out[-1] = 0.0
+    return out
 
 
 def _upsample_real(samples: np.ndarray, factor: int) -> np.ndarray:
@@ -306,12 +331,7 @@ class PeriodicFunction:
         if self._antideriv is None:
             n = self.n
             if self.is_real:
-                c = self.spectrum.copy()
-                k = _along_first_axis(np.arange(n // 2 + 1), c)
-                c[1:] = c[1:] / (1j * k[1:])
-                c[0] = 0.0
-                c[-1] = 0.0
-                f = np.fft.irfft(c, axis=0) * n
+                f = np.fft.irfft(_antiderivative_spectrum(self.spectrum), axis=0) * n
             else:
                 k = _along_first_axis(np.fft.fftfreq(n, d=1.0 / n), self.samples)
                 c = np.fft.fft(self.samples, axis=0)
@@ -346,27 +366,17 @@ class PeriodicFunction:
         n = self.n
         if m == n:
             return self
-        if self.is_real:
-            c = np.fft.rfft(self.samples, axis=0)
-            if m > n:
-                out = np.zeros((m // 2 + 1,) + c.shape[1:], dtype=complex)
-                out[: n // 2 + 1] = c
-                out[n // 2] *= 0.5
-            else:
-                out = c[: m // 2 + 1].copy()
-                out[-1] = out[-1].real  # keep the new Nyquist bin real
-            return PeriodicFunction(np.fft.irfft(out, m, axis=0) * (m / n))
-        c = np.fft.fft(self.samples, axis=0)
-        out_shape = (m,) + self.samples.shape[1:]
-        out = np.zeros(out_shape, dtype=complex)
-        h = min(n, m) // 2
-        out[:h] = c[:h]
-        out[m - h + 1 :] = c[n - h + 1 :]
         if m > n:
-            out[h] = 0.5 * c[h]
-            out[m - h] = 0.5 * c[h]
-        else:
-            out[h] = c[h] + c[n - h]
+            upsample = _upsample_real if self.is_real else _upsample_complex
+            return PeriodicFunction(upsample(self.samples, m // n))
+        h = m // 2
+        if self.is_real:
+            c = np.fft.rfft(self.samples, axis=0)[: h + 1]
+            c[-1] = c[-1].real  # keep the new Nyquist bin real
+            return PeriodicFunction(np.fft.irfft(c, m, axis=0) * (m / n))
+        c = np.fft.fft(self.samples, axis=0)
+        # modes +h and -h fold onto the new Nyquist bin
+        out = np.concatenate([c[:h], c[h : h + 1] + c[n - h : n - h + 1], c[n - h + 1 :]])
         return PeriodicFunction(np.fft.ifft(out, axis=0) * (m / n))
 
     def to_csv(self, path) -> None:

@@ -35,16 +35,18 @@ def _band_limited(rng: np.random.Generator, n: int, modes: int) -> np.ndarray:
     return np.cos(np.outer(t, k)) @ a + np.sin(np.outer(t, k)) @ b
 
 
+def _scaled_diffeo(p: np.ndarray, eps: float, fill: float) -> CircleDiffeo:
+    """gamma = t + scale * p with C^1 distance fill * eps from the identity."""
+    dp = PeriodicFunction(p).derivative().samples
+    scale = fill * eps / max(np.abs(p).max(), np.abs(dp).max(), 1e-300)
+    return CircleDiffeo(PeriodicFunction(scale * p))
+
+
 def random_diffeo(
     rng: np.random.Generator, eps: float, n: int = 1024, modes: int = 8, fill: float = 0.9
 ) -> CircleDiffeo:
     """Element of the eps-neighbourhood at about fill * eps in C^1 norm."""
-    p = _band_limited(rng, n, modes)
-    pf = PeriodicFunction(p)
-    scale = fill * eps / max(
-        np.abs(p).max(), np.abs(pf.derivative().samples).max(), 1e-300
-    )
-    return CircleDiffeo(PeriodicFunction(scale * p))
+    return _scaled_diffeo(_band_limited(rng, n, modes), eps, fill)
 
 
 def random_rotation(rng: np.random.Generator, n: int = 1024) -> CircleDiffeo:
@@ -80,9 +82,4 @@ def random_supported_diffeo(
     bump = make_bump(arc, plateau)
     t = grid(n)
     wobble = 1.0 + 0.3 * np.sin(rng.integers(1, 4) * t + rng.uniform(0, 2 * np.pi))
-    p = bump.values(t) * wobble * rng.choice([-1.0, 1.0])
-    pf = PeriodicFunction(p)
-    scale = fill * eps / max(
-        np.abs(p).max(), np.abs(pf.derivative().samples).max(), 1e-300
-    )
-    return CircleDiffeo(PeriodicFunction(scale * p))
+    return _scaled_diffeo(bump.values(t) * wobble * rng.choice([-1.0, 1.0]), eps, fill)

@@ -95,13 +95,6 @@ def _map(fn, count: int, threads: int) -> list:
     return [fn(i) for i in range(count)]
 
 
-def _outside_displacement(g: CircleDiffeo, arc: IntervalArc) -> float:
-    mask = ~arc.contains(grid(g.n))
-    if not mask.any():
-        return 0.0
-    return float(np.abs(g.periodic_part.samples[mask]).max())
-
-
 # ---------------------------------------------------------------------------
 # diffeo suite
 # ---------------------------------------------------------------------------
@@ -135,7 +128,7 @@ def diff_suite(seed: int, trials: int, n: int) -> list[CheckResult]:
         # support of a composition stays in the dilated hull of the factor arcs
         hull_len = np.mod(arc2.b - arc1.a, TWO_PI)
         hull = IntervalArc(arc1.a, arc1.a + hull_len).dilate(TWO_PI / n)
-        overhang = _outside_displacement(compose(g1, g2), hull)
+        overhang = hull.max_abs_outside(compose(g1, g2).periodic_part.samples)
         return comm, overhang
 
     rows = _map(support_trial, trials, 1)
@@ -178,7 +171,7 @@ def frag_suite(seed: int, trials: int, n: int, threads: int = 1) -> list[CheckRe
         g = random_diffeo(rng, eps, n)
         res = fragmenter.fragment(g, eps=eps)
         outside = max(
-            _outside_displacement(xi, arc)
+            arc.max_abs_outside(xi.periodic_part.samples)
             for xi, arc in zip((res.xi1, res.xi2, res.xi3), arcs)
         )
         deriv_min = min(res.xi1.deriv_samples.min(), res.xi2.deriv_samples.min())
@@ -217,7 +210,8 @@ def frag_suite(seed: int, trials: int, n: int, threads: int = 1) -> list[CheckRe
         i12 = IntervalArc(cover.i2.a, cover.i1.b)
         i13 = IntervalArc(cover.i1.a, cover.i3.b - TWO_PI)
         return max(
-            _outside_displacement(res.xi2, i12), _outside_displacement(res.xi3, i13)
+            i12.max_abs_outside(res.xi2.periodic_part.samples),
+            i13.max_abs_outside(res.xi3.periodic_part.samples),
         )
 
     rows = _map(refine_trial, max(trials // 10, 1), threads)
@@ -262,7 +256,10 @@ def frag_suite(seed: int, trials: int, n: int, threads: int = 1) -> list[CheckRe
         g = random_diffeo(rng, eps, n)
         gl, gr = frag_diff.fragment_pair(g, left, right)
         rec = compose(gl, gr).distance(g)
-        out = max(_outside_displacement(gl, left), _outside_displacement(gr, right))
+        out = max(
+            left.max_abs_outside(gl.periodic_part.samples),
+            right.max_abs_outside(gr.periodic_part.samples),
+        )
         return max(rec, out)
 
     rows = _map(pair_trial, max(trials // 10, 1), threads)
@@ -319,7 +316,6 @@ def loop_suite(seed: int, trials: int, n: int, threads: int = 1) -> list[CheckRe
         rng = rng_for(seed, 21, i)
         arc1 = IntervalArc(0.2, 2.0)
         arc2 = IntervalArc(2.4, 5.0)
-        t = grid(n)
         b1 = random_supported_diffeo(rng, arc1, 0.5, n).periodic_part.samples
         b2 = random_supported_diffeo(rng, arc2, 0.5, n).periodic_part.samples
         xi = random_loop_algebra(rng, 1.0, n).scaled(b1)
@@ -344,10 +340,10 @@ def loop_suite(seed: int, trials: int, n: int, threads: int = 1) -> list[CheckRe
         parts = loops.fragment_loop(g, cover)
         rec = loops.multiply(parts[0], loops.multiply(parts[1], parts[2], None), None)
         rec_err = float(np.abs(rec.samples - g.samples).max())
-        outside = 0.0
-        for xi_j, arc in zip(parts, cover.intervals):
-            mask = ~arc.contains(grid(n))
-            outside = max(outside, float(xi_j.distance_to_identity()[mask].max()))
+        outside = max(
+            arc.max_abs_outside(xi_j.distance_to_identity())
+            for xi_j, arc in zip(parts, cover.intervals)
+        )
         seq = loops.fragment_loop_sequential(g, cover)
         agree = max(
             float(np.abs(a.samples - b.samples).max()) for a, b in zip(parts, seq)
@@ -373,11 +369,10 @@ def loop_suite(seed: int, trials: int, n: int, threads: int = 1) -> list[CheckRe
         parts = loops.fragment_loop(g, cover)
         i12 = IntervalArc(cover.i2.a, cover.i1.b)
         i13 = IntervalArc(cover.i1.a, cover.i3.b - TWO_PI)
-        out = 0.0
-        for xi_j, arc in ((parts[1], i12), (parts[2], i13)):
-            mask = ~arc.contains(grid(n))
-            out = max(out, float(xi_j.distance_to_identity()[mask].max()))
-        return out
+        return max(
+            i12.max_abs_outside(parts[1].distance_to_identity()),
+            i13.max_abs_outside(parts[2].distance_to_identity()),
+        )
 
     rows = _map(refine_trial, max(trials // 10, 1), threads)
     checks.append(CheckResult("loop.frag_supported_in_i1", max(rows, default=0.0), 1e-10))

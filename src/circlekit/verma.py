@@ -14,6 +14,7 @@ elimination on rows cleared by the LCM of their own denominators.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -208,14 +209,15 @@ class VermaModule:
 
 # -- convenience wrappers with a per-(c, h, level) module cache --------------
 
-_MODULES: dict = {}
-
 
 def _module(c, h, max_level: int = DEFAULT_MAX_LEVEL) -> VermaModule:
-    key = (Fraction(c), Fraction(h), max_level)
-    if key not in _MODULES:
-        _MODULES[key] = VermaModule(*key)
-    return _MODULES[key]
+    # equal (c, h) given as int, float, str or Fraction share one cache entry
+    return _cached_module(Fraction(c), Fraction(h), max_level)
+
+
+@functools.lru_cache(maxsize=16)
+def _cached_module(c: Fraction, h: Fraction, max_level: int) -> VermaModule:
+    return VermaModule(c, h, max_level)
 
 
 def act(m: int, state: VermaState, max_level: int = DEFAULT_MAX_LEVEL) -> VermaState:

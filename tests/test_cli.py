@@ -212,3 +212,62 @@ def test_library_error_exit_codes(error, code, monkeypatch, capsys, tmp_path):
 def test_every_library_error_has_an_exit_code():
     for error in errors.CirclekitError.__subclasses__():
         assert cli.exit_code(error("x")) in (2, 3, 4, 5)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fragment-diff", "--spec", "fourier:[(1e400,0,0.001)]"],
+        ["fragment-loop", "--spec", "exp:[(1,1e400,0,0)]"],
+        ["cocycle", "omega", "su2:[(1,1e400,0,0)]", "su2:[]"],
+        ["cocycle", "vect", "fourier:[(1" + "0" * 400 + ",0,1)]", "monomial:1" + "0" * 400],
+    ],
+)
+def test_huge_fourier_terms_exit_2(argv, capsys, tmp_path):
+    if argv[0].startswith("fragment"):
+        argv = argv + ["--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: cannot parse")
+
+
+def _no_command_runs(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a command ran before the budget check")
+
+    for name in ("cmd_fragment_diff", "cmd_fragment_loop", "cmd_cocycle", "cmd_verma", "cmd_verify"):
+        monkeypatch.setattr(cli, name, fail)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fragment-diff", "--spec", "fourier:[]", "--grid", "131072"],
+        ["fragment-loop", "--spec", "exp:[]", "--grid", "65537"],
+        ["cocycle", "bott", "fourier:[]", "fourier:[]", "--grid", "131072"],
+        ["verify", "--grid", "131072", "--trials", "1"],
+        ["verify", "--threads", "0"],
+        ["verify", "--threads", "33"],
+        ["verify", "--threads", "-4"],
+        ["verify", "--trials", "1001"],
+        ["verify", "--trials", "16", "--grid", "65536"],
+        ["verify", "--trials", "126", "--grid", "8192"],
+        ["verma", "--level", "13"],
+    ],
+)
+def test_budget_rejected_before_any_work(argv, monkeypatch, capsys):
+    _no_command_runs(monkeypatch)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: --")
+
+
+def test_verify_budget_boundary_admitted(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "run_suites", lambda *args, **kwargs: calls.append((args, kwargs)) or RunReport("verify"))
+    for argv in (["--trials", "1000", "--threads", "32"], ["--trials", "125", "--grid", "8192", "--threads", "1"]):
+        assert cli.main(["verify", *argv]) == 0
+    assert [c[1]["threads"] for c in calls] == [32, 1]
+
+
+def test_verma_zero_denominator(capsys):
+    assert cli.main(["verma", "--c", "1/0"]) == 2
+    assert "zero denominator" in capsys.readouterr().err

@@ -173,3 +173,11 @@ def test_interval_arc_wrapping():
     assert not arc.contains(1.0)
     with pytest.raises(GeometryError):
         IntervalArc(0.0, TWO_PI)
+
+
+def test_max_abs_outside():
+    h = TWO_PI / 16
+    values = np.arange(16.0) - 8.0
+    assert IntervalArc(-h / 2, TWO_PI - 0.75 * h).max_abs_outside(values) == 0.0
+    # grid points 0 and 15 (values -8 and 7) lie outside (0.5h, 14.5h)
+    assert IntervalArc(h / 2, 14.5 * h).max_abs_outside(values) == 8.0

@@ -240,3 +240,9 @@ def test_coarse_factors_recompose_by_direct_sum():
         x1 = x2 + trig(res.xi1.periodic_part.samples, x2)
         worst = max(worst, float(np.abs(x1 - g.samples).max()))
     assert worst < 1e-7
+
+
+def test_fragmenter_cache_is_bounded():
+    for k in range(20):
+        _fragmenter(CoverConfig.default(margin=0.1 + 0.01 * k), 16)
+    assert _fragmenter.cache_info().currsize <= 16

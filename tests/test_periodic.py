@@ -103,6 +103,23 @@ def test_resample_roundtrip():
     assert np.abs(back.samples - f.samples).max() < 1e-12
 
 
+def test_complex_resample_against_direct_sum():
+    modes = {3: 1 + 0.5j, -7: 0.3j, 16: 0.2, -16: 0.1 - 0.4j, 20: 0.05, -25: 0.02j}
+
+    def direct(t, keep=lambda k: True):
+        return sum(c * np.exp(1j * k * t) for k, c in modes.items() if keep(k))
+
+    f = PeriodicFunction(direct(grid(64)))
+    assert np.abs(f.resample(128).samples - direct(grid(128))).max() < 1e-13
+    # truncation drops |k| > 16; +16 and -16 fold onto the new Nyquist bin
+    down = f.resample(32).samples
+    assert np.abs(down - direct(grid(32), lambda k: abs(k) <= 16)).max() < 1e-13
+    assert np.abs(down - direct(grid(32), lambda k: abs(k) < 16)).max() > 0.1
+    # the old Nyquist mode is split evenly between +32 and -32
+    nyquist = PeriodicFunction(0.3 * np.exp(32j * grid(64)))
+    assert np.abs(nyquist.resample(128).samples - 0.3 * np.cos(32 * grid(128))).max() < 1e-13
+
+
 def test_tail_indicator():
     t = grid(256)
     smooth = PeriodicFunction(np.sin(2 * t))

@@ -4,6 +4,7 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
+from circlekit import verma
 from circlekit.errors import TruncationError
 from circlekit.verify import VERMA_PARAMETERS
 from circlekit.verma import (
@@ -285,3 +286,11 @@ def test_exact_determinant_edge_cases():
     exact_determinant(swap_first)
     assert swap_first == before
     assert type(exact_determinant([[F(2), F(1)], [F(1), F(2)]])) is Fraction
+
+
+def test_module_cache_is_bounded():
+    for i in range(40):
+        gram_matrix(1, Fraction(i, 7), Fraction(1, i + 2))
+    assert verma._cached_module.cache_info().currsize <= 16
+    # equal parameters in any exact spelling share one module
+    assert verma._module(HALF, 1) is verma._module("1/2", Fraction(1)) is verma._module(0.5, "1")
