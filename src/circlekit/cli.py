@@ -4,7 +4,8 @@ Exit codes:
 
 0  success
 1  a verification check failed
-2  bad operands: unparsable, outside the admissible neighbourhood, not
+2  bad operands: unparsable, with samples or a cocycle value that overflow
+   to inf or NaN, outside the admissible neighbourhood, not
    orientation preserving (DerivativeError), outside the principal branch of
    the loop logarithm (BranchError) or above a module's truncation
    (TruncationError)
@@ -16,10 +17,11 @@ Exit codes:
 Budget, checked before any work (exit 2 otherwise):
 
 - --grid at most 65536 on every command (fragment-diff there: 2 s, 173 MB);
-- verify: --threads 1..32, --trials x --grid at most 1000 x 1024.  Worst
+- verify: --threads 1..32, --trials x --grid at most 1000 x 1024, and
+  min(--threads, --trials) x --grid at most 2 x 65536, since the pool runs
+  that many trials at once and each adds about 95 MB at --grid 65536.  Worst
   admitted `verify all` with one thread (Python 3.11, Intel Xeon): 78 s,
-  43 MB at --trials 1000; 56 s, 219 MB at --trials 15 --grid 65536.  Each
-  trial the pool runs at once adds about 95 MB at --grid 65536;
+  43 MB at --trials 1000; 56 s, 219 MB at --trials 15 --grid 65536;
 - verma: --level 0..12, --c/--h fractions of at most 16 characters, no
   exponent, numerator and denominator below 2^16 in absolute value (level
   12 with 16-bit operands: about 6 s); --max-level costs nothing.
@@ -62,6 +64,7 @@ EXIT_CONVERGENCE = 5
 MAX_GRID = 65536
 MAX_THREADS = 32
 VERIFY_MAX_POINTS = 1000 * 1024  # --trials x --grid
+VERIFY_MAX_PARALLEL_POINTS = 2 * 65536  # min(--threads, --trials) x --grid
 VERMA_MAX_LEVEL = 12
 VERMA_MAX_CHARS = 16
 VERMA_MAX_BITS = 16
@@ -108,9 +111,21 @@ def parse_fourier_terms(text: str, prefix: str, types=(_wavenumber, float, float
         raise OperandError(f"cannot parse {text!r}: {exc}") from exc
 
 
+def _finite(samples: np.ndarray, text: str) -> np.ndarray:
+    """The operand's samples, which overflow must not have made inf or NaN."""
+    if not np.all(np.isfinite(samples)):
+        raise OperandError(f"{text!r}: samples are not finite")
+    return samples
+
+
+def _operand_samples(text: str, n: int) -> np.ndarray:
+    """Finite samples of "fourier:[(k,a,b),...]" on the n-point grid."""
+    return _finite(_fourier_samples(parse_fourier_terms(text, "fourier"), n), text)
+
+
 def parse_diffeo(text: str, n: int) -> CircleDiffeo:
     """gamma(t) = t + sum a_k cos(k t) + b_k sin(k t), from "fourier:[(k,a,b),...]"."""
-    return CircleDiffeo.from_fourier(parse_fourier_terms(text, "fourier"), n)
+    return CircleDiffeo(PeriodicFunction(_operand_samples(text, n)))
 
 
 def parse_field(text: str, n: int) -> PeriodicFunction:
@@ -120,25 +135,23 @@ def parse_field(text: str, n: int) -> PeriodicFunction:
             k = _wavenumber(text.split(":", 1)[1])
         except (ValueError, OverflowError) as exc:
             raise OperandError(f"cannot parse {text!r}") from exc
-        return PeriodicFunction(np.exp(1j * k * grid(n)))
-    return PeriodicFunction(_fourier_samples(parse_fourier_terms(text, "fourier"), n))
+        return PeriodicFunction(_finite(np.exp(1j * k * grid(n)), text))
+    return PeriodicFunction(_operand_samples(text, n))
 
 
-def parse_loop_algebra(text: str, n: int) -> loops.LoopAlgebraElement:
-    """su(2) operand "su2:[(axis,k,a,b),...]": component on i*sigma_axis."""
-    terms = parse_fourier_terms(text, "su2", (int, _wavenumber, float, float))
+def parse_loop_algebra(text: str, n: int, prefix: str = "su2") -> loops.LoopAlgebraElement:
+    """su(2) operand "su2:[(axis,k,a,b),...]": component on i*sigma_axis.  Errors
+    quote the text as given, also under the "exp" prefix of parse_loop."""
+    terms = parse_fourier_terms(text, prefix, (int, _wavenumber, float, float))
     if any(term[0] not in (1, 2, 3) for term in terms):
         raise OperandError("axis must be 1, 2 or 3")
-    return loops.LoopAlgebraElement.from_components(
-        *(_fourier_samples([term[1:] for term in terms if term[0] == axis], n) for axis in (1, 2, 3))
-    )
+    components = (_fourier_samples([term[1:] for term in terms if term[0] == axis], n) for axis in (1, 2, 3))
+    return loops.LoopAlgebraElement.from_components(*(_finite(x, text) for x in components))
 
 
 def parse_loop(text: str, n: int) -> loops.LoopElement:
     """Loop operand "exp:[(axis,k,a,b),...]": pointwise exponential of an su(2) field."""
-    if not text.startswith("exp:"):
-        raise OperandError(f"expected 'exp:[...]', got {text!r}")
-    return loops.exp_loop(parse_loop_algebra("su2:" + text[4:], n))
+    return loops.exp_loop(parse_loop_algebra(text, n, prefix="exp"))
 
 
 def parse_verma_operand(text: str, flag: str) -> Fraction:
@@ -164,6 +177,12 @@ def check_budget(args) -> None:
             raise OperandError(f"--threads {args.threads}: must lie in 1..{MAX_THREADS}")
         if args.trials * args.grid > VERIFY_MAX_POINTS:
             raise OperandError(f"--trials x --grid = {args.trials * args.grid}: at most {VERIFY_MAX_POINTS}")
+        parallel = min(args.threads, args.trials) * args.grid
+        if parallel > VERIFY_MAX_PARALLEL_POINTS:
+            raise OperandError(
+                f"--threads {args.threads} --trials {args.trials} --grid {args.grid}: the pool holds "
+                f"{parallel} grid points of trials at once, at most {VERIFY_MAX_PARALLEL_POINTS}"
+            )
     if args.command == "verma" and not 0 <= args.level <= VERMA_MAX_LEVEL:
         raise OperandError(f"--level {args.level}: must lie in 0..{VERMA_MAX_LEVEL}")
 
@@ -277,16 +296,18 @@ def cmd_cocycle(args) -> int:
     n = args.grid
     if args.kind == "bott":
         value = cocycles.bott(parse_diffeo(args.operands[0], n), parse_diffeo(args.operands[1], n))
-        sys.stdout.write(f"{value:.17g}\n")
     elif args.kind == "vect":
         value = cocycles.vect_cocycle(parse_field(args.operands[0], n), parse_field(args.operands[1], n))
-        if abs(value.imag) < 1e-13 * (1 + abs(value)):
-            sys.stdout.write(f"{value.real:.17g}\n")
-        else:
-            sys.stdout.write(f"{value.real:.17g}{value.imag:+.17g}j\n")
     else:
         value = loops.omega(parse_loop_algebra(args.operands[0], n), parse_loop_algebra(args.operands[1], n))
+    if not np.isfinite(value):  # finite samples whose derivatives or sums overflow
+        raise OperandError(f"{args.kind} cocycle of {args.operands[0]!r}, {args.operands[1]!r} overflows to {value}")
+    if args.kind != "vect":
         sys.stdout.write(f"{value:.17g}\n")
+    elif abs(value.imag) < 1e-13 * (1 + abs(value)):
+        sys.stdout.write(f"{value.real:.17g}\n")
+    else:
+        sys.stdout.write(f"{value.real:.17g}{value.imag:+.17g}j\n")
     return 0
 
 

@@ -96,7 +96,7 @@ class CircleDiffeo:
         self.periodic_part = periodic_part
         self.n = periodic_part.n
         self._deriv = None
-        if np.any(self.deriv_samples <= 0.0):
+        if not np.all(self.deriv_samples > 0.0):  # NaN fails too
             raise DerivativeError("gamma' must be positive at every grid point")
 
     # -- constructors ---------------------------------------------------

@@ -7,9 +7,13 @@ Generators L_m with m in Z and a central element acting as the scalar c obey
 The module M(c, h) is spanned by ordered words L_{-n1} ... L_{-nk} |h> with
 n1 >= ... >= nk >= 1 (partitions), where L_0 |h> = h |h> and L_m |h> = 0 for
 m > 0.  All coefficients are exact rationals; states above the truncation
-level are rejected rather than silently dropped.  Gram matrices recurse on
-mu's first part over memoized lower levels; determinants run Bareiss
-elimination on rows cleared by the LCM of their own denominators.
+level are rejected rather than silently dropped.  Generators act through a
+memo of L_m on basis words, and every sum of scaled word actions (normal
+ordering, `act`, the bracket check's L_m L_n v - L_n L_m v - (m - n) L_{m+n} v
+- central * v) accumulates into one partition -> Fraction dict through
+`_add_scaled`, the check passing when every entry is zero.  Gram matrices
+recurse on mu's first part over memoized lower levels; determinants run
+Bareiss elimination on rows cleared by the LCM of their own denominators.
 """
 
 from __future__ import annotations
@@ -54,6 +58,12 @@ def _clean(coeffs: dict) -> dict:
     return {p: c for p, c in coeffs.items() if c != 0}
 
 
+def _add_scaled(acc: dict, factor, coeffs: Mapping) -> None:
+    """acc += factor * coeffs in place; a partition's first term creates its key."""
+    for p, v in coeffs.items():
+        acc[p] = acc[p] + factor * v if p in acc else factor * v
+
+
 @dataclass(frozen=True)
 class VermaState:
     """Finitely supported rational combination of partition basis vectors."""
@@ -63,7 +73,7 @@ class VermaState:
     h: Fraction
 
     def __post_init__(self):
-        cleaned = _clean({p: Fraction(v) for p, v in self.coeffs.items()})
+        cleaned = _clean({p: v if type(v) is Fraction else Fraction(v) for p, v in self.coeffs.items()})
         object.__setattr__(self, "coeffs", cleaned)
 
     @property
@@ -78,15 +88,11 @@ class VermaState:
 
     def __add__(self, other: "VermaState") -> "VermaState":
         out = dict(self.coeffs)
-        for p, v in other.coeffs.items():
-            out[p] = out.get(p, Fraction(0)) + v
+        _add_scaled(out, 1, other.coeffs)
         return VermaState(out, self.c, self.h)
 
     def __sub__(self, other: "VermaState") -> "VermaState":
-        out = dict(self.coeffs)
-        for p, v in other.coeffs.items():
-            out[p] = out.get(p, Fraction(0)) - v
-        return VermaState(out, self.c, self.h)
+        return self + other.scaled(-1)
 
     def scaled(self, factor) -> "VermaState":
         f = Fraction(factor)
@@ -136,29 +142,19 @@ class VermaModule:
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        if not part:
-            if m > 0:
-                out = {}
-            elif m == 0:
-                out = {(): self.h}
-            else:
-                out = {(-m,): Fraction(1)}
-        elif m < 0 and -m >= part[0]:
+        if m < 0 and (not part or -m >= part[0]):
             out = {(-m,) + part: Fraction(1)}
+        elif not part:
+            out = {(): self.h} if m == 0 else {}
         else:
             n1, rest = part[0], part[1:]
             out = {}
             # L_m L_{-n1} = L_{-n1} L_m + (m + n1) L_{m-n1} + central
             for mu, co in self._act_basis(m, rest).items():
-                for nu, co2 in self._act_basis(-n1, mu).items():
-                    out[nu] = out.get(nu, Fraction(0)) + co * co2
-            shift = m + n1
-            for mu, co in self._act_basis(m - n1, rest).items():
-                out[mu] = out.get(mu, Fraction(0)) + shift * co
+                _add_scaled(out, co, self._act_basis(-n1, mu))
+            _add_scaled(out, m + n1, self._act_basis(m - n1, rest))
             if m == n1:
-                central = Fraction(m**3 - m, 12) * self.c
-                if central:
-                    out[rest] = out.get(rest, Fraction(0)) + central
+                _add_scaled(out, Fraction(m**3 - m, 12) * self.c, {rest: 1})
             out = _clean(out)
         self._memo[key] = out
         return out
@@ -175,20 +171,22 @@ class VermaModule:
             )
         out: dict = {}
         for part, co in state.coeffs.items():
-            for nu, co2 in self._act_basis(m, part).items():
-                out[nu] = out.get(nu, Fraction(0)) + co * co2
+            _add_scaled(out, co, self._act_basis(m, part))
         return VermaState(out, self.c, self.h)
 
     def commutator_check(self, m: int, n: int, state: VermaState) -> bool:
         """Exact test of [L_m, L_n] = (m - n) L_{m+n} + central on the state."""
         if state.level + abs(m) + abs(n) > self.max_level:
             raise TruncationError("commutator check would exceed the truncation level")
-        lhs = self.act(m, self.act(n, state)) - self.act(n, self.act(m, state))
-        rhs = self.act(m + n, state).scaled(m - n)
+        acc: dict = {}
+        for part, co in state.coeffs.items():
+            for outer, inner, weight in ((m, n, co), (n, m, -co)):
+                for mu, x in self._act_basis(inner, part).items():
+                    _add_scaled(acc, weight * x, self._act_basis(outer, mu))
+            _add_scaled(acc, (n - m) * co, self._act_basis(m + n, part))
         if m == -n:
-            central = Fraction(m**3 - m, 12) * self.c
-            rhs = rhs + state.scaled(central)
-        return lhs == rhs
+            _add_scaled(acc, Fraction(m - m**3, 12) * self.c, state.coeffs)
+        return not any(acc.values())
 
     def _gram(self, level: int) -> dict:
         """G_L as {mu: {nu: ...}} in basis order: sum_rho (L_{mu_1} e_nu)[rho] G_{L-mu_1}[mu_2...][rho]."""

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from circlekit import cli, errors, frag_diff, verma
@@ -251,6 +252,8 @@ def _no_command_runs(monkeypatch):
         ["verify", "--trials", "1001"],
         ["verify", "--trials", "16", "--grid", "65536"],
         ["verify", "--trials", "126", "--grid", "8192"],
+        ["verify", "--threads", "15", "--trials", "15", "--grid", "65536"],
+        ["verify", "--threads", "3", "--trials", "3", "--grid", "65536"],
         ["verma", "--level", "13"],
     ],
 )
@@ -266,6 +269,46 @@ def test_verify_budget_boundary_admitted(monkeypatch):
     for argv in (["--trials", "1000", "--threads", "32"], ["--trials", "125", "--grid", "8192", "--threads", "1"]):
         assert cli.main(["verify", *argv]) == 0
     assert [c[1]["threads"] for c in calls] == [32, 1]
+
+
+def test_verify_parallel_budget_boundary_admitted(monkeypatch):
+    # at most two --grid 65536 trials in flight, whatever the thread count
+    calls = []
+    monkeypatch.setattr(cli, "run_suites", lambda *args, **kwargs: calls.append((args, kwargs)) or RunReport("verify"))
+    for threads, trials in (("2", "15"), ("32", "2")):
+        assert cli.main(["verify", "--threads", threads, "--trials", trials, "--grid", "65536"]) == 0
+    assert [(c[1]["threads"], c[1]["n"]) for c in calls] == [(2, 65536), (32, 65536)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cocycle", "bott", "fourier:[(1,1e308,1e308)]", "fourier:[]"],
+        ["cocycle", "vect", "fourier:[(1,1e308,1e308)]", "fourier:[(2,1,0)]"],
+        ["cocycle", "omega", "su2:[(1,1,1e308,1e308)]", "su2:[(1,1,1e308,1e308)]"],
+        # samples that overflow on the grid itself
+        ["cocycle", "omega", "su2:[(1,1,1e308,0),(1,2,1e308,0)]", "su2:[]"],
+        ["cocycle", "vect", "monomial:1" + "0" * 308, "monomial:1"],
+        ["fragment-loop", "--spec", "exp:[(1,1,1e308,0),(1,2,1e308,0)]"],
+        ["fragment-diff", "--spec", "fourier:[(1,1e308,0),(2,1e308,0)]"],
+    ],
+)
+def test_non_finite_operands_exit_2(argv, capsys, tmp_path):
+    if argv[0].startswith("fragment"):
+        argv = argv + ["--out", str(tmp_path)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+
+
+def test_fragment_loop_error_names_the_typed_operand(capsys, tmp_path):
+    spec = "exp:[(1,1e400,0,0)]"
+    assert cli.main(["fragment-loop", "--spec", spec, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot parse {spec!r}") and "su2" not in err
+    assert cli.main(["fragment-loop", "--spec", "su2:[]", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: expected 'exp:[...]', got 'su2:[]'\n"
 
 
 def test_verma_zero_denominator(capsys):

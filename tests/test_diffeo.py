@@ -55,6 +55,17 @@ def test_derivative_positivity_enforced():
         CircleDiffeo(PeriodicFunction(1.5 * np.sin(t)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_derivative_is_not_positive(bad):
+    # a NaN derivative compares false both ways, so it must not pass as positive
+    samples = 0.01 * np.sin(grid(64))
+    samples[5] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(DerivativeError):
+        CircleDiffeo(PeriodicFunction(samples))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DerivativeError):
+        CircleDiffeo.from_fourier([(1, 1e308, 1e308)], 64)
+
+
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 def test_group_axioms(seed):
     rng = np.random.default_rng(seed)

@@ -147,6 +147,60 @@ def test_commutator_randomized(m_idx, n_idx, part):
     assert module.commutator_check(m_idx, n_idx, state)
 
 
+def composed_check(module, m, n, state):
+    """Reference bracket check built from whole states: act, scaled, + and -."""
+    lhs = module.act(m, module.act(n, state)) - module.act(n, module.act(m, state))
+    rhs = module.act(m + n, state).scaled(m - n)
+    if m == -n:
+        rhs = rhs + state.scaled(Fraction(m**3 - m, 12) * module.c)
+    return lhs == rhs
+
+
+low_partitions = [p for level in range(5) for p in partitions(level)]
+module_parameters = st.one_of(st.sampled_from(VERMA_PARAMETERS), st.tuples(small_rationals, small_rationals))
+
+
+@given(
+    module_parameters,
+    st.dictionaries(st.sampled_from(low_partitions), small_rationals.filter(bool), min_size=1, max_size=5),
+    st.data(),
+)
+def test_commutator_check_matches_composed_acts(params, coeffs, data):
+    c, h = params
+    module = VermaModule(c, h, max_level=8)
+    state = VermaState(coeffs, module.c, module.h)
+    top = 8 - state.level
+    m = data.draw(st.integers(-top, top))
+    n = data.draw(st.integers(abs(m) - top, top - abs(m)))
+    assert module.commutator_check(m, n, state) is composed_check(module, m, n, state) is True
+    # a corrupted memo entry gives both the same answer
+    key = data.draw(st.sampled_from(sorted(module._memo, key=repr)))
+    module._memo[key] = {**module._memo[key], (1,) * 3: Fraction(1, 7)}
+    assert module.commutator_check(m, n, state) is composed_check(module, m, n, state)
+
+
+def test_commutator_check_can_fail():
+    c, h = HALF, SIXTEENTH
+    module = VermaModule(c, h)
+    v = module.lowest_weight_state()
+    assert module.commutator_check(2, -2, v)
+    # L_2 L_{-2} |h> = (4h + c/2) |h>; one wrong memo entry must show
+    module._memo[(2, (2,))] = {(): 4 * h + c / 2 + Fraction(1, 1000)}
+    assert not module.commutator_check(2, -2, v)
+    assert not composed_check(module, 2, -2, v)
+
+
+def test_commutator_check_needs_its_central_term():
+    module = VermaModule(HALF, SIXTEENTH)
+    v = module.act(-1, module.lowest_weight_state())
+    assert all(module.commutator_check(m, -m, v) for m in (1, 2, 3))
+    # the memo keeps c = 1/2; with c read as 0 the check drops its own central term
+    module.c = Fraction(0)
+    assert not module.commutator_check(3, -3, v)
+    assert not module.commutator_check(2, -2, v)
+    assert module.commutator_check(1, -1, v)  # (m^3 - m)/12 = 0 for m = 1
+
+
 def test_generator_index_cap():
     m = VermaModule(1, 0, max_level=4)
     with pytest.raises(TruncationError):
@@ -160,6 +214,12 @@ def test_truncation_errors():
         m.act(-1, v)
     with pytest.raises(TruncationError):
         m.commutator_check(4, -4, v)
+    with pytest.raises(TruncationError):
+        m.commutator_check(5, 0, m.lowest_weight_state())
+    mixed = m.lowest_weight_state() + m.act(-2, m.lowest_weight_state())
+    with pytest.raises(TruncationError):
+        m.commutator_check(1, -2, mixed)
+    assert m.commutator_check(1, -1, mixed)
 
 
 def test_gram_level_one():
