@@ -11,7 +11,8 @@ Exit codes:
    (TruncationError)
 3  bad geometry or malformed configuration, including cutoffs that cannot
    carry their prescribed mass (MassError)
-4  spectral aliasing (AliasingError); raise --grid
+4  spectral aliasing (AliasingError), including an operand wavenumber at or
+   above --grid/2; raise --grid
 5  a Newton inversion did not converge (ConvergenceError)
 
 Budget, checked before any work (exit 2 otherwise):
@@ -32,6 +33,7 @@ from __future__ import annotations
 import argparse
 import ast
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -52,7 +54,7 @@ from .errors import (
     NeighbourhoodError,
     TruncationError,
 )
-from .periodic import PeriodicFunction, _fourier_samples, grid
+from .periodic import PeriodicFunction, _fourier_samples, _require_resolved, grid
 from .verify import CheckResult, RunReport, digest_inputs, run_suites
 
 EXIT_FAIL = 1
@@ -94,9 +96,10 @@ def exit_code(exc: Exception) -> int:
 
 
 def _wavenumber(value) -> int:
-    """Integer mode number k; float(k) must exist, since samples take k * t."""
+    """Integer mode number k; k * 2 pi must be a finite float, since samples take k * t."""
     k = int(value)
-    float(k)  # OverflowError beyond the float range
+    if not math.isfinite(2.0 * math.pi * float(k)):  # float(k) raises OverflowError first
+        raise OverflowError(f"wavenumber {k} times 2 pi overflows")
     return k
 
 
@@ -135,6 +138,7 @@ def parse_field(text: str, n: int) -> PeriodicFunction:
             k = _wavenumber(text.split(":", 1)[1])
         except (ValueError, OverflowError) as exc:
             raise OperandError(f"cannot parse {text!r}") from exc
+        _require_resolved(k, n)
         return PeriodicFunction(_finite(np.exp(1j * k * grid(n)), text))
     return PeriodicFunction(_operand_samples(text, n))
 
@@ -145,7 +149,7 @@ def parse_loop_algebra(text: str, n: int, prefix: str = "su2") -> loops.LoopAlge
     terms = parse_fourier_terms(text, prefix, (int, _wavenumber, float, float))
     if any(term[0] not in (1, 2, 3) for term in terms):
         raise OperandError("axis must be 1, 2 or 3")
-    components = (_fourier_samples([term[1:] for term in terms if term[0] == axis], n) for axis in (1, 2, 3))
+    components = [_fourier_samples([term[1:] for term in terms if term[0] == axis], n) for axis in (1, 2, 3)]
     return loops.LoopAlgebraElement.from_components(*(_finite(x, text) for x in components))
 
 

@@ -1,13 +1,22 @@
 """Loops into SU(n) (default SU(2)): pointwise group and algebra arithmetic.
 
-Loops are grids of matrices; the group operations act sample by sample and
-the exponential/logarithm use the closed axis-angle form for SU(2) and a
-dense linear-algebra fallback for larger n.  The invariant bilinear form is
-tr(XY) in the defining representation, normalized so the standard coroot
+Loops are grids of matrices; the group operations act sample by sample.  For
+SU(2) every operation is a closed form on the matrix entries: a sample is
+U = w I + X with w = Re tr U / 2 and X = [[i p, q], [-conj q, -i p]] in
+su(2), the projection of U onto su(2) read from its entries.  The logarithm
+is X / sinc(theta / pi) with theta = arccos w, the exponential is the
+axis-angle factor cos(theta) I + sinc(theta / pi) X with theta = |X|, the
+products are written out entry by entry, and the operator norms of U - I
+and of X are Frobenius norms over sqrt 2, exact because the two eigenvalues
+have equal modulus.  SU(n) with n > 2 takes the dense linear-algebra path
+(scipy's expm/logm, batched matmul, SVD norms).  The invariant bilinear form
+is tr(XY) in the defining representation, normalized so the standard coroot
 diag(1, -1, 0, ...) has square length 2.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -36,6 +45,7 @@ __all__ = [
 ]
 
 LOOP_TAIL_TOL = 1e-7
+BRANCH_TOL = 1e-6
 
 
 def su2_generators() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -103,7 +113,9 @@ class LoopAlgebraElement:
         return LoopAlgebraElement(self.samples * f[:, None, None], check=False)
 
     def norm(self) -> float:
-        """Sup over the grid of the operator norm."""
+        """Sup over the grid of the operator norm (for su(2), ||X||_F / sqrt 2)."""
+        if self.dim == 2:
+            return float(_frobenius_over_sqrt2(self.samples).max())
         return float(np.linalg.norm(self.samples, ord=2, axis=(1, 2)).max())
 
     def __add__(self, other):
@@ -150,8 +162,10 @@ class LoopElement:
         return cls(np.broadcast_to(np.eye(dim, dtype=complex), (n, dim, dim)).copy(), check=False)
 
     def distance_to_identity(self) -> np.ndarray:
-        """Per-sample operator norm of U - I."""
+        """Per-sample operator norm of U - I (for SU(2), ||U - I||_F / sqrt 2)."""
         eye = np.eye(self.dim)
+        if self.dim == 2:
+            return _frobenius_over_sqrt2(self.samples - eye)
         return np.linalg.norm(self.samples - eye, ord=2, axis=(1, 2))
 
     def __repr__(self) -> str:
@@ -159,6 +173,76 @@ class LoopElement:
             f"LoopElement(n={self.n}, SU({self.dim}), "
             f"dist={self.distance_to_identity().max():.3e})"
         )
+
+
+# ---------------------------------------------------------------------------
+# SU(2) closed forms on the matrix entries
+# ---------------------------------------------------------------------------
+
+
+def _frobenius_over_sqrt2(x: np.ndarray) -> np.ndarray:
+    """Per-sample ||x||_F / sqrt 2: the operator norm of a 2x2 matrix whose two
+    singular values are equal, such as U - I for U in SU(2) or X in su(2)."""
+    return np.sqrt(0.5 * (x.real**2 + x.imag**2).sum(axis=(1, 2)))
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-sample matrix product a @ b; 2x2 samples are written out entry by entry."""
+    if a.shape[1] != 2:
+        return a @ b
+    out = np.empty(a.shape, dtype=np.result_type(a, b))
+    for i in (0, 1):
+        for j in (0, 1):
+            out[:, i, j] = a[:, i, 0] * b[:, 0, j] + a[:, i, 1] * b[:, 1, j]
+    return out
+
+
+def _su2_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p, q) of the projection [[i p, q], [-conj q, -i p]] of 2x2 samples onto su(2):
+    the traceless anti-hermitian part, read from the entries."""
+    p = 0.5 * (x[:, 0, 0].imag - x[:, 1, 1].imag)
+    q = 0.5 * (x[:, 0, 1] - np.conj(x[:, 1, 0]))
+    return p, q
+
+
+def _su2_samples(w: np.ndarray | float, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Samples w I + [[i p, q], [-conj q, -i p]].  Entries are written as x + 0
+    and 0 - x, so a zero entry is +0, as in the matrix arithmetic, and a
+    written loop carries no "-0"."""
+    out = np.empty((len(p), 2, 2), dtype=complex)
+    out.real[:, 0, 0] = out.real[:, 1, 1] = w
+    out.imag[:, 0, 0] = p + 0.0
+    out.imag[:, 1, 1] = 0.0 - p
+    out[:, 0, 1] = q + 0.0
+    out[:, 1, 0] = 0.0 - np.conj(q)
+    return out
+
+
+def _su2_log(u: np.ndarray, branch_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """su(2) parts (p, q) of the principal logarithm X / sinc(theta / pi) of SU(2)
+    samples, theta = arccos(Re tr U / 2); BranchError when theta comes within
+    branch_tol of pi."""
+    w = np.clip((u[:, 0, 0].real + u[:, 1, 1].real) / 2.0, -1.0, 1.0)
+    theta = np.arccos(w)
+    if theta.max() >= np.pi - branch_tol:
+        raise BranchError(
+            f"sample with rotation angle {theta.max():.6f} is at the branch cut"
+        )
+    p, q = _su2_parts(u)
+    factor = 1.0 / np.sinc(theta / np.pi)
+    return factor * p, factor * q
+
+
+def _su2_angle(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Operator norm of the su(2) samples [[i p, q], [-conj q, -i p]]."""
+    return np.sqrt(p**2 + q.real**2 + q.imag**2)
+
+
+def _su2_exp(theta: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Axis-angle factor cos(theta) I + sinc(theta / pi) X of the su(2) samples
+    X = [[i p, q], [-conj q, -i p]] of norm theta."""
+    s = np.sinc(theta / np.pi)
+    return _su2_samples(np.cos(theta), s * p, s * q)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +254,7 @@ def multiply(g1: LoopElement, g2: LoopElement, tail_tol: float = LOOP_TAIL_TOL) 
     """Pointwise matrix product."""
     if g1.n != g2.n:
         raise ValueError("grid size mismatch")
-    out = LoopElement(g1.samples @ g2.samples, check=False)
+    out = LoopElement(_product(g1.samples, g2.samples), check=False)
     if tail_tol is not None and out.pf.tail > tail_tol:
         raise AliasingError(f"loop product tail {out.pf.tail:.3e} exceeds {tail_tol:.1e}")
     return out
@@ -185,16 +269,14 @@ def exp_loop(xi: LoopAlgebraElement) -> LoopElement:
     """Pointwise exponential.  SU(2) uses the closed axis-angle form."""
     x = xi.samples
     if xi.dim == 2:
-        theta = np.sqrt(np.clip(-np.einsum("tij,tji->t", x, x).real / 2.0, 0.0, None))
-        eye = np.eye(2, dtype=complex)
-        u = np.cos(theta)[:, None, None] * eye + np.sinc(theta / np.pi)[:, None, None] * x
-        return LoopElement(u, check=False)
+        p, q = _su2_parts(x)
+        return LoopElement(_su2_exp(_su2_angle(p, q), p, q), check=False)
     from scipy.linalg import expm
 
     return LoopElement(expm(x), check=False)
 
 
-def log_loop(g: LoopElement, branch_tol: float = 1e-6) -> LoopAlgebraElement:
+def log_loop(g: LoopElement, branch_tol: float = BRANCH_TOL) -> LoopAlgebraElement:
     """Pointwise principal logarithm.
 
     Raises BranchError when any sample has an eigenvalue within branch_tol of
@@ -202,22 +284,14 @@ def log_loop(g: LoopElement, branch_tol: float = 1e-6) -> LoopAlgebraElement:
     """
     u = g.samples
     if g.dim == 2:
-        w = np.clip(np.trace(u, axis1=1, axis2=2).real / 2.0, -1.0, 1.0)
-        theta = np.arccos(w)
-        if theta.max() >= np.pi - branch_tol:
-            raise BranchError(
-                f"sample with rotation angle {theta.max():.6f} is at the branch cut"
-            )
-        eye = np.eye(2, dtype=complex)
-        factor = 1.0 / np.sinc(theta / np.pi)
-        x = factor[:, None, None] * (u - w[:, None, None] * eye)
-    else:
-        phases = np.angle(np.linalg.eigvals(u))
-        if np.abs(phases).max() >= np.pi - branch_tol:
-            raise BranchError("sample with an eigenvalue at the branch cut")
-        from scipy.linalg import logm
+        p, q = _su2_log(u, branch_tol)
+        return LoopAlgebraElement(_su2_samples(0.0, p, q), check=False)
+    phases = np.angle(np.linalg.eigvals(u))
+    if np.abs(phases).max() >= np.pi - branch_tol:
+        raise BranchError("sample with an eigenvalue at the branch cut")
+    from scipy.linalg import logm
 
-        x = np.stack([logm(m) for m in u])
+    x = np.stack([logm(m) for m in u])
     # project exactly onto su(n) to absorb roundoff
     x = 0.5 * (x - np.conj(np.swapaxes(x, 1, 2)))
     tr = np.trace(x, axis1=1, axis2=2) / g.dim
@@ -242,7 +316,7 @@ def bracket(xi: LoopAlgebraElement, eta: LoopAlgebraElement) -> LoopAlgebraEleme
     if xi.n != eta.n:
         raise ValueError("grid size mismatch")
     a, b = xi.samples, eta.samples
-    return LoopAlgebraElement(a @ b - b @ a, check=False)
+    return LoopAlgebraElement(_product(a, b) - _product(b, a), check=False)
 
 
 def omega(xi: LoopAlgebraElement, eta: LoopAlgebraElement):
@@ -295,24 +369,36 @@ def loop_cutoffs(cover: CoverConfig):
     return chi1, chi2
 
 
+@functools.lru_cache(maxsize=16)
+def _cutoff_weights(cover: CoverConfig, n: int):
+    """Read-only samples of chi1 and chi2 on the n-point grid and the three
+    fragment weights chi1, chi2 (1 - chi1), (1 - chi1)(1 - chi2), built once
+    per (cover, grid)."""
+    c1, c2 = (chi.values(grid(n)) for chi in loop_cutoffs(cover))
+    weights = (c1, c2 * (1.0 - c1), (1.0 - c1) * (1.0 - c2))
+    for arr in (c2, *weights):
+        arr.flags.writeable = False
+    return c1, c2, weights
+
+
 def fragment_loop(
     g: LoopElement, cover: CoverConfig | None = None
 ) -> tuple[LoopElement, LoopElement, LoopElement]:
     """Split a loop near the identity into three factors supported in the cover.
 
     Uses the commuting closed form: all three exponents are pointwise
-    multiples of the same logarithm, so the product telescopes exactly.
+    multiples c eta of the same logarithm eta, so the product telescopes
+    exactly.  For SU(2) eta and its norm theta are read once and each factor
+    is the axis-angle factor of c eta, of angle c theta, built from its entries.
     """
     cover = cover or CoverConfig.default()
-    chi1, chi2 = loop_cutoffs(cover)
+    weights = _cutoff_weights(cover, g.n)[2]
+    if g.dim == 2:
+        p, q = _su2_log(g.samples, BRANCH_TOL)
+        theta = _su2_angle(p, q)
+        return tuple(LoopElement(_su2_exp(c * theta, c * p, c * q), check=False) for c in weights)
     eta = log_loop(g)
-    t = grid(g.n)
-    c1 = chi1.values(t)
-    c2 = chi2.values(t)
-    xi1 = exp_loop(eta.scaled(c1))
-    xi2 = exp_loop(eta.scaled(c2 * (1.0 - c1)))
-    xi3 = exp_loop(eta.scaled((1.0 - c1) * (1.0 - c2)))
-    return xi1, xi2, xi3
+    return tuple(exp_loop(eta.scaled(c)) for c in weights)
 
 
 def fragment_loop_sequential(
@@ -323,12 +409,8 @@ def fragment_loop_sequential(
     Agrees with fragment_loop because the exponents commute pointwise.
     """
     cover = cover or CoverConfig.default()
-    chi1, chi2 = loop_cutoffs(cover)
-    eta = log_loop(g)
-    t = grid(g.n)
-    c1 = chi1.values(t)
-    c2 = chi2.values(t)
-    xi1 = exp_loop(eta.scaled(c1))
+    c1, c2, _ = _cutoff_weights(cover, g.n)
+    xi1 = exp_loop(log_loop(g).scaled(c1))
     remainder = multiply(inverse_loop(xi1), g, tail_tol=None)
     xi2 = exp_loop(log_loop(remainder).scaled(c2))
     xi3 = multiply(inverse_loop(xi2), remainder, tail_tol=None)

@@ -29,6 +29,8 @@ import math
 
 import numpy as np
 
+from .errors import AliasingError
+
 __all__ = ["PeriodicFunction", "grid"]
 
 TWO_PI = 2.0 * np.pi
@@ -90,11 +92,19 @@ def _along_first_axis(k: np.ndarray, samples: np.ndarray) -> np.ndarray:
     return k.reshape((-1,) + (1,) * (samples.ndim - 1))
 
 
+def _require_resolved(k, n: int) -> None:
+    """AliasingError unless the n-point grid resolves wavenumber k, i.e. |k| < n/2."""
+    if 2 * abs(k) >= n:
+        raise AliasingError(f"wavenumber {k} aliases on the {n}-point grid (|k| must be below {n // 2})")
+
+
 def _fourier_samples(terms, n: int) -> np.ndarray:
-    """Samples on the n-point grid of sum a cos(k t) + b sin(k t) over (k, a, b) terms."""
+    """Samples on the n-point grid of sum a cos(k t) + b sin(k t) over (k, a, b)
+    terms; AliasingError for a wavenumber the grid cannot resolve."""
     t = grid(n)
     out = np.zeros(n)
     for k, a, b in terms:
+        _require_resolved(k, n)
         out += a * np.cos(k * t) + b * np.sin(k * t)
     return out
 

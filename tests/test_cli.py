@@ -302,6 +302,22 @@ def test_non_finite_operands_exit_2(argv, capsys, tmp_path):
     assert out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("k, code", [(511, 0), (512, 4), (513, 4)])
+@pytest.mark.parametrize(
+    "operands",
+    [
+        lambda k: [f"monomial:{k}", f"monomial:{-k}"],
+        lambda k: [f"fourier:[({k},1,0)]", f"fourier:[({k},0,1)]"],
+    ],
+    ids=["monomial", "fourier"],
+)
+def test_wavenumber_at_half_the_grid_exits_4(k, code, operands, capsys):
+    assert cli.main(["cocycle", "vect", *operands(k)]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert out == "" and err == f"error: wavenumber {k} aliases on the 1024-point grid (|k| must be below 512)\n"
+
+
 def test_fragment_loop_error_names_the_typed_operand(capsys, tmp_path):
     spec = "exp:[(1,1e400,0,0)]"
     assert cli.main(["fragment-loop", "--spec", spec, "--out", str(tmp_path)]) == 2

@@ -12,8 +12,8 @@ from circlekit.cocycles import (
     vir_multiply,
 )
 from circlekit.diffeo import CircleDiffeo, IntervalArc, compose
-from circlekit.periodic import PeriodicFunction, grid
-from circlekit.sampling import random_diffeo, random_supported_diffeo, rng_for
+from circlekit.periodic import TWO_PI, PeriodicFunction, grid
+from circlekit.sampling import random_diffeo, random_supported_diffeo, random_vect_field, rng_for
 
 N = 1024
 T = grid(N)
@@ -140,3 +140,18 @@ def test_bott_mixed_derivative_antisymmetric():
     assert abs(dfg + dgf) < 1e-5
     # frozen finite-difference value for this pair: -1/(24 pi) * int f' g'' dt
     assert dfg == pytest.approx(-1.0 / 3.0, abs=1e-6)
+
+
+def test_bott_mixed_derivative_is_one_over_24_pi_int_f_g3():
+    # (1/24 pi) int f g''' dt: -1/3 for cos 2t, sin 2t; seeded 4-mode pairs at
+    # n = 256, each relative to (1/24 pi) int |f g'''| dt
+    assert bott_mixed_derivative(
+        PeriodicFunction(np.cos(2 * T)), PeriodicFunction(np.sin(2 * T))
+    ) == pytest.approx(-1.0 / 3.0, rel=1e-9)
+    for i in range(4):
+        rng = rng_for(26, i)
+        f, g = random_vect_field(rng, 256, modes=4), random_vect_field(rng, 256, modes=4)
+        integrand = f.samples * g.derivative(3).samples
+        expected = integrand.mean() * TWO_PI / (24.0 * np.pi)
+        scale = np.abs(integrand).mean() * TWO_PI / (24.0 * np.pi)
+        assert abs(bott_mixed_derivative(f, g) - expected) < 1e-9 * scale

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm, logm
 
+from circlekit import loops
 from circlekit.diffeo import CoverConfig, IntervalArc
 from circlekit.errors import BranchError
 from circlekit.loops import (
@@ -14,6 +16,7 @@ from circlekit.loops import (
     inverse_loop,
     killing_form,
     log_loop,
+    loop_cutoffs,
     loop_from_csv,
     loop_support,
     loop_to_csv,
@@ -192,3 +195,148 @@ def test_su3_generic_path():
     assert (log_loop(g) - xi).norm() < 1e-9
     coroot = np.diag([1.0, -1.0, 0.0]).astype(complex)
     assert killing_form(coroot, coroot) == pytest.approx(2.0)
+
+
+# ---------------------------------------------------------------------------
+# SU(2) closed forms against the generic computations at n = 2
+# ---------------------------------------------------------------------------
+
+M = 32
+EYE = np.eye(2)
+
+
+def _svd_norms(x):
+    return np.linalg.norm(x, ord=2, axis=(1, 2))
+
+
+def _reference_log(u, branch_tol=1e-6):
+    """The SU(2) logarithm as matrix arithmetic: (U - w I) / sinc(theta / pi)
+    projected onto su(2), with BranchError at the same threshold."""
+    w = np.clip(np.trace(u, axis1=1, axis2=2).real / 2.0, -1.0, 1.0)
+    theta = np.arccos(w)
+    if theta.max() >= np.pi - branch_tol:
+        raise BranchError("branch cut")
+    x = (1.0 / np.sinc(theta / np.pi))[:, None, None] * (u - w[:, None, None] * EYE)
+    x = 0.5 * (x - np.conj(np.swapaxes(x, 1, 2)))
+    return x - (np.trace(x, axis1=1, axis2=2) / 2.0)[:, None, None] * EYE
+
+
+def _reference_exp(x):
+    theta = np.sqrt(np.clip(-np.einsum("tij,tji->t", x, x).real / 2.0, 0.0, None))
+    return np.cos(theta)[:, None, None] * EYE + np.sinc(theta / np.pi)[:, None, None] * x
+
+
+def _reference_fragment(u, cover):
+    """Log, scale by the three cutoff weights, exp: the composition the closed
+    form of fragment_loop replaces."""
+    chi1, chi2 = loop_cutoffs(cover)
+    t = grid(len(u))
+    c1, c2 = chi1.values(t), chi2.values(t)
+    eta = _reference_log(u)
+    return [_reference_exp(c[:, None, None] * eta) for c in (c1, c2 * (1.0 - c1), (1.0 - c1) * (1.0 - c2))]
+
+
+@st.composite
+def su2_loops(draw):
+    """SU(2) samples cos(theta) I + sin(theta) n.(i sigma): angles up to pi minus
+    a gap (at the identity, near the cut, or anywhere), some samples exactly
+    the identity, plus an optional round-off perturbation off SU(2) of entry
+    size at most eps.  Returns (samples, eps)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gap = draw(st.sampled_from([np.pi, 3.0, 1.0, 1e-2, 1e-5, 3e-6, 1.5e-6, 1e-6, 5e-7]))
+    perturb = draw(st.sampled_from([0.0, 1e-16, 1e-13]))
+    axis = rng.normal(size=(M, 3))
+    axis /= np.linalg.norm(axis, axis=1, keepdims=True)
+    theta = rng.uniform(0.0, np.pi - gap, M)
+    theta[0] = np.pi - gap
+    theta[rng.random(M) < 0.2] = 0.0
+    u = np.cos(theta)[:, None, None] * EYE + np.sin(theta)[:, None, None] * np.einsum(
+        "ta,aij->tij", axis, np.array(su2_generators())
+    )
+    u += perturb * (rng.uniform(-1, 1, u.shape) + 1j * rng.uniform(-1, 1, u.shape))
+    return u, 2.0 * perturb
+
+
+@st.composite
+def su2_algebra(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([0.0, 1e-8, 0.05, 1.0, 3.0]))
+    comps = scale * rng.normal(size=(3, M))
+    comps[:, rng.random(M) < 0.2] = 0.0
+    return LoopAlgebraElement.from_components(*comps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(su2_algebra())
+def test_su2_exp_and_norm_match_expm_and_svd(xi):
+    u = exp_loop(xi).samples
+    svd = _svd_norms(xi.samples).max()
+    assert np.abs(u - expm(xi.samples)).max() < 1e-14 * max(1.0, svd)
+    assert np.abs(u - _reference_exp(xi.samples)).max() < 1e-15 * max(1.0, svd)
+    assert abs(xi.norm() - svd) <= 1e-15 * svd
+
+
+@settings(max_examples=60, deadline=None)
+@given(su2_loops())
+def test_su2_log_fragment_and_distance_match_generic(loop):
+    u, eps = loop
+    g = LoopElement(u, check=False)
+    dist = g.distance_to_identity()
+    svd = _svd_norms(u - EYE)
+    # exact on SU(2); a perturbation of entry size eps moves either norm by at most 2 eps
+    assert np.all(np.abs(dist - svd) <= 1e-15 * svd + 4.0 * eps)
+    try:
+        reference = _reference_fragment(u, COVER)
+    except BranchError:
+        with pytest.raises(BranchError):
+            fragment_loop(g, COVER)
+        with pytest.raises(BranchError):
+            log_loop(g)
+        return
+    eta = log_loop(g).samples
+    assert np.abs(eta - _reference_log(u)).max() < 1e-15 * (1.0 + np.abs(eta).max())
+    safe = np.arccos(np.clip(np.trace(u, axis1=1, axis2=2).real / 2, -1, 1)) < 2.0
+    for k in np.flatnonzero(safe)[:4]:
+        assert np.abs(eta[k] - logm(u[k])).max() < 1e-14 + 10.0 * eps
+    for part, ref in zip(fragment_loop(g, COVER), reference):
+        assert np.abs(part.samples - ref).max() < 1e-15
+
+
+@settings(max_examples=60, deadline=None)
+@given(su2_loops(), su2_loops(), su2_algebra(), su2_algebra())
+def test_su2_products_match_matmul(loop_u, loop_v, xi, eta):
+    u, v = loop_u[0], loop_v[0]
+    prod = multiply(LoopElement(u, check=False), LoopElement(v, check=False), None).samples
+    assert np.abs(prod - u @ v).max() < 1e-15
+    a, b = xi.samples, eta.samples
+    comm = bracket(xi, eta).samples
+    assert np.abs(comm - (a @ b - b @ a)).max() <= 1e-15 * max(1.0, np.abs(a).max() * np.abs(b).max())
+
+
+def test_su2_identity_loop_is_exact():
+    e = LoopElement.identity(M)
+    assert all(np.array_equal(p.samples, e.samples) for p in fragment_loop(e, COVER))
+    assert not log_loop(e).samples.any()
+    assert not e.distance_to_identity().any()
+    assert np.array_equal(exp_loop(LoopAlgebraElement.zero(M)).samples, e.samples)
+
+
+def test_su2_zero_entries_are_positive_zeros():
+    # as in the matrix arithmetic: a written loop carries no "-0"
+    g = exp_loop(random_loop_algebra(rng_for(23, 2), 0.05, N))
+    for part in (g, *fragment_loop(g, COVER), log_loop(g)):
+        for x in (part.samples.real, part.samples.imag):
+            assert not np.signbit(x[x == 0]).any()
+
+
+def test_cutoff_weight_memo_is_bounded_and_read_only():
+    loops._cutoff_weights.cache_clear()
+    for k in range(20):
+        fragment_loop(LoopElement.identity(16), CoverConfig.default(margin=0.05 + 0.01 * k))
+    info = loops._cutoff_weights.cache_info()
+    assert info.maxsize == 16 and info.currsize == 16
+    c1, c2, weights = loops._cutoff_weights(COVER, 64)
+    for arr in (c1, c2, *weights):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.5

@@ -1,9 +1,11 @@
 """Fuzzing of the CLI operand parsers: every input either parses or raises an
-error that cli.exit_code maps to a documented exit code."""
+error that cli.exit_code maps to a documented exit code.  Exit 4 (aliasing)
+is the answer exactly when the operand parses and one of its wavenumbers is
+at least N/2."""
 
 import json
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from circlekit import cli
 from circlekit.diffeo import CoverConfig
@@ -31,31 +33,59 @@ def operands(prefixes):
     )
 
 
-def parses_or_maps(parse, *args):
+def parses_or_maps(parse, *args, aliased=False):
     try:
         parse(*args)
     except (CirclekitError, ValueError) as exc:
-        assert cli.exit_code(exc) in (2, 3)
+        assert cli.exit_code(exc) == 4 if aliased else cli.exit_code(exc) in (2, 3)
+    else:
+        assert not aliased
+
+
+def aliased(text, prefix, types=(cli._wavenumber, float, float), k_at=0):
+    """Whether the operand parses, axes included, with a wavenumber |k| >= N/2."""
+    try:
+        terms = cli.parse_fourier_terms(text, prefix, types)
+    except cli.OperandError:
+        return False
+    if k_at and any(term[0] not in (1, 2, 3) for term in terms):
+        return False
+    return any(2 * abs(term[k_at]) >= N for term in terms)
+
+
+def monomial_aliased(text):
+    try:
+        return 2 * abs(cli._wavenumber(text.split(":", 1)[1])) >= N
+    except (ValueError, OverflowError):
+        return False
 
 
 @settings(max_examples=200)
 @given(operands(["fourier", "four", ""]))
+@example("fourier:[(7,1,0),(-8,0,1)]")
 def test_fourier_operands(text):
     parses_or_maps(cli.parse_fourier_terms, text, "fourier")
-    parses_or_maps(cli.parse_diffeo, text, N)
+    parses_or_maps(cli.parse_diffeo, text, N, aliased=aliased(text, "fourier"))
 
 
 @settings(max_examples=200)
 @given(st.one_of(operands(["fourier"]), st.tuples(st.just("monomial"), tokens).map(":".join)))
+@example("monomial:-8")
+@example("monomial:7")
 def test_field_operands(text):
-    parses_or_maps(cli.parse_field, text, N)
+    alias = monomial_aliased(text) if text.startswith("monomial:") else aliased(text, "fourier")
+    parses_or_maps(cli.parse_field, text, N, aliased=alias)
 
 
 @settings(max_examples=200)
 @given(operands(["su2", "exp"]))
+@example("su2:[(1,7,0,0),(3,8,1,0)]")
+@example("exp:[(2,-8,0,1)]")
+@example("exp:[(4,8,0,1)]")
 def test_loop_operands(text):
-    parses_or_maps(cli.parse_loop_algebra, text, N)
-    parses_or_maps(cli.parse_loop, text, N)
+    types = (int, cli._wavenumber, float, float)
+    parses_or_maps(cli.parse_loop_algebra, text, N, aliased=aliased(text, "su2", types, k_at=1))
+    parses_or_maps(cli.parse_loop, text, N, aliased=aliased(text, "exp", types, k_at=1))
 
 
 @settings(max_examples=200)
