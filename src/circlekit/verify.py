@@ -246,8 +246,11 @@ def frag_suite(seed: int, trials: int, n: int, threads: int = 1) -> list[CheckRe
         )
         return spread / d
 
+    # spread / d reads at most 1.000000000001 (median 0.65) over 2050 trials,
+    # seeds 1-40 and 20260810 at --trials 1000; the bound is twice that, so a
+    # first factor that moves 3x as fast as g (2.31 at seed 20260810) fails
     rows = _map(continuity_trial, max(trials // 20, 1), threads)
-    checks.append(CheckResult("frag.continuity_constant", max(rows, default=0.0), 1e3))
+    checks.append(CheckResult("frag.continuity_constant", max(rows, default=0.0), 2.0))
 
     def pair_trial(i):
         rng = rng_for(seed, 16, i)

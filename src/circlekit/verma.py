@@ -7,13 +7,21 @@ Generators L_m with m in Z and a central element acting as the scalar c obey
 The module M(c, h) is spanned by ordered words L_{-n1} ... L_{-nk} |h> with
 n1 >= ... >= nk >= 1 (partitions), where L_0 |h> = h |h> and L_m |h> = 0 for
 m > 0.  All coefficients are exact rationals; states above the truncation
-level are rejected rather than silently dropped.  Generators act through a
-memo of L_m on basis words, and every sum of scaled word actions (normal
+level are rejected rather than silently dropped.
+
+Inside a module the arithmetic runs on Python ints over one denominator,
+D = lcm(2 den c, den h).  With e(m) = max(m, 1) for m >= 0 and e(m) = 0 for
+m < 0, the memo of L_m on basis words holds L_m e_nu times D^e(m): e is
+nondecreasing, so the (m + n1) L_{m-n1} term of a commutator move rescales by
+the int D^(e(m) - e(m-n1)), and the central term (m^3 - m)/12 c D^m is the
+int (m^3 - m)/6 (c D/2) D^(m-1).  Every sum of scaled word actions (normal
 ordering, `act`, the bracket check's L_m L_n v - L_n L_m v - (m - n) L_{m+n} v
-- central * v) accumulates into one partition -> Fraction dict through
-`_add_scaled`, the check passing when every entry is zero.  Gram matrices
-recurse on mu's first part over memoized lower levels; determinants run
-Bareiss elimination on rows cleared by the LCM of their own denominators.
+- central * v at the scale D^(e(m) + e(n))) accumulates into one
+partition -> int dict through `_add_scaled`, the check passing when every
+entry is zero.  Gram matrices recurse on mu's first part over memoized lower
+levels, the level-L one held times D^L.  Fractions are built only where
+values leave the module (`act`, `gram_matrix`); determinants run Bareiss
+elimination on rows cleared by the LCM of their own denominators.
 """
 
 from __future__ import annotations
@@ -113,14 +121,16 @@ class VermaState:
 
 
 class VermaModule:
-    """M(c, h) truncated at a maximal level, with memoized normal ordering."""
+    """M(c, h) truncated at a maximal level, with memoized normal ordering
+    on ints over the module's one denominator D (see the module docstring)."""
 
     def __init__(self, c, h, max_level: int = DEFAULT_MAX_LEVEL):
         self.c = Fraction(c)
         self.h = Fraction(h)
         self.max_level = int(max_level)
+        self._D = math.lcm(2 * self.c.denominator, self.h.denominator)
         self._memo: dict = {}
-        self._grams: dict = {0: {(): {(): Fraction(1)}}}
+        self._grams: dict = {0: {(): {(): 1}}}
 
     def lowest_weight_state(self) -> VermaState:
         return VermaState({(): Fraction(1)}, self.c, self.h)
@@ -133,31 +143,38 @@ class VermaModule:
     # -- normal ordering -------------------------------------------------
 
     def _act_basis(self, m: int, part: Partition) -> dict:
-        """L_m applied to a basis word, as a partition -> Fraction dict.
+        """L_m applied to a basis word times D^e(m), as a partition -> int dict.
 
         Words are reordered by commutator moves; each move either shortens
-        the word or prepends a legal head, so the recursion terminates.
+        the word or prepends a legal head, so the recursion terminates.  e is
+        nondecreasing, so every term rescales up to D^e(m) by an int.
         """
         key = (m, part)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
         if m < 0 and (not part or -m >= part[0]):
-            out = {(-m,) + part: Fraction(1)}
+            out = {(-m,) + part: 1}
         elif not part:
-            out = {(): self.h} if m == 0 else {}
+            out = {(): self.h.numerator * (self._D // self.h.denominator)} if m == 0 else {}
         else:
             n1, rest = part[0], part[1:]
             out = {}
-            # L_m L_{-n1} = L_{-n1} L_m + (m + n1) L_{m-n1} + central
+            # L_m L_{-n1} = L_{-n1} L_m + (m + n1) L_{m-n1} + central; L_{-n1} carries D^0
             for mu, co in self._act_basis(m, rest).items():
                 _add_scaled(out, co, self._act_basis(-n1, mu))
-            _add_scaled(out, m + n1, self._act_basis(m - n1, rest))
+            rescale = self._D ** (_exponent(m) - _exponent(m - n1))
+            _add_scaled(out, (m + n1) * rescale, self._act_basis(m - n1, rest))
             if m == n1:
-                _add_scaled(out, Fraction(m**3 - m, 12) * self.c, {rest: 1})
+                _add_scaled(out, self._central(m, m), {rest: 1})
             out = _clean(out)
         self._memo[key] = out
         return out
+
+    def _central(self, m: int, scale: int) -> int:
+        """(m^3 - m)/12 c D^scale, scale >= 1, as the int (m^3 - m)/6 (c D/2) D^(scale-1)."""
+        half_cd = self.c.numerator * (self._D // (2 * self.c.denominator))
+        return (m**3 - m) // 6 * half_cd * self._D ** (scale - 1)
 
     # -- public operations -------------------------------------------------
 
@@ -169,40 +186,60 @@ class VermaModule:
             raise TruncationError(
                 f"L_{m} pushes a level-{state.level} state above truncation {self.max_level}"
             )
+        q, ints = _cleared(state)
         out: dict = {}
-        for part, co in state.coeffs.items():
+        for part, co in ints.items():
             _add_scaled(out, co, self._act_basis(m, part))
-        return VermaState(out, self.c, self.h)
+        scale = q * self._D ** _exponent(m)
+        return VermaState({p: Fraction(v, scale) for p, v in out.items()}, self.c, self.h)
 
     def commutator_check(self, m: int, n: int, state: VermaState) -> bool:
-        """Exact test of [L_m, L_n] = (m - n) L_{m+n} + central on the state."""
+        """Exact test of [L_m, L_n] = (m - n) L_{m+n} + central on the state.
+
+        Every term is summed at the common scale D^(e(m) + e(n)) times the
+        state's cleared denominator; a positive scale keeps the zero entries.
+        """
         if state.level + abs(m) + abs(n) > self.max_level:
             raise TruncationError("commutator check would exceed the truncation level")
+        top = _exponent(m) + _exponent(n)
+        shift = (n - m) * self._D ** (top - _exponent(m + n))
+        _, ints = _cleared(state)
         acc: dict = {}
-        for part, co in state.coeffs.items():
+        for part, co in ints.items():
             for outer, inner, weight in ((m, n, co), (n, m, -co)):
                 for mu, x in self._act_basis(inner, part).items():
                     _add_scaled(acc, weight * x, self._act_basis(outer, mu))
-            _add_scaled(acc, (n - m) * co, self._act_basis(m + n, part))
-        if m == -n:
-            _add_scaled(acc, Fraction(m - m**3, 12) * self.c, state.coeffs)
+            _add_scaled(acc, shift * co, self._act_basis(m + n, part))
+        if m == -n:  # reads self.c now, not the c the memo was built with
+            _add_scaled(acc, -self._central(m, top), ints)
         return not any(acc.values())
 
     def _gram(self, level: int) -> dict:
-        """G_L as {mu: {nu: ...}} in basis order: sum_rho (L_{mu_1} e_nu)[rho] G_{L-mu_1}[mu_2...][rho]."""
+        """D^L G_L as {mu: {nu: int}} in basis order: sum_rho (L_{mu_1} e_nu)[rho] G_{L-mu_1}[mu_2...][rho]."""
         if level not in self._grams:
             basis, gram = list(partitions(level)), {}
             for mu in basis:
                 below = self._gram(level - mu[0])[mu[1:]]
-                gram[mu] = {nu: sum((x * below[r] for r, x in self._act_basis(mu[0], nu).items()), Fraction(0))
-                            for nu in basis}
+                gram[mu] = {nu: sum(x * below[r] for r, x in self._act_basis(mu[0], nu).items()) for nu in basis}
             self._grams[level] = gram
         return self._grams[level]
 
     def gram_matrix(self, level: int) -> list[list[Fraction]]:
-        """Pairings <L_{-mu} h, L_{-nu} h> under the adjoint L_m* = L_{-m}, copied out of the memo."""
+        """Pairings <L_{-mu} h, L_{-nu} h> under the adjoint L_m* = L_{-m}, as new Fractions."""
         self.basis(level)  # raises TruncationError above the truncation
-        return [list(row.values()) for row in self._gram(level).values()]
+        scale = self._D**level
+        return [[Fraction(x, scale) for x in row.values()] for row in self._gram(level).values()]
+
+
+def _exponent(m: int) -> int:
+    """e(m): the memo holds L_m e_nu times D^e(m)."""
+    return max(m, 1) if m >= 0 else 0
+
+
+def _cleared(state: VermaState) -> tuple[int, dict]:
+    """(q, {part: q * coefficient}) with q the LCM of the state's denominators."""
+    q = math.lcm(*(x.denominator for x in state.coeffs.values()))
+    return q, {p: x.numerator * (q // x.denominator) for p, x in state.coeffs.items()}
 
 
 # -- convenience wrappers with a per-(c, h, level) module cache --------------
@@ -231,7 +268,12 @@ def gram_matrix(level: int, c, h, max_level: int = DEFAULT_MAX_LEVEL) -> list[li
 
 
 def exact_determinant(matrix: list[list[Fraction]]) -> Fraction:
-    """Each row cleared by the LCM of its own denominators, then Bareiss elimination on integers."""
+    """Each row cleared by the LCM of its own denominators, then Bareiss elimination on integers.
+
+    Raises ValueError unless the matrix is square (the empty matrix has determinant 1).
+    """
+    if any(len(row) != len(matrix) for row in matrix):
+        raise ValueError(f"not a square matrix: {len(matrix)} rows of lengths {[len(row) for row in matrix]}")
     scales = [math.lcm(*(x.denominator for x in row)) for row in matrix]
     rows = [[x.numerator * (d // x.denominator) for x in row] for row, d in zip(matrix, scales)]
     prev = 1

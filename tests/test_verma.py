@@ -87,6 +87,56 @@ def gaussian_determinant(matrix):
     return det
 
 
+class FractionReference:
+    """The Fraction recursion the module used before its integer memo: L_m on
+    basis words, states and Gram matrices, every value a Fraction."""
+
+    def __init__(self, c, h):
+        self.c, self.h = Fraction(c), Fraction(h)
+        self.memo = {}
+        self.grams = {0: {(): {(): Fraction(1)}}}
+
+    def act_basis(self, m, part):
+        key = (m, part)
+        if key not in self.memo:
+            if m < 0 and (not part or -m >= part[0]):
+                out = {(-m,) + part: Fraction(1)}
+            elif not part:
+                out = {(): self.h} if m == 0 else {}
+            else:
+                n1, rest = part[0], part[1:]
+                out = {}
+                for mu, co in self.act_basis(m, rest).items():
+                    verma._add_scaled(out, co, self.act_basis(-n1, mu))
+                verma._add_scaled(out, m + n1, self.act_basis(m - n1, rest))
+                if m == n1:
+                    verma._add_scaled(out, Fraction(m**3 - m, 12) * self.c, {rest: 1})
+                out = {p: v for p, v in out.items() if v != 0}
+            self.memo[key] = out
+        return self.memo[key]
+
+    def act(self, m, coeffs):
+        out = {}
+        for part, co in coeffs.items():
+            verma._add_scaled(out, co, self.act_basis(m, part))
+        return {p: v for p, v in out.items() if v != 0}
+
+    def gram_rows(self, level):
+        if level not in self.grams:
+            basis, gram = list(partitions(level)), {}
+            for mu in basis:
+                below = self.gram_rows(level - mu[0])[mu[1:]]
+                gram[mu] = {
+                    nu: sum((x * below[r] for r, x in self.act_basis(mu[0], nu).items()), Fraction(0))
+                    for nu in basis
+                }
+            self.grams[level] = gram
+        return self.grams[level]
+
+    def gram(self, level):
+        return [list(row.values()) for row in self.gram_rows(level).values()]
+
+
 def basis_state(part, c, h):
     return VermaState({tuple(part): Fraction(1)}, Fraction(c), Fraction(h))
 
@@ -184,8 +234,10 @@ def test_commutator_check_can_fail():
     module = VermaModule(c, h)
     v = module.lowest_weight_state()
     assert module.commutator_check(2, -2, v)
-    # L_2 L_{-2} |h> = (4h + c/2) |h>; one wrong memo entry must show
-    module._memo[(2, (2,))] = {(): 4 * h + c / 2 + Fraction(1, 1000)}
+    # L_2 L_{-2} |h> = (4h + c/2) |h>, held times D^2; one unit off on that scale must show
+    (stored,) = module._memo[(2, (2,))].values()
+    assert Fraction(stored, module._D**2) == 4 * h + c / 2
+    module._memo[(2, (2,))] = {(): stored + 1}
     assert not module.commutator_check(2, -2, v)
     assert not composed_check(module, 2, -2, v)
 
@@ -330,6 +382,22 @@ def test_exact_determinant_matches_gaussian_reference(matrix, data):
         assert exact_determinant(singular) == 0 == gaussian_determinant(singular)
 
 
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        [[Fraction(1), Fraction(2), Fraction(3)], [Fraction(4), Fraction(5), Fraction(6)]],
+        [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)], [Fraction(5), Fraction(6)]],
+        [[Fraction(1), Fraction(2)], [Fraction(3)]],
+        [[Fraction(1)], [Fraction(2), Fraction(3)]],
+        [[]],
+    ],
+    ids=["2x3", "3x2", "ragged-short", "ragged-long", "one-empty-row"],
+)
+def test_exact_determinant_rejects_non_square(matrix):
+    with pytest.raises(ValueError, match="square"):
+        exact_determinant(matrix)
+
+
 def test_exact_determinant_edge_cases():
     F = Fraction
     assert exact_determinant([]) == 1
@@ -354,3 +422,36 @@ def test_module_cache_is_bounded():
     assert verma._cached_module.cache_info().currsize <= 16
     # equal parameters in any exact spelling share one module
     assert verma._module(HALF, 1) is verma._module("1/2", Fraction(1)) is verma._module(0.5, "1")
+
+
+@given(small_rationals, small_rationals)
+def test_gram_matches_fraction_reference(c, h):
+    module, reference = VermaModule(c, h), FractionReference(c, h)
+    for level in range(9):
+        gram = module.gram_matrix(level)
+        assert gram == reference.gram(level)
+        assert all(type(x) is Fraction for row in gram for x in row)
+    # the memo and the stored Gram matrices hold ints on the module's scale
+    assert all(type(v) is int for out in module._memo.values() for v in out.values())
+    assert all(type(v) is int for gram in module._grams.values() for row in gram.values() for v in row.values())
+
+
+def test_gram_matches_fraction_reference_worst_operands():
+    # 16-bit operands with coprime denominators: the largest admitted D and D^12
+    c, h = Fraction(-65519, 65521), Fraction(-65479, 65497)
+    gram = VermaModule(c, h, max_level=12).gram_matrix(12)
+    assert gram == FractionReference(c, h).gram(12)
+    assert all(type(x) is Fraction for row in gram for x in row)
+
+
+@given(
+    module_parameters,
+    st.dictionaries(st.sampled_from(low_partitions), small_rationals.filter(bool), max_size=5),
+    st.integers(-4, 4),
+)
+def test_act_matches_fraction_reference(params, coeffs, m):
+    c, h = params
+    module = VermaModule(c, h, max_level=8)
+    got = module.act(m, VermaState(coeffs, module.c, module.h))
+    assert got.coeffs == FractionReference(c, h).act(m, coeffs)
+    assert all(type(x) is Fraction for x in got.coeffs.values())
