@@ -25,7 +25,7 @@ Budget, checked before any work (exit 2 otherwise):
   43 MB at --trials 1000; 56 s, 219 MB at --trials 15 --grid 65536;
 - verma: --level 0..12, --c/--h fractions of at most 16 characters, no
   exponent, numerator and denominator below 2^16 in absolute value (level
-  12 with 16-bit operands: 5-7 s, 57 MB, nearly all of it the determinant);
+  12 with 16-bit operands: 1.6-3.5 s, 39 MB, most of it the determinant);
   --max-level costs nothing.
 """
 

@@ -19,9 +19,14 @@ ordering, `act`, the bracket check's L_m L_n v - L_n L_m v - (m - n) L_{m+n} v
 - central * v at the scale D^(e(m) + e(n))) accumulates into one
 partition -> int dict through `_add_scaled`, the check passing when every
 entry is zero.  Gram matrices recurse on mu's first part over memoized lower
-levels, the level-L one held times D^L.  Fractions are built only where
-values leave the module (`act`, `gram_matrix`); determinants run Bareiss
-elimination on rows cleared by the LCM of their own denominators.
+levels, the level-L one held times D^L; the Shapovalov form is symmetric, so
+only the entries from the diagonal rightwards are computed and the rest are
+mirrored.  Fractions are built only where values leave the module (`act`,
+`gram_matrix`, one object per mirrored pair).  Determinants run Bareiss
+elimination on rows cleared by the LCM of their own denominators; on
+symmetric input it updates only the upper triangle of the active block,
+reading each lower entry back through the row scales, until a zero diagonal
+pivot hands over to the general step with row swaps.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterator, Mapping
 
 from .errors import TruncationError
@@ -136,6 +142,8 @@ class VermaModule:
         return VermaState({(): Fraction(1)}, self.c, self.h)
 
     def basis(self, level: int) -> list[Partition]:
+        if level < 0:
+            raise ValueError(f"level {level} is negative")
         if level > self.max_level:
             raise TruncationError(f"level {level} exceeds truncation {self.max_level}")
         return list(partitions(level))
@@ -182,9 +190,9 @@ class VermaModule:
         """Apply the generator L_m; exact, rejecting levels above truncation."""
         if abs(m) > self.max_level:
             raise TruncationError(f"generator index {m} exceeds truncation {self.max_level}")
-        if m < 0 and state.level - m > self.max_level:
+        if state.level - min(m, 0) > self.max_level:
             raise TruncationError(
-                f"L_{m} pushes a level-{state.level} state above truncation {self.max_level}"
+                f"L_{m} on a level-{state.level} state reaches above truncation {self.max_level}"
             )
         q, ints = _cleared(state)
         out: dict = {}
@@ -215,20 +223,35 @@ class VermaModule:
         return not any(acc.values())
 
     def _gram(self, level: int) -> dict:
-        """D^L G_L as {mu: {nu: int}} in basis order: sum_rho (L_{mu_1} e_nu)[rho] G_{L-mu_1}[mu_2...][rho]."""
+        """D^L G_L as {mu: {nu: int}} in basis order: sum_rho (L_{mu_1} e_nu)[rho] G_{L-mu_1}[mu_2...][rho].
+
+        Only the entries from the diagonal rightwards are computed; the form
+        is symmetric, so G[mu][nu] left of the diagonal is G[nu][mu].
+        """
         if level not in self._grams:
             basis, gram = list(partitions(level)), {}
-            for mu in basis:
+            for i, mu in enumerate(basis):
                 below = self._gram(level - mu[0])[mu[1:]]
-                gram[mu] = {nu: sum(x * below[r] for r, x in self._act_basis(mu[0], nu).items()) for nu in basis}
+                gram[mu] = {
+                    nu: gram[nu][mu] if j < i else sum(x * below[r] for r, x in self._act_basis(mu[0], nu).items())
+                    for j, nu in enumerate(basis)
+                }
             self._grams[level] = gram
         return self._grams[level]
 
     def gram_matrix(self, level: int) -> list[list[Fraction]]:
-        """Pairings <L_{-mu} h, L_{-nu} h> under the adjoint L_m* = L_{-m}, as new Fractions."""
-        self.basis(level)  # raises TruncationError above the truncation
+        """Pairings <L_{-mu} h, L_{-nu} h> under the adjoint L_m* = L_{-m}, as new row lists.
+
+        Each Fraction is built once and the same object sits at [i][j] and [j][i].
+        """
+        self.basis(level)  # raises ValueError below 0 and TruncationError above the truncation
         scale = self._D**level
-        return [[Fraction(x, scale) for x in row.values()] for row in self._gram(level).values()]
+        gram = self._gram(level)
+        out = [[None] * len(gram) for _ in gram]
+        for i, row in enumerate(gram.values()):
+            for j, x in enumerate(islice(row.values(), i, None), i):
+                out[i][j] = out[j][i] = Fraction(x, scale)
+        return out
 
 
 def _exponent(m: int) -> int:
@@ -270,21 +293,41 @@ def gram_matrix(level: int, c, h, max_level: int = DEFAULT_MAX_LEVEL) -> list[li
 def exact_determinant(matrix: list[list[Fraction]]) -> Fraction:
     """Each row cleared by the LCM of its own denominators, then Bareiss elimination on integers.
 
+    With row scales s_i the cleared rows are M = S A.  When A is symmetric
+    (M_ij s_j == M_ji s_i, settled by an `is` test for mirrored entries) every
+    Bareiss intermediate is a bordered minor of S A, so the active block stays
+    S times a symmetric matrix: a step updates only the columns j >= i of each
+    row i below the pivot and reads the lower entry M_ik as the exact integer
+    M_ki s_i // s_k.  At the first zero diagonal pivot the active block's lower
+    triangle is filled by that formula and the general step, with row swaps,
+    runs to the end; non-symmetric input takes the general step throughout.
+
     Raises ValueError unless the matrix is square (the empty matrix has determinant 1).
     """
-    if any(len(row) != len(matrix) for row in matrix):
-        raise ValueError(f"not a square matrix: {len(matrix)} rows of lengths {[len(row) for row in matrix]}")
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError(f"not a square matrix: {n} rows of lengths {[len(row) for row in matrix]}")
     scales = [math.lcm(*(x.denominator for x in row)) for row in matrix]
     rows = [[x.numerator * (d // x.denominator) for x in row] for row, d in zip(matrix, scales)]
+    symmetric = all(
+        matrix[i][j] is matrix[j][i] or rows[i][j] * scales[j] == rows[j][i] * scales[i]
+        for i in range(n)
+        for j in range(i)
+    )
     prev = 1
-    for col in range(len(rows)):
-        pivot = next((r for r in range(col, len(rows)) if rows[r][col]), None)
+    for col in range(n):
+        if symmetric and not rows[col][col]:
+            for i in range(col + 1, n):
+                rows[i][col:i] = [rows[k][i] * scales[i] // scales[k] for k in range(col, i)]
+            symmetric = False
+        pivot = next((r for r in range(col, n) if rows[r][col]), None)
         if pivot is None:
             return Fraction(0)
         if pivot != col:  # a swap with one row negated keeps the determinant
             rows[col], rows[pivot] = rows[pivot], [-x for x in rows[col]]
         top = rows[col]
-        for row in rows[col + 1 :]:
-            row[col + 1 :] = [(top[col] * a - row[col] * b) // prev for a, b in zip(row[col + 1 :], top[col + 1 :])]
+        for i, row in enumerate(rows[col + 1 :], col + 1):
+            lead, first = (top[i] * scales[i] // scales[col], i) if symmetric else (row[col], col + 1)
+            row[first:] = [(top[col] * a - lead * b) // prev for a, b in zip(row[first:], top[first:])]
         prev = top[col]
     return Fraction(prev, math.prod(scales))

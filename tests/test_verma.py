@@ -272,6 +272,11 @@ def test_truncation_errors():
     with pytest.raises(TruncationError):
         m.commutator_check(1, -2, mixed)
     assert m.commutator_check(1, -1, mixed)
+    # a state already above the truncation is rejected whatever m is
+    above = VermaState({(5,): Fraction(1)}, m.c, m.h)
+    for index in (0, 2, -1):
+        with pytest.raises(TruncationError):
+            m.act(index, above)
 
 
 def test_gram_level_one():
@@ -363,10 +368,63 @@ def test_gram_above_truncation_raises():
         VermaModule(1, 0, max_level=4).gram_matrix(5)
 
 
+def test_negative_level_raises():
+    module = VermaModule(HALF, SIXTEENTH, max_level=4)
+    for call in (
+        lambda: module.basis(-1),
+        lambda: module.gram_matrix(-2),
+        lambda: gram_matrix(-2, HALF, SIXTEENTH),
+    ):
+        with pytest.raises(ValueError, match="negative"):
+            call()
+
+
 # entries are zero about half the time, so zero pivots and row swaps are common
 sparse_rationals = st.one_of(st.just(Fraction(0)), small_rationals)
-square_matrices = st.integers(min_value=1, max_value=6).flatmap(
-    lambda n: st.lists(st.lists(sparse_rationals, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+def symmetrized(matrix, zero_diagonal=False):
+    """A + A^T, optionally with its diagonal zeroed so that the first pivot is zero."""
+    return [
+        [Fraction(0) if zero_diagonal and i == j else x + matrix[j][i] for j, x in enumerate(row)]
+        for i, row in enumerate(matrix)
+    ]
+
+
+def congruence(matrix, p):
+    """P^T A P, symmetric when A is."""
+    n = len(matrix)
+    ap = [[sum((matrix[i][k] * p[k][j] for k in range(n)), Fraction(0)) for j in range(n)] for i in range(n)]
+    return [[sum((p[k][i] * ap[k][j] for k in range(n)), Fraction(0)) for j in range(n)] for i in range(n)]
+
+
+def matrices(max_size):
+    return st.integers(min_value=1, max_value=max_size).flatmap(
+        lambda n: st.lists(st.lists(sparse_rationals, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+
+
+@st.composite
+def zero_pivot_matrices(draw):
+    """U^T (S + Z) U with S symmetric, Z symmetric with a zero diagonal and U
+    unit upper triangular.  Its leading principal minors are those of the
+    block sum, so the symmetric elimination meets a zero pivot at Z's first
+    row, after len(S) steps have left the lower triangle stale."""
+    s = symmetrized(draw(matrices(3)))
+    z = symmetrized(draw(matrices(3)), zero_diagonal=True)
+    k, n, zero = len(s), len(s) + len(z), Fraction(0)
+    block = [row + [zero] * (n - k) for row in s] + [[zero] * k + row for row in z]
+    u = [[Fraction(1) if i == j else draw(sparse_rationals) if i < j else zero for j in range(n)] for i in range(n)]
+    return congruence(block, u)
+
+
+# symmetric matrices take the half-triangle elimination, and a zero diagonal
+# pivot, first or after some steps, hands over to the general step
+square_matrices = st.one_of(
+    matrices(6),
+    matrices(6).map(symmetrized),
+    matrices(6).map(lambda m: symmetrized(m, zero_diagonal=True)),
+    zero_pivot_matrices(),
 )
 
 
@@ -380,6 +438,9 @@ def test_exact_determinant_matches_gaussian_reference(matrix, data):
         singular = [row[:] for row in matrix]
         singular[k] = [a * x + b * y for x, y in zip(matrix[i], matrix[j])]
         assert exact_determinant(singular) == 0 == gaussian_determinant(singular)
+        # a congruence by that singular matrix is singular, and symmetric when the matrix is
+        congruent = congruence(matrix, singular)
+        assert exact_determinant(congruent) == 0 == gaussian_determinant(congruent)
 
 
 @pytest.mark.parametrize(
@@ -434,6 +495,12 @@ def test_gram_matches_fraction_reference(c, h):
     # the memo and the stored Gram matrices hold ints on the module's scale
     assert all(type(v) is int for out in module._memo.values() for v in out.values())
     assert all(type(v) is int for gram in module._grams.values() for row in gram.values() for v in row.values())
+
+
+def test_kac_determinant_worst_operands():
+    c, h = Fraction(-65519, 65521), Fraction(-65479, 65497)
+    gram = VermaModule(c, h, max_level=10).gram_matrix(10)
+    assert exact_determinant(gram) == kac_determinant(10, c, h) != 0
 
 
 def test_gram_matches_fraction_reference_worst_operands():
