@@ -20,7 +20,7 @@ Budget, checked before any work (exit 2 otherwise):
 - --grid at most 65536 on every command (fragment-diff there: 2 s, 173 MB);
 - verify: --threads 1..32, --trials x --grid at most 1000 x 1024, and
   min(--threads, --trials) x --grid at most 2 x 65536, since the pool runs
-  that many trials at once and each adds about 95 MB at --grid 65536.  Worst
+  that many trials at once and the second adds 40-115 MB at --grid 65536.  Worst
   admitted `verify all` with one thread (Python 3.11, Intel Xeon): 78 s,
   43 MB at --trials 1000; 56 s, 219 MB at --trials 15 --grid 65536;
 - verma: --level 0..12, --c/--h fractions of at most 16 characters, no
@@ -56,7 +56,7 @@ from .errors import (
     TruncationError,
 )
 from .periodic import PeriodicFunction, _fourier_samples, _require_resolved, grid
-from .verify import CheckResult, RunReport, digest_inputs, run_suites
+from .verify import SUITES, CheckResult, RunReport, digest_inputs, run_suites
 
 EXIT_FAIL = 1
 EXIT_OPERAND = 2
@@ -238,22 +238,15 @@ def cmd_fragment_diff(args) -> int:
     ]:
         _diffeo_to_csv(el, out / f"{name}.csv")
 
-    a_bound = frag_diff.alpha1_bound(cover, args.eps)
-    b_bound = frag_diff.beta1_bound(cover, args.eps)
-    outside = max(
-        arc.max_abs_outside(xi.periodic_part.samples)
-        for xi, arc in zip((result.xi1, result.xi2, result.xi3), cover.intervals)
-    )
+    outside, alpha_ratio, beta_ratio, deriv_gap = frag_diff.fragment_residuals(result, cover, args.eps)
     report = RunReport(command="fragment-diff")
     report.inputs_digest = digest_inputs(spec=args.spec, grid=args.grid, eps=args.eps)
     report.checks = [
         CheckResult("reconstruction_error", result.reconstruction_error, 1e-7),
         CheckResult("supports_inside_cover", outside, 1e-9),
-        CheckResult("alpha1_bound_ratio", abs(result.alpha1) / a_bound, 1.0),
-        CheckResult("beta1_bound_ratio", abs(result.beta1) / b_bound, 1.0),
-        CheckResult("derivative_positive", -min(
-            result.xi1.deriv_samples.min(), result.xi2.deriv_samples.min()
-        ), 0.0),
+        CheckResult("alpha1_bound_ratio", alpha_ratio, 1.0),
+        CheckResult("beta1_bound_ratio", beta_ratio, 1.0),
+        CheckResult("derivative_positive", deriv_gap, 0.0),
     ]
     report.wall_time = time.perf_counter() - start
     if not args.json:
@@ -273,13 +266,8 @@ def cmd_fragment_loop(args) -> int:
     start = time.perf_counter()
     cover = load_cover(args.config)
     g = parse_loop(args.spec, args.grid)
-    xi1, xi2, xi3 = loops.fragment_loop(g, cover)
-    rec = loops.multiply(xi1, loops.multiply(xi2, xi3, None), None)
-    rec_err = float(np.abs(rec.samples - g.samples).max())
-    outside = max(
-        arc.max_abs_outside(xi.distance_to_identity())
-        for xi, arc in zip((xi1, xi2, xi3), cover.intervals)
-    )
+    xi1, xi2, xi3 = parts = loops.fragment_loop(g, cover)
+    rec_err, outside = loops.fragment_loop_residuals(g, parts, cover)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -389,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     vm.set_defaults(fn=cmd_verma)
 
     vf = sub.add_parser("verify", help="run property suites")
-    vf.add_argument("suite", nargs="?", default="all", choices=["all", "diff", "loop", "cocycle", "verma"])
+    vf.add_argument("suite", nargs="?", default="all", choices=["all", *SUITES])
     vf.add_argument("--seed", type=int, default=0)
     vf.add_argument("--trials", type=int, default=200)
     vf.add_argument("--grid", type=int, default=1024)

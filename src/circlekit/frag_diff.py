@@ -134,6 +134,23 @@ def beta1_bound(cover: CoverConfig, eps: float) -> float:
     return 2.0 / (b - hb) * eps * (1.0 + b - hb)
 
 
+def fragment_residuals(
+    result: FragmentationResult, cover: CoverConfig, eps: float
+) -> tuple[float, float, float, float]:
+    """Largest |xi_j| outside I_j, |alpha1| and |beta1| over their a-priori
+    bounds, and -min xi' over the first two factors."""
+    outside = max(
+        arc.max_abs_outside(xi.periodic_part.samples)
+        for xi, arc in zip((result.xi1, result.xi2, result.xi3), cover.intervals)
+    )
+    return (
+        outside,
+        abs(result.alpha1) / alpha1_bound(cover, eps),
+        abs(result.beta1) / beta1_bound(cover, eps),
+        -min(result.xi1.deriv_samples.min(), result.xi2.deriv_samples.min()),
+    )
+
+
 def _trig_sum_eval(coeffs: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     """Evaluate sum_k 2 Re(c_k e^{ik theta}) for k >= 1 (c_0 ignored)."""
     k = np.arange(1, len(coeffs))

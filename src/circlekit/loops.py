@@ -417,6 +417,16 @@ def fragment_loop_sequential(
     return xi1, xi2, xi3
 
 
+def fragment_loop_residuals(g: LoopElement, parts: tuple, cover: CoverConfig) -> tuple[float, float]:
+    """Largest entry error of xi1 xi2 xi3 against g, and largest distance to
+    the identity of xi_j outside I_j."""
+    rec = multiply(parts[0], multiply(parts[1], parts[2], None), None)
+    outside = max(
+        arc.max_abs_outside(xi.distance_to_identity()) for xi, arc in zip(parts, cover.intervals)
+    )
+    return float(np.abs(rec.samples - g.samples).max()), outside
+
+
 # ---------------------------------------------------------------------------
 # CSV export of sampled matrix entries
 # ---------------------------------------------------------------------------

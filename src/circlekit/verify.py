@@ -1,10 +1,14 @@
 """Property suites behind the verify command.
 
 Each suite turns the library's mathematical guarantees into named checks
-with measured residuals and fixed tolerances.  Trial randomness is drawn
-from streams derived per (seed, family, index), so reports are byte-stable
-across runs and across thread counts; residuals aggregate by max, which is
-order-independent.
+with measured residuals and fixed tolerances.  A suite is an ordered table:
+each row is either a fixed CheckResult or a Family of seeded trials, and one
+runner, _run, emits the table's checks in row order.  Trial i of a family
+draws from the stream derived from (seed, family stream, i), so reports are
+byte-stable across runs and across thread counts; every family runs on the
+--threads pool, and each residual column aggregates by max, which is
+order-independent.  A new check is one row of a table (or one column of an
+existing family).
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -88,6 +93,21 @@ def digest_inputs(**kwargs) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+class Family(NamedTuple):
+    """Seeded trials of one function; each (name, tol) column is one check.
+
+    stream is an int, or a tuple of ints for a trial that takes several
+    RNGs: trial i is called with rng_for(seed, s, i) for each s.  It returns
+    one residual, or a tuple with one per column.  count is d for
+    max(trials // d, 1) trials, or a function of trials.
+    """
+
+    stream: int | tuple[int, ...]
+    count: int | Callable[[int], int]
+    trial: Callable
+    columns: tuple[tuple[str, float], ...]
+
+
 def _map(fn, count: int, threads: int) -> list:
     if threads > 1 and count > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -95,29 +115,43 @@ def _map(fn, count: int, threads: int) -> list:
     return [fn(i) for i in range(count)]
 
 
+def _run(table: list, seed: int, trials: int, threads: int) -> list[CheckResult]:
+    """The table's checks in row order: a fixed row as it is, a family's
+    columns as their maxima over its trials (0.0 when there are none)."""
+    checks = []
+    for row in table:
+        if isinstance(row, CheckResult):
+            checks.append(row)
+            continue
+        streams = row.stream if isinstance(row.stream, tuple) else (row.stream,)
+        count = row.count(trials) if callable(row.count) else max(trials // row.count, 1)
+
+        def trial(i, row=row, streams=streams):
+            out = row.trial(*(rng_for(seed, s, i) for s in streams))
+            return out if isinstance(out, tuple) else (out,)
+
+        values = _map(trial, count, threads)
+        checks.extend(
+            CheckResult(name, max((v[j] for v in values), default=0.0), tol)
+            for j, (name, tol) in enumerate(row.columns)
+        )
+    return checks
+
+
 # ---------------------------------------------------------------------------
 # diffeo suite
 # ---------------------------------------------------------------------------
 
 
-def diff_suite(seed: int, trials: int, n: int) -> list[CheckResult]:
-    checks = []
-
-    def group_trial(i):
-        rng = rng_for(seed, 1, i)
+def diff_suite(n: int) -> list:
+    def group_trial(rng):
         g1, g2, g3 = (random_diffeo(rng, 0.05, n) for _ in range(3))
         assoc = compose(compose(g1, g2), g3).distance(compose(g1, compose(g2, g3)))
         ident = compose(g1, CircleDiffeo.identity(n)).distance(g1)
         inv = compose(g1, inverse(g1)).displacement()
         return assoc, ident, inv
 
-    rows = _map(group_trial, trials, 1)
-    checks.append(CheckResult("diff.associativity", max((r[0] for r in rows), default=0.0), 1e-8))
-    checks.append(CheckResult("diff.identity", max((r[1] for r in rows), default=0.0), 1e-14))
-    checks.append(CheckResult("diff.inverse", max((r[2] for r in rows), default=0.0), 1e-8))
-
-    def support_trial(i):
-        rng = rng_for(seed, 2, i)
+    def support_trial(rng):
         lo = rng.uniform(0, TWO_PI)
         arc1 = IntervalArc(lo, lo + rng.uniform(1.4, 2.2))
         arc2 = IntervalArc(arc1.b + 0.4, arc1.b + 0.4 + rng.uniform(1.4, 2.2))
@@ -130,10 +164,6 @@ def diff_suite(seed: int, trials: int, n: int) -> list[CheckResult]:
         hull = IntervalArc(arc1.a, arc1.a + hull_len).dilate(TWO_PI / n)
         overhang = hull.max_abs_outside(compose(g1, g2).periodic_part.samples)
         return comm, overhang
-
-    rows = _map(support_trial, trials, 1)
-    checks.append(CheckResult("diff.disjoint_commute", max((r[0] for r in rows), default=0.0), 1e-10))
-    checks.append(CheckResult("diff.support_hull", max((r[1] for r in rows), default=0.0), 1e-10))
 
     # cover validation: the canonical configuration passes, permutations fail
     bad = 0
@@ -148,8 +178,16 @@ def diff_suite(seed: int, trials: int, n: int) -> list[CheckResult]:
             bad += 1
         except GeometryError:
             pass
-    checks.append(CheckResult("diff.cover_validation", float(bad), 0.5))
-    return checks
+
+    return [
+        Family(1, 1, group_trial, (
+            ("diff.associativity", 1e-8),
+            ("diff.identity", 1e-14),
+            ("diff.inverse", 1e-8),
+        )),
+        Family(2, 1, support_trial, (("diff.disjoint_commute", 1e-10), ("diff.support_hull", 1e-10))),
+        CheckResult("diff.cover_validation", float(bad), 0.5),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -157,54 +195,30 @@ def diff_suite(seed: int, trials: int, n: int) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def frag_suite(seed: int, trials: int, n: int, threads: int = 1) -> list[CheckResult]:
+def frag_suite(n: int) -> list:
     cover = CoverConfig.default()
     fragmenter = frag_diff._fragmenter(cover, n)
     eps = 0.01
-    a_bound = frag_diff.alpha1_bound(cover, eps)
-    b_bound = frag_diff.beta1_bound(cover, eps)
-    arcs = cover.intervals
-    checks = []
 
-    def frag_trial(i):
-        rng = rng_for(seed, 10, i)
+    def frag_trial(rng):
         g = random_diffeo(rng, eps, n)
         res = fragmenter.fragment(g, eps=eps)
-        outside = max(
-            arc.max_abs_outside(xi.periodic_part.samples)
-            for xi, arc in zip((res.xi1, res.xi2, res.xi3), arcs)
-        )
-        deriv_min = min(res.xi1.deriv_samples.min(), res.xi2.deriv_samples.min())
-        bound_ratio = max(abs(res.alpha1) / a_bound, abs(res.beta1) / b_bound)
+        outside, alpha_ratio, beta_ratio, deriv_gap = frag_diff.fragment_residuals(res, cover, eps)
         return (
             res.reconstruction_error,
             outside,
-            bound_ratio,
-            -deriv_min,
+            max(alpha_ratio, beta_ratio),
+            deriv_gap,
             res.periodicity_defect,
             abs(res.alpha2),
         )
 
-    rows = _map(frag_trial, trials, threads)
-    agg = [max((r[j] for r in rows), default=0.0) for j in range(6)]
-    checks.append(CheckResult("frag.reconstruction", agg[0], 1e-7))
-    checks.append(CheckResult("frag.outside_support", agg[1], 1e-9))
-    checks.append(CheckResult("frag.coefficient_bounds", agg[2], 1.0))
-    checks.append(CheckResult("frag.derivative_positive", agg[3], 0.0))
-    checks.append(CheckResult("frag.periodicity", agg[4], 1e-10))
-    checks.append(CheckResult("frag.alpha2_vanishes", agg[5], 1e-7))
-
-    def beta_forms_trial(i):
-        rng = rng_for(seed, 11, i)
+    def beta_forms_trial(rng):
         g = random_diffeo(rng, eps, n)
         a = frag_diff.alpha1(g, cover)
         return abs(frag_diff.beta1(g, cover) - frag_diff.beta1_integral_form(g, cover, alpha=a))
 
-    rows = _map(beta_forms_trial, max(trials // 10, 1), 1)
-    checks.append(CheckResult("frag.beta_forms_agree", max(rows, default=0.0), 1e-9))
-
-    def refine_trial(i):
-        rng = rng_for(seed, 12, i)
+    def refine_trial(rng):
         g = random_supported_diffeo(rng, cover.i1, eps, n)
         res = fragmenter.fragment(g, eps=eps)
         i12 = IntervalArc(cover.i2.a, cover.i1.b)
@@ -214,11 +228,7 @@ def frag_suite(seed: int, trials: int, n: int, threads: int = 1) -> list[CheckRe
             i13.max_abs_outside(res.xi3.periodic_part.samples),
         )
 
-    rows = _map(refine_trial, max(trials // 10, 1), threads)
-    checks.append(CheckResult("frag.supported_in_i1", max(rows, default=0.0), 1e-9))
-
-    def gap_trial(i):
-        rng = rng_for(seed, 13, i)
+    def gap_trial(rng):
         # support avoids (a2, b1), the overlap of I1 and I2
         arc = IntervalArc(cover.i1.a + 0.05, cover.i2.a - 0.05)
         g = random_supported_diffeo(rng, arc, eps, n)
@@ -227,13 +237,9 @@ def frag_suite(seed: int, trials: int, n: int, threads: int = 1) -> list[CheckRe
         mask = gap.contains(grid(n))
         return float(np.abs(res.xi1.periodic_part.samples[mask]).max())
 
-    rows = _map(gap_trial, max(trials // 10, 1), threads)
-    checks.append(CheckResult("frag.identity_on_overlap", max(rows, default=0.0), 1e-9))
-
-    def continuity_trial(i):
-        rng = rng_for(seed, 14, i)
+    def continuity_trial(rng, wiggle_rng):
         g = random_diffeo(rng, 0.009, n)
-        wig = random_diffeo(rng_for(seed, 15, i), 1e-4, n, fill=0.5)
+        wig = random_diffeo(wiggle_rng, 1e-4, n, fill=0.5)
         gt = CircleDiffeo(PeriodicFunction(g.periodic_part.samples + wig.periodic_part.samples))
         d = max(
             np.abs(gt.periodic_part.samples - g.periodic_part.samples).max(),
@@ -246,14 +252,7 @@ def frag_suite(seed: int, trials: int, n: int, threads: int = 1) -> list[CheckRe
         )
         return spread / d
 
-    # spread / d reads at most 1.000000000001 (median 0.65) over 2050 trials,
-    # seeds 1-40 and 20260810 at --trials 1000; the bound is twice that, so a
-    # first factor that moves 3x as fast as g (2.31 at seed 20260810) fails
-    rows = _map(continuity_trial, max(trials // 20, 1), threads)
-    checks.append(CheckResult("frag.continuity_constant", max(rows, default=0.0), 2.0))
-
-    def pair_trial(i):
-        rng = rng_for(seed, 16, i)
+    def pair_trial(rng):
         left = IntervalArc(0.3, 3.6)
         right = IntervalArc(3.1, TWO_PI + 0.8)
         g = random_diffeo(rng, eps, n)
@@ -265,9 +264,6 @@ def frag_suite(seed: int, trials: int, n: int, threads: int = 1) -> list[CheckRe
         )
         return max(rec, out)
 
-    rows = _map(pair_trial, max(trials // 10, 1), threads)
-    checks.append(CheckResult("frag.pair_reconstruction", max(rows, default=0.0), 1e-7))
-
     res_id = fragmenter.fragment(CircleDiffeo.identity(n), eps=eps)
     ident = max(
         res_id.reconstruction_error,
@@ -275,8 +271,26 @@ def frag_suite(seed: int, trials: int, n: int, threads: int = 1) -> list[CheckRe
         res_id.xi2.displacement(),
         res_id.xi3.displacement(),
     )
-    checks.append(CheckResult("frag.identity_fixed", ident, 1e-12))
-    return checks
+
+    return [
+        Family(10, 1, frag_trial, (
+            ("frag.reconstruction", 1e-7),
+            ("frag.outside_support", 1e-9),
+            ("frag.coefficient_bounds", 1.0),
+            ("frag.derivative_positive", 0.0),
+            ("frag.periodicity", 1e-10),
+            ("frag.alpha2_vanishes", 1e-7),
+        )),
+        Family(11, 10, beta_forms_trial, (("frag.beta_forms_agree", 1e-9),)),
+        Family(12, 10, refine_trial, (("frag.supported_in_i1", 1e-9),)),
+        Family(13, 10, gap_trial, (("frag.identity_on_overlap", 1e-9),)),
+        # spread / d reads at most 1.000000000001 (median 0.65) over 2050 trials,
+        # seeds 1-40 and 20260810 at --trials 1000; the bound is twice that, so a
+        # first factor that moves 3x as fast as g (2.31 at seed 20260810) fails
+        Family((14, 15), 20, continuity_trial, (("frag.continuity_constant", 2.0),)),
+        Family(16, 10, pair_trial, (("frag.pair_reconstruction", 1e-7),)),
+        CheckResult("frag.identity_fixed", ident, 1e-12),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -284,16 +298,10 @@ def frag_suite(seed: int, trials: int, n: int, threads: int = 1) -> list[CheckRe
 # ---------------------------------------------------------------------------
 
 
-def loop_suite(seed: int, trials: int, n: int, threads: int = 1) -> list[CheckResult]:
+def loop_suite(n: int) -> list:
     cover = CoverConfig.default()
-    checks = []
-    h = np.diag([1.0, -1.0]).astype(complex)
-    checks.append(
-        CheckResult("loop.killing_normalization", abs(loops.killing_form(h, h) - 2.0), 1e-14)
-    )
 
-    def algebra_trial(i):
-        rng = rng_for(seed, 20, i)
+    def algebra_trial(rng):
         xi = random_loop_algebra(rng, 0.5, n)
         eta = random_loop_algebra(rng, 0.5, n)
         zeta = random_loop_algebra(rng, 0.5, n)
@@ -310,13 +318,7 @@ def loop_suite(seed: int, trials: int, n: int, threads: int = 1) -> list[CheckRe
         )
         return antisym, jacobi, invar
 
-    rows = _map(algebra_trial, trials, threads)
-    checks.append(CheckResult("loop.omega_antisymmetry", max((r[0] for r in rows), default=0.0), 1e-10))
-    checks.append(CheckResult("loop.omega_jacobi", max((r[1] for r in rows), default=0.0), 1e-9))
-    checks.append(CheckResult("loop.omega_diff_invariance", max((r[2] for r in rows), default=0.0), 1e-8))
-
-    def locality_trial(i):
-        rng = rng_for(seed, 21, i)
+    def locality_trial(rng):
         arc1 = IntervalArc(0.2, 2.0)
         arc2 = IntervalArc(2.4, 5.0)
         b1 = random_supported_diffeo(rng, arc1, 0.5, n).periodic_part.samples
@@ -332,21 +334,11 @@ def loop_suite(seed: int, trials: int, n: int, threads: int = 1) -> list[CheckRe
         ).max()
         return local, comm
 
-    rows = _map(locality_trial, max(trials // 2, 1), threads)
-    checks.append(CheckResult("loop.omega_locality", max((r[0] for r in rows), default=0.0), 1e-10))
-    checks.append(CheckResult("loop.disjoint_commute", max((r[1] for r in rows), default=0.0), 1e-10))
-
-    def frag_trial(i):
-        rng = rng_for(seed, 22, i)
+    def frag_trial(rng):
         xi = random_loop_algebra(rng, 0.05, n)
         g = loops.exp_loop(xi)
         parts = loops.fragment_loop(g, cover)
-        rec = loops.multiply(parts[0], loops.multiply(parts[1], parts[2], None), None)
-        rec_err = float(np.abs(rec.samples - g.samples).max())
-        outside = max(
-            arc.max_abs_outside(xi_j.distance_to_identity())
-            for xi_j, arc in zip(parts, cover.intervals)
-        )
+        rec_err, outside = loops.fragment_loop_residuals(g, parts, cover)
         seq = loops.fragment_loop_sequential(g, cover)
         agree = max(
             float(np.abs(a.samples - b.samples).max()) for a, b in zip(parts, seq)
@@ -354,18 +346,7 @@ def loop_suite(seed: int, trials: int, n: int, threads: int = 1) -> list[CheckRe
         roundtrip = (loops.log_loop(g) - xi).norm()
         return rec_err, outside, agree, roundtrip
 
-    rows = _map(frag_trial, trials, threads)
-    checks.append(CheckResult("loop.frag_reconstruction", max((r[0] for r in rows), default=0.0), 1e-9))
-    checks.append(CheckResult("loop.frag_supports", max((r[1] for r in rows), default=0.0), 1e-10))
-    checks.append(CheckResult("loop.frag_sequential_agreement", max((r[2] for r in rows), default=0.0), 1e-9))
-    checks.append(CheckResult("loop.log_exp_roundtrip", max((r[3] for r in rows), default=0.0), 1e-9))
-
-    parts = loops.fragment_loop(loops.LoopElement.identity(n), cover)
-    ident = max(float(p.distance_to_identity().max()) for p in parts)
-    checks.append(CheckResult("loop.frag_identity_fixed", ident, 1e-14))
-
-    def refine_trial(i):
-        rng = rng_for(seed, 23, i)
+    def refine_trial(rng):
         b = random_supported_diffeo(rng, cover.i1, 0.5, n).periodic_part.samples
         xi = random_loop_algebra(rng, 0.05, n).scaled(b / max(np.abs(b).max(), 1e-300))
         g = loops.exp_loop(xi)
@@ -377,9 +358,27 @@ def loop_suite(seed: int, trials: int, n: int, threads: int = 1) -> list[CheckRe
             i13.max_abs_outside(parts[2].distance_to_identity()),
         )
 
-    rows = _map(refine_trial, max(trials // 10, 1), threads)
-    checks.append(CheckResult("loop.frag_supported_in_i1", max(rows, default=0.0), 1e-10))
-    return checks
+    h = np.diag([1.0, -1.0]).astype(complex)
+    parts = loops.fragment_loop(loops.LoopElement.identity(n), cover)
+    ident = max(float(p.distance_to_identity().max()) for p in parts)
+
+    return [
+        CheckResult("loop.killing_normalization", abs(loops.killing_form(h, h) - 2.0), 1e-14),
+        Family(20, 1, algebra_trial, (
+            ("loop.omega_antisymmetry", 1e-10),
+            ("loop.omega_jacobi", 1e-9),
+            ("loop.omega_diff_invariance", 1e-8),
+        )),
+        Family(21, 2, locality_trial, (("loop.omega_locality", 1e-10), ("loop.disjoint_commute", 1e-10))),
+        Family(22, 1, frag_trial, (
+            ("loop.frag_reconstruction", 1e-9),
+            ("loop.frag_supports", 1e-10),
+            ("loop.frag_sequential_agreement", 1e-9),
+            ("loop.log_exp_roundtrip", 1e-9),
+        )),
+        CheckResult("loop.frag_identity_fixed", ident, 1e-14),
+        Family(23, 10, refine_trial, (("loop.frag_supported_in_i1", 1e-10),)),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -387,36 +386,21 @@ def loop_suite(seed: int, trials: int, n: int, threads: int = 1) -> list[CheckRe
 # ---------------------------------------------------------------------------
 
 
-def cocycle_suite(seed: int, trials: int, n: int, threads: int = 1) -> list[CheckResult]:
-    checks = []
-
-    def bott_trial(i):
-        rng = rng_for(seed, 30, i)
+def cocycle_suite(n: int) -> list:
+    def bott_trial(rng):
         g1, g2, g3 = (random_diffeo(rng, 0.05, n) for _ in range(3))
         return cocycles.cocycle_identity_residual(cocycles.bott, g1, g2, g3)
 
-    rows = _map(bott_trial, trials, threads)
-    checks.append(CheckResult("cocycle.bott_identity", max(rows, default=0.0), 1e-8))
-
-    def rotation_trial(i):
-        rng = rng_for(seed, 31, i)
+    def rotation_trial(rng):
         r1, r2 = random_rotation(rng, n), random_rotation(rng, n)
         return abs(cocycles.bott(r1, r2))
 
-    rows = _map(rotation_trial, max(trials // 10, 1), 1)
-    checks.append(CheckResult("cocycle.bott_rotations", max(rows, default=0.0), 1e-12))
-
-    def normalization_trial(i):
-        rng = rng_for(seed, 32, i)
+    def normalization_trial(rng):
         g = random_diffeo(rng, 0.05, n)
         e = CircleDiffeo.identity(n)
         return max(abs(cocycles.bott(e, g)), abs(cocycles.bott(g, e)))
 
-    rows = _map(normalization_trial, max(trials // 10, 1), 1)
-    checks.append(CheckResult("cocycle.bott_unit", max(rows, default=0.0), 1e-10))
-
-    def vir_trial(i):
-        rng = rng_for(seed, 33, i)
+    def vir_trial(rng):
         xs = [
             cocycles.VirasoroElement(rng.normal(), random_diffeo(rng, 0.05, n))
             for _ in range(3)
@@ -430,13 +414,7 @@ def cocycle_suite(seed: int, trials: int, n: int, threads: int = 1) -> list[Chec
         )
         return central, projected, underlying
 
-    rows = _map(vir_trial, max(trials // 5, 1), threads)
-    checks.append(CheckResult("cocycle.vir_associativity", max((r[0] for r in rows), default=0.0), 1e-8))
-    checks.append(CheckResult("cocycle.vir_assoc_projected", max((r[1] for r in rows), default=0.0), 1e-8))
-    checks.append(CheckResult("cocycle.vir_projects_to_compose", max((r[2] for r in rows), default=0.0), 1e-14))
-
-    def vect_trial(i):
-        rng = rng_for(seed, 34, i)
+    def vect_trial(rng):
         f = random_vect_field(rng, n)
         g = random_vect_field(rng, n)
         hfield = random_vect_field(rng, n)
@@ -449,25 +427,15 @@ def cocycle_suite(seed: int, trials: int, n: int, threads: int = 1) -> list[Chec
         selfbr = float(np.abs(cocycles.vect_bracket(f, f).samples).max())
         return self_van, jac, selfbr
 
-    rows = _map(vect_trial, trials, threads)
-    checks.append(CheckResult("cocycle.vect_self_vanishes", max((r[0] for r in rows), default=0.0), 1e-10))
-    checks.append(CheckResult("cocycle.vect_jacobi", max((r[1] for r in rows), default=0.0), 1e-8))
-    checks.append(CheckResult("cocycle.vect_bracket_alternating", max((r[2] for r in rows), default=0.0), 1e-12))
-
-    def vect_local_trial(i):
-        rng = rng_for(seed, 35, i)
+    def vect_local_trial(rng):
         f = random_supported_diffeo(rng, IntervalArc(0.2, 2.0), 0.5, n).periodic_part
         g = random_supported_diffeo(rng, IntervalArc(2.4, 5.0), 0.5, n).periodic_part
         return abs(cocycles.vect_cocycle(f, g))
-
-    rows = _map(vect_local_trial, max(trials // 2, 1), 1)
-    checks.append(CheckResult("cocycle.vect_locality", max(rows, default=0.0), 1e-10))
 
     t = grid(n)
     mono_p = PeriodicFunction(np.exp(2j * t))
     mono_m = PeriodicFunction(np.exp(-2j * t))
     val = cocycles.vect_cocycle(mono_p, mono_m)
-    checks.append(CheckResult("cocycle.vect_monomial_value", abs(val - (-6.0)), 1e-9))
 
     # infinitesimal antisymmetrization of the group cocycle: finite,
     # antisymmetric, and equal to (1/24 pi) int f g''' on the cos 2t / sin 2t
@@ -477,17 +445,33 @@ def cocycle_suite(seed: int, trials: int, n: int, threads: int = 1) -> list[Chec
     dfg = cocycles.bott_mixed_derivative(f, g)
     dgf = cocycles.bott_mixed_derivative(g, f)
     finite = 0.0 if np.isfinite(dfg) and np.isfinite(dgf) else 1.0
-    checks.append(CheckResult("cocycle.bott_derivative_finite", finite, 0.5))
-    checks.append(CheckResult("cocycle.bott_derivative_antisym", abs(dfg + dgf), 1e-5))
+    pair_gap = _bott_derivative_gap(dfg, f, g)
 
-    def derivative_trial(i):
-        rng = rng_for(seed, 36, i)
+    def derivative_trial(rng):
+        # the cos 2t / sin 2t pair's gap enters every trial, so the maximum covers it
         f, g = random_vect_field(rng, 256, modes=4), random_vect_field(rng, 256, modes=4)
-        return _bott_derivative_gap(cocycles.bott_mixed_derivative(f, g), f, g)
+        return max(pair_gap, _bott_derivative_gap(cocycles.bott_mixed_derivative(f, g), f, g))
 
-    rows = [_bott_derivative_gap(dfg, f, g)] + _map(derivative_trial, min(trials, 4), 1)
-    checks.append(CheckResult("cocycle.bott_derivative_identity", max(rows), 1e-9))
-    return checks
+    return [
+        Family(30, 1, bott_trial, (("cocycle.bott_identity", 1e-8),)),
+        Family(31, 10, rotation_trial, (("cocycle.bott_rotations", 1e-12),)),
+        Family(32, 10, normalization_trial, (("cocycle.bott_unit", 1e-10),)),
+        Family(33, 5, vir_trial, (
+            ("cocycle.vir_associativity", 1e-8),
+            ("cocycle.vir_assoc_projected", 1e-8),
+            ("cocycle.vir_projects_to_compose", 1e-14),
+        )),
+        Family(34, 1, vect_trial, (
+            ("cocycle.vect_self_vanishes", 1e-10),
+            ("cocycle.vect_jacobi", 1e-8),
+            ("cocycle.vect_bracket_alternating", 1e-12),
+        )),
+        Family(35, 2, vect_local_trial, (("cocycle.vect_locality", 1e-10),)),
+        CheckResult("cocycle.vect_monomial_value", abs(val - (-6.0)), 1e-9),
+        CheckResult("cocycle.bott_derivative_finite", finite, 0.5),
+        CheckResult("cocycle.bott_derivative_antisym", abs(dfg + dgf), 1e-5),
+        Family(36, lambda trials: min(trials, 4), derivative_trial, (("cocycle.bott_derivative_identity", 1e-9),)),
+    ]
 
 
 def _bott_derivative_gap(value: float, f: PeriodicFunction, g: PeriodicFunction) -> float:
@@ -510,9 +494,10 @@ VERMA_PARAMETERS = (
 )
 
 
-def verma_suite(max_level: int = 8) -> list[CheckResult]:
-    checks = []
-    failures = 0
+def verma_suite(n: int) -> list:
+    """Exact checks on the VERMA_PARAMETERS modules, the same on every grid size n."""
+    max_level = 8
+    failures = gram_bad = central_bad = 0
     for c, h in VERMA_PARAMETERS:
         module = verma.VermaModule(c, h, max_level)
         for m in range(-4, 5):
@@ -523,20 +508,16 @@ def verma_suite(max_level: int = 8) -> list[CheckResult]:
                         state = verma.VermaState({part: Fraction(1)}, c, h)
                         if not module.commutator_check(m, nn, state):
                             failures += 1
-    checks.append(CheckResult("verma.commutators_exact", float(failures), 0.5))
-
-    gram_bad = 0
-    for c, h in VERMA_PARAMETERS:
-        module = verma.VermaModule(c, h, max_level)
-        g1 = module.gram_matrix(1)
-        if g1[0][0] != 2 * Fraction(h):
+        if module.gram_matrix(1)[0][0] != 2 * h:
             gram_bad += 1
         # the closed form in basis order (2), (1, 1), entry by entry: gram_matrix
         # mirrors its upper triangle, so a symmetry test alone could not fail
-        g2 = module.gram_matrix(2)
-        if g2 != [[4 * h + c / 2, 6 * h], [6 * h, 8 * h * h + 4 * h]]:
+        if module.gram_matrix(2) != [[4 * h + c / 2, 6 * h], [6 * h, 8 * h * h + 4 * h]]:
             gram_bad += 1
-    checks.append(CheckResult("verma.gram_level1_and_symmetry", float(gram_bad), 0.5))
+        v = module.lowest_weight_state()
+        got = module.act(2, module.act(-2, v)) - module.act(-2, module.act(2, v))
+        if got != v.scaled(4 * h + c / 2):
+            central_bad += 1
 
     # frozen determinant values at level 2: the (1/2, 1/16) module is
     # degenerate there, a generic point is strictly positive
@@ -545,26 +526,22 @@ def verma_suite(max_level: int = 8) -> list[CheckResult]:
         det_bad += 1
     if verma.exact_determinant(verma.gram_matrix(2, Fraction(1, 2), Fraction(1))) != 15:
         det_bad += 1
-    checks.append(CheckResult("verma.gram_level2_determinants", float(det_bad), 0.5))
 
-    central_bad = 0
-    for c, h in VERMA_PARAMETERS:
-        module = verma.VermaModule(c, h, max_level)
-        v = module.lowest_weight_state()
-        got = module.act(2, module.act(-2, v)) - module.act(-2, module.act(2, v))
-        want = v.scaled(4 * Fraction(h) + Fraction(c) / 2)
-        if got != want:
-            central_bad += 1
-    checks.append(CheckResult("verma.central_scalar", float(central_bad), 0.5))
-    return checks
+    return [
+        CheckResult("verma.commutators_exact", float(failures), 0.5),
+        # name kept for the byte-stable JSON report; checks the level-1 and level-2 closed forms
+        CheckResult("verma.gram_level1_and_symmetry", float(gram_bad), 0.5),
+        CheckResult("verma.gram_level2_determinants", float(det_bad), 0.5),
+        CheckResult("verma.central_scalar", float(central_bad), 0.5),
+    ]
 
 
+# the suites in report order; each builds its table for the grid size n
 SUITES = {
-    "diff": lambda seed, trials, n, threads: diff_suite(seed, trials, n)
-    + frag_suite(seed, trials, n, threads),
-    "loop": lambda seed, trials, n, threads: loop_suite(seed, trials, n, threads),
-    "cocycle": lambda seed, trials, n, threads: cocycle_suite(seed, trials, n, threads),
-    "verma": lambda seed, trials, n, threads: verma_suite(),
+    "diff": (diff_suite, frag_suite),
+    "loop": (loop_suite,),
+    "cocycle": (cocycle_suite,),
+    "verma": (verma_suite,),
 }
 
 
@@ -574,9 +551,9 @@ def run_suites(selector: str, seed: int, trials: int, n: int = 1024, threads: in
     report.inputs_digest = digest_inputs(selector=selector, seed=seed, trials=trials, n=n)
     if trials <= 0:
         return report
-    names = ["diff", "loop", "cocycle", "verma"] if selector == "all" else [selector]
-    for name in names:
+    for name in SUITES if selector == "all" else [selector]:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}")
-        report.checks.extend(SUITES[name](seed, trials, n, threads))
+        for build in SUITES[name]:
+            report.checks.extend(_run(build(n), seed, trials, threads))
     return report
