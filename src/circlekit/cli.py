@@ -55,7 +55,7 @@ from .errors import (
     NeighbourhoodError,
     TruncationError,
 )
-from .periodic import PeriodicFunction, _fourier_samples, _require_resolved, grid
+from .periodic import PeriodicFunction, _fourier_samples, _require_resolved, _write_csv, grid
 from .verify import SUITES, CheckResult, RunReport, digest_inputs, run_suites
 
 EXIT_FAIL = 1
@@ -202,14 +202,6 @@ def load_cover(path: str | None) -> CoverConfig:
     return CoverConfig.from_json(text)
 
 
-def _diffeo_to_csv(g: CircleDiffeo, path: Path) -> None:
-    t = grid(g.n)
-    vals = g.samples
-    with open(path, "w") as fh:
-        for tk, v in zip(t, vals):
-            fh.write(f"{tk:.17g},{v:.17g}\n")
-
-
 def _emit(report: RunReport, as_json: bool) -> None:
     if as_json:
         sys.stdout.write(report.to_json() + "\n")
@@ -236,7 +228,7 @@ def cmd_fragment_diff(args) -> int:
         ("xi2", result.xi2),
         ("xi3", result.xi3),
     ]:
-        _diffeo_to_csv(el, out / f"{name}.csv")
+        _write_csv(el.samples, out / f"{name}.csv")
 
     outside, alpha_ratio, beta_ratio, deriv_gap = frag_diff.fragment_residuals(result, cover, args.eps)
     report = RunReport(command="fragment-diff")

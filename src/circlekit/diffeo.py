@@ -12,14 +12,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AliasingError,
-    ConvergenceError,
-    DerivativeError,
-    GeometryError,
-    MassError,
+from .errors import ConvergenceError, DerivativeError, GeometryError, MassError
+from .periodic import (
+    TWO_PI,
+    PeriodicFunction,
+    _caches_on_one_stencil,
+    _check_tail,
+    _fourier_samples,
+    _lagrange_eval_two,
+    grid,
 )
-from .periodic import TWO_PI, PeriodicFunction, _caches_on_one_stencil, _fourier_samples, _lagrange_eval_two, grid
 
 __all__ = [
     "IntervalArc",
@@ -40,6 +42,13 @@ __all__ = [
 # operational gate is therefore 1e-7 while the band-limited property suite
 # monitors the stricter 1e-9 level.
 DEFAULT_TAIL_TOL = 1e-7
+
+# Newton inversion stops at this residual, or fails after this many steps.
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 60
+
+# Midpoint-rule points for a cutoff's full-period integral.
+BUMP_INTEGRAL_POINTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -137,9 +146,6 @@ class CircleDiffeo:
 
     __call__ = eval
 
-    def deriv_eval(self, t):
-        return 1.0 + self.deriv.eval(t)
-
     def displacement(self) -> float:
         """Sup-norm distance from the identity at the grid points."""
         return float(np.abs(self.periodic_part.samples).max())
@@ -155,20 +161,15 @@ def compose(g1: CircleDiffeo, g2: CircleDiffeo, tail_tol: float = DEFAULT_TAIL_T
     """Composition gamma1 o gamma2, resampled onto the grid of gamma2."""
     p2 = g2.periodic_part.samples
     p = p2 + g1.periodic_part.eval(grid(g2.n) + p2)
-    out = PeriodicFunction(p)
-    if tail_tol is not None and out.tail > tail_tol:
-        raise AliasingError(
-            f"composition tail {out.tail:.3e} exceeds {tail_tol:.1e}; raise the grid size"
-        )
-    return CircleDiffeo(out)
+    return CircleDiffeo(_check_tail(PeriodicFunction(p), tail_tol, "composition"))
 
 
-def solve_monotone(g: CircleDiffeo, targets: np.ndarray, tol: float = 1e-12, max_iter: int = 60) -> np.ndarray:
+def solve_monotone(g: CircleDiffeo, targets: np.ndarray) -> np.ndarray:
     """Solve gamma(u) = y per entry by safeguarded Newton iteration.
 
     Monotonicity of gamma makes u - y a bounded periodic quantity; the
     initial guess u = y - p(y) already has O(|p|^2) residual, so a couple of
-    Newton steps reach the 1e-12 residual target.  Steps are clamped to a
+    Newton steps reach the NEWTON_TOL residual target.  Steps are clamped to a
     bracket that the displacement bound provides, which cannot fail while
     gamma' > 0.  The slope only scales the step, so it is read on the stencil
     of p's evaluation cache, whatever resolution gamma' alone would get.
@@ -180,21 +181,20 @@ def solve_monotone(g: CircleDiffeo, targets: np.ndarray, tol: float = 1e-12, max
     lo, hi = y - bound, y + bound
     u = y - p.eval(y)
     residual = None
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         pu, dpu = _lagrange_eval_two(fine_p, fine_dp, u)
         r = u + pu - y
         residual = np.abs(r).max()
-        if residual < tol:
+        if residual < NEWTON_TOL:
             return u
         u = np.clip(u - r / (1.0 + dpu), lo, hi)
     raise ConvergenceError(f"Newton inversion stalled at residual {residual:.3e}")
 
 
-def inverse(g: CircleDiffeo, tol: float = 1e-12) -> CircleDiffeo:
+def inverse(g: CircleDiffeo) -> CircleDiffeo:
     """Group inverse, sampled by solving gamma(u) = t_k at every grid point."""
     t = grid(g.n)
-    u = solve_monotone(g, t, tol=tol)
-    return CircleDiffeo(PeriodicFunction(u - t))
+    return CircleDiffeo(PeriodicFunction(solve_monotone(g, t) - t))
 
 
 def arc_of_moved_points(moved: np.ndarray, n: int):
@@ -272,15 +272,15 @@ class BumpFunction:
     def periodic(self, n: int = 1024) -> PeriodicFunction:
         return PeriodicFunction(self.values(grid(n)))
 
-    def integral(self, resolution: int = 1 << 16) -> float:
-        """Full-period integral by high-resolution midpoint quadrature.
+    def integral(self) -> float:
+        """Full-period integral by midpoint quadrature on BUMP_INTEGRAL_POINTS points.
 
         The integrand is flat to all orders at the support endpoints, so the
         midpoint rule converges faster than any power of the step.
         """
-        a, b = self.support.a, self.support.b
-        x = a + (np.arange(resolution) + 0.5) * ((b - a) / resolution)
-        return float(self.values(x).sum() * (b - a) / resolution)
+        a, b, m = self.support.a, self.support.b, BUMP_INTEGRAL_POINTS
+        x = a + (np.arange(m) + 0.5) * ((b - a) / m)
+        return float(self.values(x).sum() * (b - a) / m)
 
     @property
     def max_value(self) -> float:

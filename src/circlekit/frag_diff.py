@@ -35,8 +35,8 @@ from .diffeo import (
     make_normalized_bump,
     solve_monotone,
 )
-from .errors import AliasingError, DerivativeError, GeometryError, NeighbourhoodError
-from .periodic import TWO_PI, PeriodicFunction, _antiderivative_spectrum, _upsample_real, grid
+from .errors import DerivativeError, GeometryError, NeighbourhoodError
+from .periodic import TWO_PI, PeriodicFunction, _antiderivative_spectrum, _check_tail, _upsample_real, grid
 
 __all__ = [
     "EpsilonNeighbourhood",
@@ -53,6 +53,7 @@ __all__ = [
 ]
 
 BUILD_FACTOR = 8  # oversampling for construction integrals
+PAIR_MARGIN = 0.1  # fragment_pair's plateau reaches this fraction into each overlap
 
 
 @dataclass(frozen=True)
@@ -80,23 +81,6 @@ class IntervalBumps:
     center: BumpFunction
     left: BumpFunction
     right: BumpFunction
-
-
-def build_interval_bumps(interval: IntervalArc, inner: IntervalArc) -> IntervalBumps:
-    """Cutoffs for one localization stage.
-
-    The center bump is 1 on the inner interval; the left and right bumps sit
-    in the gap zones and carry exactly half the gap length as total mass.
-    """
-    if not interval.contains_arc(inner):
-        raise GeometryError("inner interval must sit inside the interval")
-    a, b = interval.a, interval.b
-    ha = a + np.mod(inner.a - a, TWO_PI)
-    hb = ha + inner.length
-    center = make_bump(interval, IntervalArc(ha, hb))
-    left = make_normalized_bump(IntervalArc(a, ha), 0.5 * (ha - a))
-    right = make_normalized_bump(IntervalArc(hb, b), 0.5 * (b - hb))
-    return IntervalBumps(center, left, right)
 
 
 @dataclass(frozen=True)
@@ -159,12 +143,27 @@ def _trig_sum_eval(coeffs: np.ndarray, thetas: np.ndarray) -> np.ndarray:
 
 
 class _Stage:
-    """Precomputed fine-grid data for localizing to one interval."""
+    """Precomputed fine-grid data for localizing to one interval: the cutoffs
+    sampled on the n * factor grid, onto which gamma' is upsampled by factor.
+
+    endpoints are the lifted a < ahat < bhat < b of the interval and its inner
+    interval.  The center bump is 1 on the inner interval; the left and right
+    bumps sit in the gap zones and carry exactly half the gap length as mass.
+    """
 
     def __init__(self, interval: IntervalArc, inner: IntervalArc, n: int, factor: int):
-        self.interval = interval
-        self.inner = inner
-        self.bumps = build_interval_bumps(interval, inner)
+        if not interval.contains_arc(inner):
+            raise GeometryError("inner interval must sit inside the interval")
+        a, b = interval.a, interval.b
+        ha = a + np.mod(inner.a - a, TWO_PI)
+        hb = ha + inner.length
+        self.endpoints = (a, ha, hb, b)
+        self.factor = factor
+        self.bumps = IntervalBumps(
+            make_bump(interval, IntervalArc(ha, hb)),
+            make_normalized_bump(IntervalArc(a, ha), 0.5 * (ha - a)),
+            make_normalized_bump(IntervalArc(hb, b), 0.5 * (b - hb)),
+        )
         tf = grid(n * factor)
         self.center_fine = self.bumps.center.values(tf)
         self.left_fine = self.bumps.left.values(tf)
@@ -172,19 +171,17 @@ class _Stage:
         step = TWO_PI / len(tf)
         self.left_mass = self.left_fine.sum() * step
         self.right_mass = self.right_fine.sum() * step
-        a = interval.a
-        ha = a + np.mod(inner.a - a, TWO_PI)
-        self.endpoints = (a, ha, ha + inner.length, interval.b)
 
 
-def _stage_coefficients(g: CircleDiffeo, stage: _Stage, factor: int):
+def _stage_coefficients(g: CircleDiffeo, stage: _Stage):
     """alpha, beta (boundary form), the beta used in the construction, and the
     fine-grid samples of (gamma' - 1) * Dc."""
     a, ha, hb, b = stage.endpoints
-    integ = _upsample_real(g.deriv.samples, factor) * stage.center_fine
+    integ = _upsample_real(g.deriv.samples, stage.factor) * stage.center_fine
     c = PeriodicFunction(integ).spectrum
     mean = c[0].real
-    f_vals = _trig_sum_eval(_antiderivative_spectrum(c), np.array([0.0, ha, hb, b]))
+    f_spectrum = _antiderivative_spectrum(c, np.arange(len(c)), -1)
+    f_vals = _trig_sum_eval(f_spectrum, np.array([0.0, ha, hb, b]))
 
     def partial(theta, f_theta):
         return mean * theta + f_theta - f_vals[0]
@@ -199,9 +196,9 @@ def _stage_coefficients(g: CircleDiffeo, stage: _Stage, factor: int):
     return alpha, beta, beta_build, integ
 
 
-def _stage_localize(g: CircleDiffeo, stage: _Stage, factor: int):
+def _stage_localize(g: CircleDiffeo, stage: _Stage):
     """Fine-grid periodic part of the localized factor, plus its coefficients."""
-    alpha, beta, beta_build, integ = _stage_coefficients(g, stage, factor)
+    alpha, beta, beta_build, integ = _stage_coefficients(g, stage)
     g_fine = integ + alpha * stage.left_fine + beta_build * stage.right_fine
     if g_fine.min() <= -1.0:
         raise DerivativeError("localized factor has non-positive derivative")
@@ -221,38 +218,26 @@ def _solve_inside(factor: CircleDiffeo, arc: IntervalArc, targets: np.ndarray) -
     return u
 
 
-def _coarse_factor(p_fine: np.ndarray, stride: int, tail_tol: float) -> CircleDiffeo:
-    pf = PeriodicFunction(p_fine[::stride])
-    if tail_tol is not None and pf.tail > tail_tol:
-        raise AliasingError(
-            f"localized factor tail {pf.tail:.3e} exceeds {tail_tol:.1e}; raise the grid size"
-        )
-    return CircleDiffeo(pf)
+def _coarse_factor(p_fine: np.ndarray, tail_tol: float) -> CircleDiffeo:
+    coarse = PeriodicFunction(p_fine[::BUILD_FACTOR])
+    return CircleDiffeo(_check_tail(coarse, tail_tol, "localized factor"))
 
 
 class DiffeoFragmenter:
     """Fragmentation machinery bound to one cover and grid size."""
 
-    def __init__(self, cover: CoverConfig, n: int = 1024, build_factor: int = BUILD_FACTOR):
+    def __init__(self, cover: CoverConfig, n: int = 1024):
         self.cover = cover
         self.n = n
-        self.factor = build_factor
-        self.stage1 = _Stage(cover.i1, cover.ihat1, n, build_factor)
+        self.stage1 = _Stage(cover.i1, cover.ihat1, n, BUILD_FACTOR)
         # the second stage consumes the remainder at fine resolution, where
         # the first factor's slow spectral tail is already resolved
-        self.stage2 = _Stage(cover.i2, cover.ihat2, n * build_factor, 1)
-        ka = (
-            2.0 * (1.0 + self.stage1.endpoints[1])
-            / (self.stage1.endpoints[1] - self.stage1.endpoints[0])
-            * self.stage1.bumps.left.max_value
-        )
-        kb = (
-            2.0 * (1.0 + self.stage1.endpoints[3] - self.stage1.endpoints[2])
-            / (self.stage1.endpoints[3] - self.stage1.endpoints[2])
-            * self.stage1.bumps.right.max_value
-        )
+        self.stage2 = _Stage(cover.i2, cover.ihat2, n * BUILD_FACTOR, 1)
         # below this threshold the blended derivative stays positive
-        self.epsilon1 = 1.0 / (1.0 + ka + kb)
+        bumps = self.stage1.bumps
+        self.epsilon1 = 1.0 / (
+            1.0 + alpha1_bound(cover, 1.0) * bumps.left.scale + beta1_bound(cover, 1.0) * bumps.right.scale
+        )
 
     # -- full fragmentation ----------------------------------------------
 
@@ -266,22 +251,22 @@ class DiffeoFragmenter:
                 f"eps={eps} is not below the positivity threshold {self.epsilon1:.4f}"
             )
         _check_neighbourhood(g, eps)
-        p1_fine, a1, b1, defect1 = _stage_localize(g, self.stage1, self.factor)
-        xi1 = _coarse_factor(p1_fine, self.factor, tail_tol)
+        p1_fine, a1, b1, defect1 = _stage_localize(g, self.stage1)
+        xi1 = _coarse_factor(p1_fine, tail_tol)
         # remainder evaluated against the fine representation of the first
         # factor, so its samples carry no unresolved-tail noise
         xi1_fine = CircleDiffeo(PeriodicFunction(p1_fine))
-        t_fine = grid(self.n * self.factor)
-        g_fine = t_fine + _upsample_real(g.periodic_part.samples, self.factor)
+        t_fine = grid(self.n * BUILD_FACTOR)
+        g_fine = t_fine + _upsample_real(g.periodic_part.samples, BUILD_FACTOR)
         q_fine = CircleDiffeo(
             PeriodicFunction(_solve_inside(xi1_fine, self.cover.i1, g_fine) - t_fine)
         )
 
-        p2_fine, a2, b2, defect2 = _stage_localize(q_fine, self.stage2, 1)
-        xi2 = _coarse_factor(p2_fine, self.factor, tail_tol)
+        p2_fine, a2, b2, defect2 = _stage_localize(q_fine, self.stage2)
+        xi2 = _coarse_factor(p2_fine, tail_tol)
         xi2_fine = CircleDiffeo(PeriodicFunction(p2_fine))
         t = grid(self.n)
-        q_coarse = q_fine.samples[:: self.factor]
+        q_coarse = q_fine.samples[::BUILD_FACTOR]
         xi3_samples = _solve_inside(xi2_fine, self.cover.i2, q_coarse)
         xi3 = CircleDiffeo(PeriodicFunction(xi3_samples - t))
 
@@ -322,7 +307,7 @@ def alpha1(g: CircleDiffeo, cover: CoverConfig, eps: float = 0.01) -> float:
     """Left blending coefficient of the first localization stage."""
     _check_neighbourhood(g, eps)
     frag = _fragmenter(cover, g.n)
-    value, _, _, _ = _stage_coefficients(g, frag.stage1, frag.factor)
+    value, _, _, _ = _stage_coefficients(g, frag.stage1)
     return value
 
 
@@ -330,7 +315,7 @@ def beta1(g: CircleDiffeo, cover: CoverConfig, eps: float = 0.01) -> float:
     """Right blending coefficient (boundary form)."""
     _check_neighbourhood(g, eps)
     frag = _fragmenter(cover, g.n)
-    _, value, _, _ = _stage_coefficients(g, frag.stage1, frag.factor)
+    _, value, _, _ = _stage_coefficients(g, frag.stage1)
     return value
 
 
@@ -343,8 +328,8 @@ def beta1_integral_form(g: CircleDiffeo, cover: CoverConfig, alpha: float | None
     stage = frag.stage1
     if alpha is None:
         alpha = alpha1(g, cover)
-    d_fine = _upsample_real(g.deriv.samples, frag.factor)
-    step = TWO_PI / (g.n * frag.factor)
+    d_fine = _upsample_real(g.deriv.samples, stage.factor)
+    step = TWO_PI / (g.n * stage.factor)
     full = (d_fine * stage.center_fine).sum() * step + alpha * stage.left_mass
     _, _, hb, b = stage.endpoints
     return -2.0 / (b - hb) * full
@@ -359,7 +344,6 @@ def fragment_pair(
     g: CircleDiffeo,
     left: IntervalArc,
     right: IntervalArc,
-    margin: float = 0.1,
     eps: float = 0.01,
     tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> tuple[CircleDiffeo, CircleDiffeo]:
@@ -376,7 +360,7 @@ def fragment_pair(
     core = IntervalArc(right.b, right.a + TWO_PI)  # part of the circle right misses
     gap_l = np.mod(core.a - left.a, TWO_PI)
     gap_r = np.mod(left.b - core.b, TWO_PI)
-    plateau = IntervalArc(core.a - margin * gap_l, core.b + margin * gap_r)
+    plateau = IntervalArc(core.a - PAIR_MARGIN * gap_l, core.b + PAIR_MARGIN * gap_r)
 
     # shift the integration origin to a grid point outside the left arc
     n = g.n
@@ -390,9 +374,9 @@ def fragment_pair(
     s_left = IntervalArc(left.a - theta0, left.b - theta0)
     s_plateau = IntervalArc(plateau.a - theta0, plateau.b - theta0)
 
-    p_fine, _, _, _ = _stage_localize(shifted, _pair_stage(s_left, s_plateau, n), BUILD_FACTOR)
+    p_fine, _, _, _ = _stage_localize(shifted, _pair_stage(s_left, s_plateau, n))
     p_fine = np.roll(p_fine, k0 * BUILD_FACTOR)
-    g_left = _coarse_factor(p_fine, BUILD_FACTOR, tail_tol)
+    g_left = _coarse_factor(p_fine, tail_tol)
     t = grid(n)
     left_fine = CircleDiffeo(PeriodicFunction(p_fine))
     g_right = CircleDiffeo(PeriodicFunction(_solve_inside(left_fine, left, g.samples) - t))

@@ -21,8 +21,8 @@ import functools
 import numpy as np
 
 from .diffeo import CircleDiffeo, CoverConfig, IntervalArc, arc_of_moved_points, make_bump
-from .errors import AliasingError, BranchError
-from .periodic import PeriodicFunction, grid
+from .errors import BranchError
+from .periodic import PeriodicFunction, _check_tail, _write_csv, grid
 
 __all__ = [
     "LoopElement",
@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 LOOP_TAIL_TOL = 1e-7
-BRANCH_TOL = 1e-6
+BRANCH_TOL = 1e-6  # the logarithm rejects rotation angles within this of pi
 
 
 def su2_generators() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -218,13 +218,13 @@ def _su2_samples(w: np.ndarray | float, p: np.ndarray, q: np.ndarray) -> np.ndar
     return out
 
 
-def _su2_log(u: np.ndarray, branch_tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _su2_log(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """su(2) parts (p, q) of the principal logarithm X / sinc(theta / pi) of SU(2)
     samples, theta = arccos(Re tr U / 2); BranchError when theta comes within
-    branch_tol of pi."""
+    BRANCH_TOL of pi."""
     w = np.clip((u[:, 0, 0].real + u[:, 1, 1].real) / 2.0, -1.0, 1.0)
     theta = np.arccos(w)
-    if theta.max() >= np.pi - branch_tol:
+    if theta.max() >= np.pi - BRANCH_TOL:
         raise BranchError(
             f"sample with rotation angle {theta.max():.6f} is at the branch cut"
         )
@@ -254,10 +254,8 @@ def multiply(g1: LoopElement, g2: LoopElement, tail_tol: float = LOOP_TAIL_TOL) 
     """Pointwise matrix product."""
     if g1.n != g2.n:
         raise ValueError("grid size mismatch")
-    out = LoopElement(_product(g1.samples, g2.samples), check=False)
-    if tail_tol is not None and out.pf.tail > tail_tol:
-        raise AliasingError(f"loop product tail {out.pf.tail:.3e} exceeds {tail_tol:.1e}")
-    return out
+    product = PeriodicFunction(_product(g1.samples, g2.samples))
+    return LoopElement(_check_tail(product, tail_tol, "loop product"), check=False)
 
 
 def inverse_loop(g: LoopElement) -> LoopElement:
@@ -276,18 +274,18 @@ def exp_loop(xi: LoopAlgebraElement) -> LoopElement:
     return LoopElement(expm(x), check=False)
 
 
-def log_loop(g: LoopElement, branch_tol: float = BRANCH_TOL) -> LoopAlgebraElement:
+def log_loop(g: LoopElement) -> LoopAlgebraElement:
     """Pointwise principal logarithm.
 
-    Raises BranchError when any sample has an eigenvalue within branch_tol of
-    -1, where the principal branch breaks down.
+    Raises BranchError when any sample has an eigenvalue within BRANCH_TOL (in
+    angle) of -1, where the principal branch breaks down.
     """
     u = g.samples
     if g.dim == 2:
-        p, q = _su2_log(u, branch_tol)
+        p, q = _su2_log(u)
         return LoopAlgebraElement(_su2_samples(0.0, p, q), check=False)
     phases = np.angle(np.linalg.eigvals(u))
-    if np.abs(phases).max() >= np.pi - branch_tol:
+    if np.abs(phases).max() >= np.pi - BRANCH_TOL:
         raise BranchError("sample with an eigenvalue at the branch cut")
     from scipy.linalg import logm
 
@@ -394,7 +392,7 @@ def fragment_loop(
     cover = cover or CoverConfig.default()
     weights = _cutoff_weights(cover, g.n)[2]
     if g.dim == 2:
-        p, q = _su2_log(g.samples, BRANCH_TOL)
+        p, q = _su2_log(g.samples)
         theta = _su2_angle(p, q)
         return tuple(LoopElement(_su2_exp(c * theta, c * p, c * q), check=False) for c in weights)
     eta = log_loop(g)
@@ -434,18 +432,7 @@ def fragment_loop_residuals(g: LoopElement, parts: tuple, cover: CoverConfig) ->
 
 def loop_to_csv(el, path) -> None:
     """Rows: t then real/imag interleaved matrix entries, row-major."""
-    samples = el.samples
-    n, d = samples.shape[0], samples.shape[1]
-    t = grid(n)
-    with open(path, "w") as fh:
-        for k in range(n):
-            row = [f"{t[k]:.17g}"]
-            for i in range(d):
-                for j in range(d):
-                    z = samples[k, i, j]
-                    row.append(f"{z.real:.17g}")
-                    row.append(f"{z.imag:.17g}")
-            fh.write(",".join(row) + "\n")
+    _write_csv(el.samples, path)
 
 
 def loop_from_csv(path, kind="group"):

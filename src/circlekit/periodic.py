@@ -17,10 +17,12 @@ Scalar (real or complex) and matrix-valued samples are supported; all
 spectral operations act along the first axis.
 
 Each Fourier formula is written once, here: `_fourier_samples` turns
-(k, a_k, b_k) terms into samples, `_antiderivative_spectrum` is the real
-spectral antiderivative (also behind fragmentation's localization stages),
-and `_upsample_real`/`_upsample_complex` are the zero-pad resampling behind
-the evaluation caches and `resample`.
+(k, a_k, b_k) terms into samples, `_antiderivative_spectrum` is the spectral
+antiderivative of real and complex data (also behind fragmentation's
+localization stages), and `_upsample_real`/`_upsample_complex` are the
+zero-pad resampling behind the evaluation caches and `resample`.  Two more
+helpers have one owner here: `_check_tail` is the spectral-tail gate of
+every nonlinear operation, and `_write_csv` writes every sampled CSV file.
 """
 
 from __future__ import annotations
@@ -109,14 +111,35 @@ def _fourier_samples(terms, n: int) -> np.ndarray:
     return out
 
 
-def _antiderivative_spectrum(c: np.ndarray) -> np.ndarray:
-    """rfft coefficients of the zero-mean periodic antiderivative of real data
-    with rfft coefficients c; the mean and the Nyquist mode are dropped."""
-    k = _along_first_axis(np.arange(len(c)), c)
+def _antiderivative_spectrum(c: np.ndarray, k: np.ndarray, nyquist: int) -> np.ndarray:
+    """Fourier coefficients of the zero-mean periodic antiderivative of data with
+    coefficients c at wavenumbers k (k[0] = 0); the mean and the Nyquist mode,
+    at index nyquist, are dropped."""
+    k = _along_first_axis(k, c)
     out = np.zeros_like(c)
     out[1:] = c[1:] / (1j * k[1:])
-    out[-1] = 0.0
+    out[nyquist] = 0.0
     return out
+
+
+def _check_tail(pf: "PeriodicFunction", tail_tol: float | None, subject: str) -> "PeriodicFunction":
+    """pf, unless its spectral tail exceeds tail_tol (None disables the gate):
+    AliasingError naming the subject."""
+    if tail_tol is not None and pf.tail > tail_tol:
+        raise AliasingError(f"{subject} tail {pf.tail:.3e} exceeds {tail_tol:.1e}; raise the grid size")
+    return pf
+
+
+def _write_csv(samples: np.ndarray, path) -> None:
+    """Rows "t,columns" at the grid points, 17 significant digits: the sample's
+    real columns, complex entries as re, im and matrices row-major."""
+    n = samples.shape[0]
+    cols = np.ascontiguousarray(samples).reshape(n, -1)
+    if np.iscomplexobj(cols):
+        cols = cols.view(float)
+    fmt = ",".join(["{:.17g}"] * (cols.shape[1] + 1)) + "\n"
+    with open(path, "w") as fh:
+        fh.writelines(fmt.format(*row) for row in np.column_stack([grid(n), cols]).tolist())
 
 
 def _upsample_real(samples: np.ndarray, factor: int) -> np.ndarray:
@@ -341,15 +364,11 @@ class PeriodicFunction:
         if self._antideriv is None:
             n = self.n
             if self.is_real:
-                f = np.fft.irfft(_antiderivative_spectrum(self.spectrum), axis=0) * n
+                c = _antiderivative_spectrum(self.spectrum, np.arange(n // 2 + 1), -1)
+                f = np.fft.irfft(c, axis=0) * n
             else:
-                k = _along_first_axis(np.fft.fftfreq(n, d=1.0 / n), self.samples)
                 c = np.fft.fft(self.samples, axis=0)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    c = c / (1j * k)
-                c[0] = 0.0
-                c[n // 2] = 0.0
-                f = np.fft.ifft(c, axis=0)
+                f = np.fft.ifft(_antiderivative_spectrum(c, np.fft.fftfreq(n, d=1.0 / n), n // 2), axis=0)
             pf = PeriodicFunction(f - f[0])
             self._antideriv = (pf, self.mean)
         return self._antideriv
@@ -390,17 +409,11 @@ class PeriodicFunction:
         return PeriodicFunction(np.fft.ifft(out, axis=0) * (m / n))
 
     def to_csv(self, path) -> None:
-        """Write rows "t,value" at the grid points, 17 significant digits."""
+        """Write rows "t,value" (complex values as "t,re,im") at the grid points,
+        17 significant digits."""
         if self.samples.ndim != 1:
             raise ValueError("CSV export is for scalar functions")
-        t = grid(self.n)
-        with open(path, "w") as fh:
-            if self.is_real:
-                for tk, v in zip(t, self.samples):
-                    fh.write(f"{tk:.17g},{v:.17g}\n")
-            else:
-                for tk, v in zip(t, self.samples):
-                    fh.write(f"{tk:.17g},{v.real:.17g},{v.imag:.17g}\n")
+        _write_csv(self.samples, path)
 
     # -- arithmetic (pointwise, same grid) -----------------------------
 

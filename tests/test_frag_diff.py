@@ -4,6 +4,7 @@ import pytest
 from circlekit.diffeo import CircleDiffeo, CoverConfig, IntervalArc, compose, support
 from circlekit.errors import NeighbourhoodError
 from circlekit.frag_diff import (
+    BUILD_FACTOR,
     EpsilonNeighbourhood,
     alpha1,
     alpha1_bound,
@@ -192,18 +193,18 @@ def test_interval_restricted_solves_match_full_solves(n):
     # each factor is the identity off its interval, so Newton on the targets
     # inside it gives what Newton on every target gives
     frag = _fragmenter(COVER, n)
-    t_fine = grid(n * frag.factor)
+    t_fine = grid(n * BUILD_FACTOR)
     for i in range(3):
         g = random_diffeo(rng_for(20260810, 1, i), 0.01, n)
-        p1, _, _, _ = _stage_localize(g, frag.stage1, frag.factor)
+        p1, _, _, _ = _stage_localize(g, frag.stage1)
         xi1 = CircleDiffeo(PeriodicFunction(p1))
-        g_fine = t_fine + _upsample_real(g.periodic_part.samples, frag.factor)
+        g_fine = t_fine + _upsample_real(g.periodic_part.samples, BUILD_FACTOR)
         q = _solve_inside(xi1, COVER.i1, g_fine)
         assert np.abs(q - solve_monotone(xi1, g_fine)).max() < 1e-15
         q_fine = CircleDiffeo(PeriodicFunction(q - t_fine))
-        p2, _, _, _ = _stage_localize(q_fine, frag.stage2, 1)
+        p2, _, _, _ = _stage_localize(q_fine, frag.stage2)
         xi2 = CircleDiffeo(PeriodicFunction(p2))
-        q_coarse = q_fine.samples[:: frag.factor]
+        q_coarse = q_fine.samples[::BUILD_FACTOR]
         xi3 = _solve_inside(xi2, COVER.i2, q_coarse)
         assert np.abs(xi3 - solve_monotone(xi2, q_coarse)).max() < 1e-15
 

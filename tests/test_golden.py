@@ -1,13 +1,16 @@
 """SHA-256 digests pinned so any drift fails cheaply: the stdout of one `verma`
 CLI call, the Gram matrices at levels 0..10 of each `VERMA_PARAMETERS` module,
-and one `verify all` report."""
+one `verify all` report and the CSV files the CLI and `to_csv` write."""
 
 import hashlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from circlekit.cli import main
+from circlekit.periodic import PeriodicFunction, grid
 from circlekit.verify import VERMA_PARAMETERS, run_suites
 from circlekit.verma import VermaModule
 
@@ -22,6 +25,32 @@ GRAM_DIGESTS = {
 }
 
 VERIFY_ALL_REPORT = "710c664da04d78f9031f77eeab3bed3a9ab26cf0484c01592fb1fad61ce25f6f"
+
+# the files one CLI run writes, by command
+CSV_DIGESTS = {
+    "fragment-diff": {
+        "gamma": "9b0ed511c2bf5e44f3a6c8b885bc6c621f944296a8eb15759a18dafd1e665361",
+        "xi1": "fb8f165cf156432632874fd89c6462fc5acaadf78328738cfdbf78e92dae68e5",
+        "xi2": "75ac9b0b547d253aeb85bb6d46fe15a80bb758ccfb99eae2ef6218ae2c04be15",
+        "xi3": "a4cfd9137f06049fe541dc06bb0c9defce59cf29f173c50fa8cd02b08b72c05e",
+    },
+    "fragment-loop": {
+        "gamma": "199a433bf0a9d6c225dabfc001ced7563f5847e499a249a94a3365bee02e3285",
+        "xi1": "1190e35baa493fdc89c7d4a3df9fc7af6c8cae2f54e0d841336c04278e8904c5",
+        "xi2": "9108cf677954ca07665505eb18cde3b298dc01d6f2b27bcf397f38bfd0a18971",
+        "xi3": "a339f9ebba57353a93052802a4e2b19fc4f987a2d86ebe4d07661338febd7447",
+    },
+}
+CSV_SPECS = {
+    "fragment-diff": "fourier:[(3,0.001,0.002),(5,0.0005,0)]",
+    "fragment-loop": "exp:[(1,1,0,0.02),(2,2,0.01,0),(3,3,0,0.015)]",
+}
+
+# -sin 2t starts with a -0.0 sample, written "-0"
+SCALAR_CSV_DIGESTS = {
+    "real": "9bdb5c872985572000f65089eebaef8e598c73b4e239eb92f5a838964dde86ba",
+    "complex": "7c2d75116925a0c7486c2f135961cdd583eca5b4eb9ff21b51dd49e0f0efd474",
+}
 
 
 def test_verma_cli_stdout_digest():
@@ -50,3 +79,26 @@ def test_verify_all_report_digest(threads):
     names = [c.name for c in report.checks]
     assert len(set(names)) == len(names)
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == VERIFY_ALL_REPORT
+
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("command", sorted(CSV_SPECS))
+def test_cli_csv_digests(command, tmp_path):
+    """The four CSVs of one CLI run.  Taken under numpy 2.4.6 (Python 3.11.7,
+    x86-64), as the report digest above."""
+    assert main([command, "--spec", CSV_SPECS[command], "--out", str(tmp_path), "--json"]) == 0
+    assert {name: _sha256(tmp_path / f"{name}.csv") for name in CSV_DIGESTS[command]} == CSV_DIGESTS[command]
+
+
+@pytest.mark.parametrize("kind", sorted(SCALAR_CSV_DIGESTS))
+def test_to_csv_digests(kind, tmp_path):
+    """PeriodicFunction.to_csv of a real and a complex scalar on 16 points,
+    taken under numpy 2.4.6."""
+    t = grid(16)
+    samples = -np.sin(2 * t) if kind == "real" else np.exp(1j * t) * (0.5 - 0.25j)
+    PeriodicFunction(samples).to_csv(tmp_path / "f.csv")
+    assert _sha256(tmp_path / "f.csv") == SCALAR_CSV_DIGESTS[kind]

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from circlekit.periodic import PeriodicFunction, _pad_fine, _stencil_error_bound, grid
+from circlekit.cocycles import vect_bracket
+from circlekit.diffeo import CircleDiffeo, IntervalArc
+from circlekit.errors import AliasingError
+from circlekit.frag_diff import fragment, fragment_pair
+from circlekit.loops import LoopAlgebraElement, exp_loop, multiply
+from circlekit.periodic import TWO_PI, PeriodicFunction, _pad_fine, _stencil_error_bound, grid
 from circlekit.sampling import random_diffeo, rng_for
 
 
@@ -202,3 +207,31 @@ def test_near_nyquist_content_is_oversampled():
     assert len(f._fine_values()) == 8 * n + 9
     x = np.random.default_rng(2).uniform(0, 2 * np.pi, 500)
     assert np.abs(f.eval(x) - direct_sum(f.samples, x)).max() < 1e-12
+
+
+def _tail_gate_calls():
+    """The operations gated on the spectral tail of their result, besides
+    compose (test_diffeo), on inputs whose result tail is far above the
+    default tolerance."""
+    t64 = grid(64)
+    zero = np.zeros(64)
+    g14 = exp_loop(LoopAlgebraElement.from_components(0.1 * np.cos(14 * t64), zero, zero))
+    g15 = exp_loop(LoopAlgebraElement.from_components(zero, 0.1 * np.sin(15 * t64), zero))
+    f, g = PeriodicFunction(np.sin(10 * t64)), PeriodicFunction(np.cos(9 * t64))
+    coarse = CircleDiffeo.from_fourier([(1, 0, 0.005)], 128)
+    arcs = IntervalArc(0.3, 3.6), IntervalArc(3.1, TWO_PI + 0.8)
+    return {
+        "multiply": lambda **kw: multiply(g14, g15, **kw),
+        "vect_bracket": lambda **kw: vect_bracket(f, g, **kw),
+        "fragment": lambda **kw: fragment(coarse, **kw),
+        "fragment_pair": lambda **kw: fragment_pair(coarse, *arcs, **kw),
+    }
+
+
+@pytest.mark.parametrize("operation", ["multiply", "vect_bracket", "fragment", "fragment_pair"])
+def test_tail_gate_raises(operation):
+    call = _tail_gate_calls()[operation]
+    with pytest.raises(AliasingError, match="; raise the grid size$"):
+        call()
+    if operation in ("multiply", "vect_bracket"):
+        assert call(tail_tol=None).pf.tail > 1e-3
