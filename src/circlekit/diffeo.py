@@ -19,7 +19,7 @@ from .periodic import (
     _caches_on_one_stencil,
     _check_tail,
     _fourier_samples,
-    _lagrange_eval_two,
+    _lagrange_eval,
     grid,
 )
 
@@ -182,7 +182,7 @@ def solve_monotone(g: CircleDiffeo, targets: np.ndarray) -> np.ndarray:
     u = y - p.eval(y)
     residual = None
     for _ in range(NEWTON_MAX_ITER):
-        pu, dpu = _lagrange_eval_two(fine_p, fine_dp, u)
+        pu, dpu = _lagrange_eval(u, fine_p, fine_dp)
         r = u + pu - y
         residual = np.abs(r).max()
         if residual < NEWTON_TOL:
@@ -281,10 +281,6 @@ class BumpFunction:
         a, b, m = self.support.a, self.support.b, BUMP_INTEGRAL_POINTS
         x = a + (np.arange(m) + 0.5) * ((b - a) / m)
         return float(self.values(x).sum() * (b - a) / m)
-
-    @property
-    def max_value(self) -> float:
-        return self.scale
 
 
 def make_bump(support: IntervalArc, plateau: IntervalArc) -> BumpFunction:

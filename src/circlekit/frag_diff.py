@@ -36,7 +36,7 @@ from .diffeo import (
     solve_monotone,
 )
 from .errors import DerivativeError, GeometryError, NeighbourhoodError
-from .periodic import TWO_PI, PeriodicFunction, _antiderivative_spectrum, _check_tail, _upsample_real, grid
+from .periodic import TWO_PI, PeriodicFunction, _check_tail, grid
 
 __all__ = [
     "EpsilonNeighbourhood",
@@ -177,10 +177,10 @@ def _stage_coefficients(g: CircleDiffeo, stage: _Stage):
     """alpha, beta (boundary form), the beta used in the construction, and the
     fine-grid samples of (gamma' - 1) * Dc."""
     a, ha, hb, b = stage.endpoints
-    integ = _upsample_real(g.deriv.samples, stage.factor) * stage.center_fine
-    c = PeriodicFunction(integ).spectrum
-    mean = c[0].real
-    f_spectrum = _antiderivative_spectrum(c, np.arange(len(c)), -1)
+    integ = g.deriv._upsample(stage.factor) * stage.center_fine
+    fine = PeriodicFunction(integ)
+    mean = fine.spectrum[0].real
+    f_spectrum = fine._antiderivative_spectrum()
     f_vals = _trig_sum_eval(f_spectrum, np.array([0.0, ha, hb, b]))
 
     def partial(theta, f_theta):
@@ -257,7 +257,7 @@ class DiffeoFragmenter:
         # factor, so its samples carry no unresolved-tail noise
         xi1_fine = CircleDiffeo(PeriodicFunction(p1_fine))
         t_fine = grid(self.n * BUILD_FACTOR)
-        g_fine = t_fine + _upsample_real(g.periodic_part.samples, BUILD_FACTOR)
+        g_fine = t_fine + g.periodic_part._upsample(BUILD_FACTOR)
         q_fine = CircleDiffeo(
             PeriodicFunction(_solve_inside(xi1_fine, self.cover.i1, g_fine) - t_fine)
         )
@@ -328,7 +328,7 @@ def beta1_integral_form(g: CircleDiffeo, cover: CoverConfig, alpha: float | None
     stage = frag.stage1
     if alpha is None:
         alpha = alpha1(g, cover)
-    d_fine = _upsample_real(g.deriv.samples, stage.factor)
+    d_fine = g.deriv._upsample(stage.factor)
     step = TWO_PI / (g.n * stage.factor)
     full = (d_fine * stage.center_fine).sum() * step + alpha * stage.left_mass
     _, _, hb, b = stage.endpoints

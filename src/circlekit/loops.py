@@ -297,16 +297,18 @@ def log_loop(g: LoopElement) -> LoopAlgebraElement:
     return LoopAlgebraElement(x, check=False)
 
 
+def _real_if_roundoff(value: complex):
+    """value.real when the imaginary part is below 1e-12 (1 + |value|), else value."""
+    return value.real if abs(value.imag) < 1e-12 * (1.0 + abs(value)) else value
+
+
 def killing_form(x: np.ndarray, y: np.ndarray):
     """Invariant form tr(XY), normalized so diag(1,-1,0,..) has square length 2.
 
     Real for su(n) arguments; complex values pass through for inputs in the
     complexification.
     """
-    t = complex(np.trace(np.asarray(x) @ np.asarray(y)))
-    if abs(t.imag) < 1e-12 * (1.0 + abs(t)):
-        return t.real
-    return t
+    return _real_if_roundoff(complex(np.trace(np.asarray(x) @ np.asarray(y))))
 
 
 def bracket(xi: LoopAlgebraElement, eta: LoopAlgebraElement) -> LoopAlgebraElement:
@@ -323,10 +325,7 @@ def omega(xi: LoopAlgebraElement, eta: LoopAlgebraElement):
         raise ValueError("grid size mismatch")
     deta = eta.pf.derivative()
     integrand = np.einsum("tij,tji->t", xi.samples, deta.samples)
-    val = complex(integrand.mean())
-    if abs(val.imag) < 1e-12 * (1.0 + abs(val)):
-        return val.real
-    return val
+    return _real_if_roundoff(complex(integrand.mean()))
 
 
 def precompose(el, diffeo: CircleDiffeo):

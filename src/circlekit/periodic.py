@@ -16,11 +16,17 @@ accurate to ~1e-13.
 Scalar (real or complex) and matrix-valued samples are supported; all
 spectral operations act along the first axis.
 
+Real data is held in the rfft layout (wavenumbers 0..N/2), complex data in
+the fft layout (fftfreq order); the Nyquist mode sits at index N/2 in both.
+The choice is made once, in `PeriodicFunction.spectrum` (the one forward
+transform), `_wavenumbers` and `_from_spectrum` (the one inverse), and every
+spectral operation is written once on top of them.
+
 Each Fourier formula is written once, here: `_fourier_samples` turns
-(k, a_k, b_k) terms into samples, `_antiderivative_spectrum` is the spectral
-antiderivative of real and complex data (also behind fragmentation's
-localization stages), and `_upsample_real`/`_upsample_complex` are the
-zero-pad resampling behind the evaluation caches and `resample`.  Two more
+(k, a_k, b_k) terms into samples, `PeriodicFunction._antiderivative_spectrum`
+is the spectral antiderivative (also behind fragmentation's localization
+stages), and `PeriodicFunction._upsample` is the zero-pad resampling behind
+the evaluation caches, `resample` and fragmentation's fine grids.  Two more
 helpers have one owner here: `_check_tail` is the spectral-tail gate of
 every nonlinear operation, and `_write_csv` writes every sampled CSV file.
 """
@@ -111,17 +117,6 @@ def _fourier_samples(terms, n: int) -> np.ndarray:
     return out
 
 
-def _antiderivative_spectrum(c: np.ndarray, k: np.ndarray, nyquist: int) -> np.ndarray:
-    """Fourier coefficients of the zero-mean periodic antiderivative of data with
-    coefficients c at wavenumbers k (k[0] = 0); the mean and the Nyquist mode,
-    at index nyquist, are dropped."""
-    k = _along_first_axis(k, c)
-    out = np.zeros_like(c)
-    out[1:] = c[1:] / (1j * k[1:])
-    out[nyquist] = 0.0
-    return out
-
-
 def _check_tail(pf: "PeriodicFunction", tail_tol: float | None, subject: str) -> "PeriodicFunction":
     """pf, unless its spectral tail exceeds tail_tol (None disables the gate):
     AliasingError naming the subject."""
@@ -140,30 +135,6 @@ def _write_csv(samples: np.ndarray, path) -> None:
     fmt = ",".join(["{:.17g}"] * (cols.shape[1] + 1)) + "\n"
     with open(path, "w") as fh:
         fh.writelines(fmt.format(*row) for row in np.column_stack([grid(n), cols]).tolist())
-
-
-def _upsample_real(samples: np.ndarray, factor: int) -> np.ndarray:
-    if factor == 1:
-        return samples
-    n = samples.shape[0]
-    c = np.fft.rfft(samples, axis=0)
-    padded = np.zeros((factor * n // 2 + 1,) + samples.shape[1:], dtype=complex)
-    padded[: n // 2 + 1] = c
-    padded[n // 2] *= 0.5  # split the Nyquist bin symmetrically
-    return np.fft.irfft(padded, factor * n, axis=0) * factor
-
-
-def _upsample_complex(samples: np.ndarray, factor: int) -> np.ndarray:
-    n = samples.shape[0]
-    m = factor * n
-    c = np.fft.fft(samples, axis=0)
-    padded = np.zeros((m,) + samples.shape[1:], dtype=complex)
-    h = n // 2
-    padded[:h] = c[:h]
-    padded[m - h + 1 :] = c[h + 1 :]
-    padded[h] = 0.5 * c[h]
-    padded[m - h] = 0.5 * c[h]
-    return np.fft.ifft(padded, axis=0) * factor
 
 
 def _pad_fine(fine: np.ndarray) -> np.ndarray:
@@ -201,33 +172,24 @@ def _lagrange_weights(t: np.ndarray, m: int):
     return j0, w
 
 
-def _lagrange_eval(padded: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Interpolate padded oversampled periodic data at angles t."""
-    m = padded.shape[0] - _STENCIL + 1
+def _lagrange_eval(t: np.ndarray, *caches: np.ndarray) -> list:
+    """Interpolate padded, equally oversampled periodic data at angles t: one
+    value array per cache, all read through one stencil."""
+    m = caches[0].shape[0] - _STENCIL + 1
     j0, w = _lagrange_weights(t, m)
-    vals = padded[j0[:, None] + np.arange(_STENCIL)[None, :]]
-    if vals.ndim > 2:
-        return np.einsum("ps,ps...->p...", w, vals)
-    return np.einsum("ps,ps->p", w, vals)
+    idx = j0[:, None] + np.arange(_STENCIL)[None, :]
+    return [np.einsum("ps,ps->p" if c.ndim == 1 else "ps,ps...->p...", w, c[idx]) for c in caches]
 
 
 def _caches_on_one_stencil(f: "PeriodicFunction", g: "PeriodicFunction"):
-    """f's evaluation cache and real g resampled to the same resolution, for
-    _lagrange_eval_two; g's own cache is reused when it matches."""
+    """f's evaluation cache and g resampled to the same resolution, for one
+    _lagrange_eval; g's own cache is reused when it matches."""
     fine_f = f._fine_values()
     factor = (len(fine_f) - _STENCIL + 1) // f.n
     fine_g = g._fine_values() if factor > 1 else None
     if fine_g is None or len(fine_g) != len(fine_f):
-        fine_g = _pad_fine(_upsample_real(g.samples, factor))
+        fine_g = _pad_fine(g._upsample(factor))
     return fine_f, fine_g
-
-
-def _lagrange_eval_two(padded_a: np.ndarray, padded_b: np.ndarray, t: np.ndarray):
-    """Evaluate two equally sampled functions at once, sharing the stencil."""
-    m = padded_a.shape[0] - _STENCIL + 1
-    j0, w = _lagrange_weights(t, m)
-    idx = j0[:, None] + np.arange(_STENCIL)[None, :]
-    return np.einsum("ps,ps->p", w, padded_a[idx]), np.einsum("ps,ps->p", w, padded_b[idx])
 
 
 class PeriodicFunction:
@@ -273,24 +235,28 @@ class PeriodicFunction:
     def spectrum(self) -> np.ndarray:
         """Two-sided Fourier coefficients c_k = fft(samples)/n (rfft layout for real data)."""
         if self._spectrum is None:
-            if self.is_real:
-                self._spectrum = np.fft.rfft(self.samples, axis=0) / self.n
-            else:
-                self._spectrum = np.fft.fft(self.samples, axis=0) / self.n
+            fft = np.fft.rfft if self.is_real else np.fft.fft
+            self._spectrum = fft(self.samples, axis=0, norm="forward")
         return self._spectrum
+
+    def _wavenumbers(self) -> np.ndarray:
+        """Wavenumber at each index of the spectrum; the Nyquist mode, +n/2 in
+        the rfft layout and -n/2 in the fft layout, at index n/2."""
+        n = self.n
+        return np.arange(n // 2 + 1) if self.is_real else np.fft.fftfreq(n, d=1.0 / n)
+
+    def _from_spectrum(self, c: np.ndarray, m: int | None = None) -> np.ndarray:
+        """Samples on the m-point grid (default n) of the coefficients c, given
+        in this function's layout for m points."""
+        ifft = np.fft.irfft if self.is_real else np.fft.ifft
+        return ifft(c, m or self.n, axis=0, norm="forward")
 
     @property
     def tail(self) -> float:
-        """Largest coefficient magnitude in the top octave of frequencies."""
-        c = self.spectrum
+        """Largest coefficient magnitude in the top octave of frequencies,
+        n/4 <= |k| <= n/2 (the rfft layout ends at n/2)."""
         n = self.n
-        if self.is_real:
-            mags = np.abs(c[n // 4 :])
-        else:
-            k = np.fft.fftfreq(n, d=1.0 / n).astype(int)
-            sel = np.abs(k) >= n // 4
-            mags = np.abs(c[sel])
-        return float(mags.max()) if mags.size else 0.0
+        return float(np.abs(self.spectrum[n // 4 : 3 * n // 4 + 1]).max())
 
     # -- evaluation ---------------------------------------------------
 
@@ -306,20 +272,30 @@ class PeriodicFunction:
             ):
                 self._fine = _pad_fine(self.samples)
                 return self._fine
-            if self.is_real:
-                factor = _eval_factor_real(self.n)
-                fine = _upsample_real(self.samples, factor)
-            else:
-                factor = _EVAL_FACTOR_COMPLEX
-                fine = _upsample_complex(self.samples, factor)
+            factor = _eval_factor_real(self.n) if self.is_real else _EVAL_FACTOR_COMPLEX
+            fine = self._upsample(factor)
             fine[::factor] = self.samples  # keep grid nodes bit-exact
             self._fine = _pad_fine(fine)
         return self._fine
 
+    def _upsample(self, factor: int) -> np.ndarray:
+        """Samples on the factor * n grid: the spectrum zero-padded, with the
+        Nyquist mode split evenly between +n/2 and -n/2."""
+        if factor == 1:
+            return self.samples
+        c, m, h = self.spectrum, factor * self.n, self.n // 2
+        padded = np.zeros((m // 2 + 1 if self.is_real else m,) + c.shape[1:], dtype=complex)
+        padded[:h] = c[:h]
+        padded[h] = 0.5 * c[h]
+        if not self.is_real:
+            padded[m - h] = padded[h]
+            padded[m - h + 1 :] = c[h + 1 :]
+        return self._from_spectrum(padded, m)
+
     def eval(self, t):
         """Trigonometric interpolant at angle(s) t; exact at grid points."""
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = _lagrange_eval(self._fine_values(), t_arr)
+        [out] = _lagrange_eval(t_arr, self._fine_values())
         if np.isscalar(t) or np.ndim(t) == 0:
             return out[0]
         return out
@@ -336,19 +312,11 @@ class PeriodicFunction:
         """
         if order not in (1, 2, 3):
             raise ValueError("derivative order must be 1, 2 or 3")
-        n = self.n
-        if self.is_real:
-            c = self.spectrum.copy()
-            c[np.abs(c) < 4.0 * np.finfo(float).eps * np.abs(c).max()] = 0.0
-            c *= _along_first_axis((1j * np.arange(n // 2 + 1)) ** order, c)
-            c[-1] = 0.0  # Nyquist mode dropped by convention
-            return PeriodicFunction(np.fft.irfft(c, axis=0) * n)
-        k = _along_first_axis(np.fft.fftfreq(n, d=1.0 / n), self.samples)
-        c = np.fft.fft(self.samples, axis=0)
+        c = self.spectrum.copy()
         c[np.abs(c) < 4.0 * np.finfo(float).eps * np.abs(c).max()] = 0.0
-        c *= (1j * k) ** order
-        c[n // 2] = 0.0
-        return PeriodicFunction(np.fft.ifft(c, axis=0))
+        c *= _along_first_axis((1j * self._wavenumbers()) ** order, c)
+        c[self.n // 2] = 0.0  # Nyquist mode dropped by convention
+        return PeriodicFunction(self._from_spectrum(c))
 
     @property
     def mean(self):
@@ -362,16 +330,19 @@ class PeriodicFunction:
         partial integrals over [a, b] are mean*(b-a) + F(b) - F(a).
         """
         if self._antideriv is None:
-            n = self.n
-            if self.is_real:
-                c = _antiderivative_spectrum(self.spectrum, np.arange(n // 2 + 1), -1)
-                f = np.fft.irfft(c, axis=0) * n
-            else:
-                c = np.fft.fft(self.samples, axis=0)
-                f = np.fft.ifft(_antiderivative_spectrum(c, np.fft.fftfreq(n, d=1.0 / n), n // 2), axis=0)
-            pf = PeriodicFunction(f - f[0])
-            self._antideriv = (pf, self.mean)
+            f = self._from_spectrum(self._antiderivative_spectrum())
+            self._antideriv = (PeriodicFunction(f - f[0]), self.mean)
         return self._antideriv
+
+    def _antiderivative_spectrum(self) -> np.ndarray:
+        """Coefficients of the zero-mean periodic antiderivative, in the
+        spectrum's layout; the mean and the Nyquist mode are dropped."""
+        c = self.spectrum
+        k = _along_first_axis(self._wavenumbers(), c)
+        out = np.zeros_like(c)
+        out[1:] = c[1:] / (1j * k[1:])
+        out[self.n // 2] = 0.0
+        return out
 
     def integrate(self, a: float, b: float):
         """Integral over [a, b] with a <= b <= a + 2*pi.
@@ -390,23 +361,27 @@ class PeriodicFunction:
     # -- resampling and export ----------------------------------------
 
     def resample(self, m: int) -> "PeriodicFunction":
-        """Spectral resampling to an m-point grid (zero-pad or truncate)."""
+        """Spectral resampling to an m-point grid.
+
+        Up, the spectrum is zero-padded (see _upsample).  Down, the modes with
+        |k| < m/2 are kept and the modes +m/2 and -m/2 fold onto the new
+        Nyquist bin as their sum c_{m/2} + c_{-m/2}, where c_{-k} = conj(c_k)
+        for real data; so data with no mode above m/2 resamples to
+        samples[::n // m].
+        """
         _check_grid_size(m)
         n = self.n
         if m == n:
             return self
         if m > n:
-            upsample = _upsample_real if self.is_real else _upsample_complex
-            return PeriodicFunction(upsample(self.samples, m // n))
-        h = m // 2
+            return PeriodicFunction(self._upsample(m // n))
+        c, h = self.spectrum, m // 2
         if self.is_real:
-            c = np.fft.rfft(self.samples, axis=0)[: h + 1]
-            c[-1] = c[-1].real  # keep the new Nyquist bin real
-            return PeriodicFunction(np.fft.irfft(c, m, axis=0) * (m / n))
-        c = np.fft.fft(self.samples, axis=0)
-        # modes +h and -h fold onto the new Nyquist bin
-        out = np.concatenate([c[:h], c[h : h + 1] + c[n - h : n - h + 1], c[n - h + 1 :]])
-        return PeriodicFunction(np.fft.ifft(out, axis=0) * (m / n))
+            kept, partner = c[: h + 1].copy(), np.conj(c[h])
+        else:
+            kept, partner = np.concatenate([c[: h + 1], c[n - h + 1 :]]), c[n - h]
+        kept[h] += partner
+        return PeriodicFunction(self._from_spectrum(kept, m))
 
     def to_csv(self, path) -> None:
         """Write rows "t,value" (complex values as "t,re,im") at the grid points,

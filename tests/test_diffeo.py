@@ -128,7 +128,7 @@ def test_make_bump_rejects_bad_plateau():
 
 def test_normalized_bump_reaches_target():
     b = make_normalized_bump(IntervalArc(0.0, 1.0), 0.5)
-    assert b.max_value <= 1.0 + 1e-12
+    assert b.scale <= 1.0 + 1e-12
     assert b.integral() == pytest.approx(0.5, abs=1e-10)
     # spectral quadrature agrees
     assert b.periodic(N).integrate(0, TWO_PI) == pytest.approx(0.5, abs=1e-8)

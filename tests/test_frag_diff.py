@@ -19,7 +19,7 @@ from circlekit.frag_diff import (
     _solve_inside,
     _stage_localize,
 )
-from circlekit.periodic import TWO_PI, PeriodicFunction, _upsample_real, grid
+from circlekit.periodic import TWO_PI, PeriodicFunction, grid
 from circlekit.sampling import random_diffeo, random_supported_diffeo, rng_for
 
 N = 1024
@@ -198,7 +198,7 @@ def test_interval_restricted_solves_match_full_solves(n):
         g = random_diffeo(rng_for(20260810, 1, i), 0.01, n)
         p1, _, _, _ = _stage_localize(g, frag.stage1)
         xi1 = CircleDiffeo(PeriodicFunction(p1))
-        g_fine = t_fine + _upsample_real(g.periodic_part.samples, BUILD_FACTOR)
+        g_fine = t_fine + g.periodic_part._upsample(BUILD_FACTOR)
         q = _solve_inside(xi1, COVER.i1, g_fine)
         assert np.abs(q - solve_monotone(xi1, g_fine)).max() < 1e-15
         q_fine = CircleDiffeo(PeriodicFunction(q - t_fine))

@@ -1,6 +1,7 @@
 """SHA-256 digests pinned so any drift fails cheaply: the stdout of one `verma`
 CLI call, the Gram matrices at levels 0..10 of each `VERMA_PARAMETERS` module,
-one `verify all` report and the CSV files the CLI and `to_csv` write."""
+one `verify all` report, the CSV files the CLI and `to_csv` write and the
+spectral operations of `PeriodicFunction`."""
 
 import hashlib
 import subprocess
@@ -52,6 +53,9 @@ SCALAR_CSV_DIGESTS = {
     "complex": "7c2d75116925a0c7486c2f135961cdd583eca5b4eb9ff21b51dd49e0f0efd474",
 }
 
+# the bytes of every spectral operation of PeriodicFunction, see test_spectral_digest
+SPECTRAL_DIGEST = "2852e96c62f72b59ea69fe4f5c4cdeea3f8316eaca735c90b12623cecd6275ba"
+
 
 def test_verma_cli_stdout_digest():
     argv = [sys.executable, "-m", "circlekit", "verma", "--c", "7/10", "--h", "3/8", "--level", "8"]
@@ -102,3 +106,34 @@ def test_to_csv_digests(kind, tmp_path):
     samples = -np.sin(2 * t) if kind == "real" else np.exp(1j * t) * (0.5 - 0.25j)
     PeriodicFunction(samples).to_csv(tmp_path / "f.csv")
     assert _sha256(tmp_path / "f.csv") == SCALAR_CSV_DIGESTS[kind]
+
+
+def _spectral_inputs(n: int):
+    """Four seeded inputs on n points: real, complex, real 2x3 and complex 2x2."""
+    rng = np.random.default_rng(20260810 + n)
+    shapes = [((n,), False), ((n,), True), ((n, 2, 3), False), ((n, 2, 2), True)]
+    out = []
+    for shape, complex_ in shapes:
+        s = rng.normal(size=shape)
+        out.append(s + 1j * rng.normal(size=shape) if complex_ else s)
+    return out
+
+
+def test_spectral_digest():
+    """spectrum, tail, derivative(1, 2, 3), antiderivative, eval at 50 off-grid
+    points, resample(4n) and resample(n/2) of the four inputs at n = 64 and
+    1024, taken under numpy 2.4.6 (Python 3.11.7, x86-64).  The data resampled
+    down is made antiperiodic, f(t + pi) = -f(t), so it has no mode at n/4,
+    where the real and complex truncations fold a mode differently."""
+    x = np.random.default_rng(7).uniform(-7.0, 7.0, 50)
+    digest = hashlib.sha256()
+    for n in (64, 1024):
+        for s in _spectral_inputs(n):
+            f = PeriodicFunction(s)
+            down = PeriodicFunction(s - np.roll(s, n // 2, axis=0)).resample(n // 2)
+            parts = [f.spectrum, np.float64(f.tail)]
+            parts += [f.derivative(order).samples for order in (1, 2, 3)]
+            parts += [f.antiderivative()[0].samples, f.eval(x), f.resample(4 * n).samples, down.samples]
+            for a in parts:
+                digest.update(np.ascontiguousarray(a).tobytes())
+    assert digest.hexdigest() == SPECTRAL_DIGEST

@@ -133,6 +133,55 @@ def test_tail_indicator():
     assert rough.tail == pytest.approx(0.5, abs=1e-12)
 
 
+def _tail_case(kind, k):
+    t = grid(64)
+    if kind == "real":
+        return np.cos(k * t)
+    if kind == "complex":
+        return np.exp(1j * k * t)
+    samples = np.zeros((64, 2, 2), dtype=complex)
+    samples[:, 0, 1] = np.exp(1j * k * t)
+    return samples
+
+
+@pytest.mark.parametrize(
+    "kind, k, tail",
+    [
+        ("real", 16, 0.5),
+        ("real", 15, 0.0),
+        ("complex", 16, 1.0),
+        ("complex", -16, 1.0),
+        ("complex", 15, 0.0),
+        ("complex", -15, 0.0),
+        ("complex matrix", -16, 1.0),
+    ],
+)
+def test_tail_boundary(kind, k, tail):
+    """The tail reads the modes n/4 <= |k| <= n/2, both ends included, in the
+    rfft and the fft layout; a mode just below reads as FFT roundoff
+    (about 1.1e-15 here)."""
+    assert PeriodicFunction(_tail_case(kind, k)).tail == pytest.approx(tail, abs=1e-14)
+
+
+@pytest.mark.parametrize("m", [16, 32])
+@pytest.mark.parametrize("shape", [(), (2, 3)], ids=["scalar", "matrix"])
+def test_real_resample_down_keeps_new_nyquist_mode(shape, m):
+    """Real data with modes |k| <= m/2, the new Nyquist mode included,
+    resamples down to every (n/m)-th sample, as the same data held complex
+    does."""
+    n = 64
+    t = grid(n)
+    rng = np.random.default_rng(m)
+    samples = sum(
+        np.multiply.outer(np.cos(k * t), rng.normal(size=shape))
+        + np.multiply.outer(np.sin(k * t), rng.normal(size=shape))
+        for k in range(m // 2 + 1)
+    )
+    down = PeriodicFunction(samples).resample(m).samples
+    assert np.abs(down - samples[:: n // m]).max() < 1e-13
+    assert np.abs(down - PeriodicFunction(samples + 0j).resample(m).samples.real).max() < 1e-13
+
+
 def test_csv_export(tmp_path):
     t = grid(16)
     f = PeriodicFunction(np.sin(t))
