@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffeo import CircleDiffeo, compose
-from .periodic import TWO_PI, PeriodicFunction, _check_tail, _fourier_samples
+from .periodic import DEFAULT_TAIL_TOL, TWO_PI, PeriodicFunction, _check_tail, _fourier_samples
 
 __all__ = [
     "VectField",
@@ -34,7 +34,6 @@ __all__ = [
     "bott_mixed_derivative",
 ]
 
-VECT_TAIL_TOL = 1e-7
 MIXED_DERIVATIVE_STEP = 1e-3  # bott_mixed_derivative's coarser difference step
 
 
@@ -72,7 +71,7 @@ def _as_pf(f) -> PeriodicFunction:
     return f.pf if isinstance(f, VectField) else f
 
 
-def vect_bracket(f, g, tail_tol: float = VECT_TAIL_TOL) -> VectField:
+def vect_bracket(f, g, tail_tol: float = DEFAULT_TAIL_TOL) -> VectField:
     """[f, g] = f'g - fg'."""
     fp, gp = _as_pf(f), _as_pf(g)
     if fp.n != gp.n:

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DerivativeError, GeometryError, MassError
 from .periodic import (
+    DEFAULT_TAIL_TOL,
     TWO_PI,
     PeriodicFunction,
     _caches_on_one_stencil,
@@ -35,13 +36,6 @@ __all__ = [
     "make_normalized_bump",
     "DEFAULT_TAIL_TOL",
 ]
-
-# Composition and localization results must stay spectrally resolved.  The
-# smooth-step cutoffs carry slow Gevrey tails, so localized elements on the
-# default 1024-point grid legitimately sit in the 1e-9 .. 1e-8 band; the
-# operational gate is therefore 1e-7 while the band-limited property suite
-# monitors the stricter 1e-9 level.
-DEFAULT_TAIL_TOL = 1e-7
 
 # Newton inversion stops at this residual, or fails after this many steps.
 NEWTON_TOL = 1e-12
@@ -70,9 +64,13 @@ class IntervalArc:
     def length(self) -> float:
         return self.b - self.a
 
+    def offset(self, t):
+        """Angle from the arc's start a to t, counterclockwise, modulo 2*pi."""
+        return np.mod(np.asarray(t, dtype=float) - self.a, TWO_PI)
+
     def contains(self, t) -> np.ndarray:
         """Pointwise membership, circularly."""
-        x = np.mod(np.asarray(t, dtype=float) - self.a, TWO_PI)
+        x = self.offset(t)
         return (x > 0) & (x < self.length)
 
     def max_abs_outside(self, values) -> float:
@@ -82,7 +80,7 @@ class IntervalArc:
         return float(np.abs(values[outside]).max()) if outside.any() else 0.0
 
     def contains_arc(self, other: "IntervalArc") -> bool:
-        x = np.mod(other.a - self.a, TWO_PI)
+        x = self.offset(other.a)
         return x < self.length and x + other.length <= self.length
 
     def dilate(self, delta: float) -> "IntervalArc":
@@ -258,9 +256,9 @@ class BumpFunction:
     def values(self, t) -> np.ndarray:
         """Exact closed-form samples at angles t."""
         a, b = self.support.a, self.support.b
-        p = self.support.a + np.mod(self.plateau.a - self.support.a, TWO_PI)
+        p = a + self.support.offset(self.plateau.a)
         q = p + self.plateau.length
-        x = np.mod(np.asarray(t, dtype=float) - a, TWO_PI) + a
+        x = self.support.offset(t) + a
         out = np.zeros_like(x)
         rise = (x > a) & (x < p)
         out[rise] = _smoothstep((x[rise] - a) / (p - a))
@@ -285,7 +283,7 @@ class BumpFunction:
 
 def make_bump(support: IntervalArc, plateau: IntervalArc) -> BumpFunction:
     """Cutoff equal to 1 on the plateau, supported in the open support arc."""
-    rel = np.mod(plateau.a - support.a, TWO_PI)
+    rel = support.offset(plateau.a)
     if not (0.0 < rel and rel + plateau.length < support.length):
         raise GeometryError("plateau closure must lie strictly inside the support")
     return BumpFunction(support, plateau)
@@ -393,6 +391,16 @@ class CoverConfig:
     @property
     def inner_intervals(self) -> tuple[IntervalArc, IntervalArc, IntervalArc]:
         return (self.ihat1, self.ihat2, self.ihat3)
+
+    @property
+    def overlaps(self) -> tuple[IntervalArc, IntervalArc, IntervalArc]:
+        """The overlaps I1 & I2 = (a2, b1), I2 & I3 = (a3, b2) and
+        I3 & I1 = (a1, b3 - 2*pi), read off the chain."""
+        return (
+            IntervalArc(self.i2.a, self.i1.b),
+            IntervalArc(self.i3.a, self.i2.b),
+            IntervalArc(self.i1.a, self.i3.b - TWO_PI),
+        )
 
     # -- JSON configuration ---------------------------------------------
 

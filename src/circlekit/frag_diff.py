@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffeo import (
-    DEFAULT_TAIL_TOL,
     BumpFunction,
     CircleDiffeo,
     CoverConfig,
@@ -36,7 +35,7 @@ from .diffeo import (
     solve_monotone,
 )
 from .errors import DerivativeError, GeometryError, NeighbourhoodError
-from .periodic import TWO_PI, PeriodicFunction, _check_tail, grid
+from .periodic import DEFAULT_TAIL_TOL, TWO_PI, PeriodicFunction, _check_tail, grid
 
 __all__ = [
     "EpsilonNeighbourhood",
@@ -103,7 +102,7 @@ class FragmentationResult:
     alpha2: float
     beta2: float
     reconstruction_error: float
-    periodicity_defect: float = 0.0
+    periodicity_defect: float
 
 
 def alpha1_bound(cover: CoverConfig, eps: float) -> float:
@@ -155,7 +154,7 @@ class _Stage:
         if not interval.contains_arc(inner):
             raise GeometryError("inner interval must sit inside the interval")
         a, b = interval.a, interval.b
-        ha = a + np.mod(inner.a - a, TWO_PI)
+        ha = a + interval.offset(inner.a)
         hb = ha + inner.length
         self.endpoints = (a, ha, hb, b)
         self.factor = factor
@@ -218,21 +217,30 @@ def _solve_inside(factor: CircleDiffeo, arc: IntervalArc, targets: np.ndarray) -
     return u
 
 
-def _coarse_factor(p_fine: np.ndarray, tail_tol: float) -> CircleDiffeo:
+@functools.lru_cache(maxsize=16)
+def _stage(interval: IntervalArc, inner: IntervalArc, n: int, factor: int) -> _Stage:
+    """The localization stage for (interval, inner interval, grid,
+    oversampling), built once.  This is the module's one cache; it keys on the
+    arcs a stage reads, so covers that differ only in margin share stages."""
+    return _Stage(interval, inner, n, factor)
+
+
+def _coarse_factor(p_fine: np.ndarray) -> CircleDiffeo:
     coarse = PeriodicFunction(p_fine[::BUILD_FACTOR])
-    return CircleDiffeo(_check_tail(coarse, tail_tol, "localized factor"))
+    return CircleDiffeo(_check_tail(coarse, DEFAULT_TAIL_TOL, "localized factor"))
 
 
 class DiffeoFragmenter:
-    """Fragmentation machinery bound to one cover and grid size."""
+    """Fragmentation machinery bound to one cover and grid size, built from
+    the cached stages of the cover's first two intervals."""
 
     def __init__(self, cover: CoverConfig, n: int = 1024):
         self.cover = cover
         self.n = n
-        self.stage1 = _Stage(cover.i1, cover.ihat1, n, BUILD_FACTOR)
+        self.stage1 = _stage(cover.i1, cover.ihat1, n, BUILD_FACTOR)
         # the second stage consumes the remainder at fine resolution, where
         # the first factor's slow spectral tail is already resolved
-        self.stage2 = _Stage(cover.i2, cover.ihat2, n * BUILD_FACTOR, 1)
+        self.stage2 = _stage(cover.i2, cover.ihat2, n * BUILD_FACTOR, 1)
         # below this threshold the blended derivative stays positive
         bumps = self.stage1.bumps
         self.epsilon1 = 1.0 / (
@@ -241,9 +249,7 @@ class DiffeoFragmenter:
 
     # -- full fragmentation ----------------------------------------------
 
-    def fragment(
-        self, g: CircleDiffeo, eps: float = 0.01, tail_tol: float = DEFAULT_TAIL_TOL
-    ) -> FragmentationResult:
+    def fragment(self, g: CircleDiffeo, eps: float = 0.01) -> FragmentationResult:
         if g.n != self.n:
             raise ValueError("grid size mismatch with the fragmenter")
         if eps >= self.epsilon1:
@@ -252,7 +258,7 @@ class DiffeoFragmenter:
             )
         _check_neighbourhood(g, eps)
         p1_fine, a1, b1, defect1 = _stage_localize(g, self.stage1)
-        xi1 = _coarse_factor(p1_fine, tail_tol)
+        xi1 = _coarse_factor(p1_fine)
         # remainder evaluated against the fine representation of the first
         # factor, so its samples carry no unresolved-tail noise
         xi1_fine = CircleDiffeo(PeriodicFunction(p1_fine))
@@ -263,7 +269,7 @@ class DiffeoFragmenter:
         )
 
         p2_fine, a2, b2, defect2 = _stage_localize(q_fine, self.stage2)
-        xi2 = _coarse_factor(p2_fine, tail_tol)
+        xi2 = _coarse_factor(p2_fine)
         xi2_fine = CircleDiffeo(PeriodicFunction(p2_fine))
         t = grid(self.n)
         q_coarse = q_fine.samples[::BUILD_FACTOR]
@@ -279,20 +285,9 @@ class DiffeoFragmenter:
         )
 
 
-@functools.lru_cache(maxsize=16)
-def _fragmenter(cover: CoverConfig, n: int) -> DiffeoFragmenter:
-    return DiffeoFragmenter(cover, n)
-
-
-def fragment(
-    g: CircleDiffeo,
-    cover: CoverConfig | None = None,
-    eps: float = 0.01,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-) -> FragmentationResult:
+def fragment(g: CircleDiffeo, cover: CoverConfig | None = None, eps: float = 0.01) -> FragmentationResult:
     """Split g into three factors supported in the cover intervals."""
-    cover = cover or CoverConfig.default()
-    return _fragmenter(cover, g.n).fragment(g, eps=eps, tail_tol=tail_tol)
+    return DiffeoFragmenter(cover or CoverConfig.default(), g.n).fragment(g, eps=eps)
 
 
 def _check_neighbourhood(g: CircleDiffeo, eps: float) -> None:
@@ -306,16 +301,14 @@ def _check_neighbourhood(g: CircleDiffeo, eps: float) -> None:
 def alpha1(g: CircleDiffeo, cover: CoverConfig, eps: float = 0.01) -> float:
     """Left blending coefficient of the first localization stage."""
     _check_neighbourhood(g, eps)
-    frag = _fragmenter(cover, g.n)
-    value, _, _, _ = _stage_coefficients(g, frag.stage1)
+    value, _, _, _ = _stage_coefficients(g, _stage(cover.i1, cover.ihat1, g.n, BUILD_FACTOR))
     return value
 
 
 def beta1(g: CircleDiffeo, cover: CoverConfig, eps: float = 0.01) -> float:
     """Right blending coefficient (boundary form)."""
     _check_neighbourhood(g, eps)
-    frag = _fragmenter(cover, g.n)
-    _, value, _, _ = _stage_coefficients(g, frag.stage1)
+    _, value, _, _ = _stage_coefficients(g, _stage(cover.i1, cover.ihat1, g.n, BUILD_FACTOR))
     return value
 
 
@@ -324,8 +317,7 @@ def beta1_integral_form(g: CircleDiffeo, cover: CoverConfig, alpha: float | None
 
     beta1 = -2/(b - bhat) * int_0^{2pi} ((gamma'(t)-1) Dc(t) + alpha1 Dl(t)) dt.
     """
-    frag = _fragmenter(cover, g.n)
-    stage = frag.stage1
+    stage = _stage(cover.i1, cover.ihat1, g.n, BUILD_FACTOR)
     if alpha is None:
         alpha = alpha1(g, cover)
     d_fine = g.deriv._upsample(stage.factor)
@@ -345,7 +337,6 @@ def fragment_pair(
     left: IntervalArc,
     right: IntervalArc,
     eps: float = 0.01,
-    tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> tuple[CircleDiffeo, CircleDiffeo]:
     """Write g = g_left o g_right with supports in two arcs covering the circle.
 
@@ -358,7 +349,7 @@ def fragment_pair(
         raise GeometryError("arcs must overlap at both ends and cover the circle")
     _check_neighbourhood(g, eps)
     core = IntervalArc(right.b, right.a + TWO_PI)  # part of the circle right misses
-    gap_l = np.mod(core.a - left.a, TWO_PI)
+    gap_l = left.offset(core.a)
     gap_r = np.mod(left.b - core.b, TWO_PI)
     plateau = IntervalArc(core.a - PAIR_MARGIN * gap_l, core.b + PAIR_MARGIN * gap_r)
 
@@ -374,16 +365,10 @@ def fragment_pair(
     s_left = IntervalArc(left.a - theta0, left.b - theta0)
     s_plateau = IntervalArc(plateau.a - theta0, plateau.b - theta0)
 
-    p_fine, _, _, _ = _stage_localize(shifted, _pair_stage(s_left, s_plateau, n))
+    p_fine, _, _, _ = _stage_localize(shifted, _stage(s_left, s_plateau, n, BUILD_FACTOR))
     p_fine = np.roll(p_fine, k0 * BUILD_FACTOR)
-    g_left = _coarse_factor(p_fine, tail_tol)
+    g_left = _coarse_factor(p_fine)
     t = grid(n)
     left_fine = CircleDiffeo(PeriodicFunction(p_fine))
     g_right = CircleDiffeo(PeriodicFunction(_solve_inside(left_fine, left, g.samples) - t))
     return g_left, g_right
-
-
-@functools.lru_cache(maxsize=16)
-def _pair_stage(left: IntervalArc, plateau: IntervalArc, n: int) -> _Stage:
-    """Cutoffs of fragment_pair for shifted arcs, built once per (arcs, grid)."""
-    return _Stage(left, plateau, n, BUILD_FACTOR)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .diffeo import CircleDiffeo, CoverConfig, IntervalArc, arc_of_moved_points, make_bump
 from .errors import BranchError
-from .periodic import PeriodicFunction, _check_tail, _write_csv, grid
+from .periodic import DEFAULT_TAIL_TOL, PeriodicFunction, _check_tail, _write_csv, grid
 
 __all__ = [
     "LoopElement",
@@ -44,7 +44,6 @@ __all__ = [
     "loop_from_csv",
 ]
 
-LOOP_TAIL_TOL = 1e-7
 BRANCH_TOL = 1e-6  # the logarithm rejects rotation angles within this of pi
 
 
@@ -250,7 +249,7 @@ def _su2_exp(theta: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def multiply(g1: LoopElement, g2: LoopElement, tail_tol: float = LOOP_TAIL_TOL) -> LoopElement:
+def multiply(g1: LoopElement, g2: LoopElement, tail_tol: float = DEFAULT_TAIL_TOL) -> LoopElement:
     """Pointwise matrix product."""
     if g1.n != g2.n:
         raise ValueError("grid size mismatch")
@@ -354,14 +353,10 @@ def loop_cutoffs(cover: CoverConfig):
     times the width of the adjacent overlap.
     """
     m = cover.margin
-    chain = cover.chain()
-    a1, b3r, a2, b1, a3, b2 = chain[1], chain[4], chain[5], chain[8], chain[9], chain[12]
-    left_ov = b3r - a1  # width of I1 and I3 overlap
-    right_ov = b1 - a2  # width of I1 and I2 overlap
-    far_ov = b2 - a3  # width of I2 and I3 overlap
-    chi1 = make_bump(cover.i1, IntervalArc(b3r - m * left_ov, a2 + m * right_ov))
+    o12, o23, o31 = cover.overlaps
+    chi1 = make_bump(cover.i1, IntervalArc(o31.b - m * o31.length, o12.a + m * o12.length))
     chi2 = make_bump(
-        IntervalArc(b3r, b2), IntervalArc(a2 - m * right_ov, a3 + m * far_ov)
+        IntervalArc(o31.b, o23.b), IntervalArc(o12.a - m * o12.length, o23.a + m * o23.length)
     )
     return chi1, chi2
 

@@ -28,7 +28,8 @@ is the spectral antiderivative (also behind fragmentation's localization
 stages), and `PeriodicFunction._upsample` is the zero-pad resampling behind
 the evaluation caches, `resample` and fragmentation's fine grids.  Two more
 helpers have one owner here: `_check_tail` is the spectral-tail gate of
-every nonlinear operation, and `_write_csv` writes every sampled CSV file.
+every nonlinear operation, at the one threshold `DEFAULT_TAIL_TOL` unless a
+caller switches it off, and `_write_csv` writes every sampled CSV file.
 """
 
 from __future__ import annotations
@@ -115,6 +116,14 @@ def _fourier_samples(terms, n: int) -> np.ndarray:
         _require_resolved(k, n)
         out += a * np.cos(k * t) + b * np.sin(k * t)
     return out
+
+
+# Results of nonlinear operations (composition, localization, loop products,
+# brackets) must stay spectrally resolved.  The smooth-step cutoffs carry slow
+# Gevrey tails, so localized elements on the default 1024-point grid
+# legitimately sit in the 1e-9 .. 1e-8 band; the operational gate is therefore
+# 1e-7 while the band-limited property suite monitors the stricter 1e-9 level.
+DEFAULT_TAIL_TOL = 1e-7
 
 
 def _check_tail(pf: "PeriodicFunction", tail_tol: float | None, subject: str) -> "PeriodicFunction":

@@ -42,37 +42,32 @@ def _scaled_diffeo(p: np.ndarray, eps: float, fill: float) -> CircleDiffeo:
     return CircleDiffeo(PeriodicFunction(scale * p))
 
 
-def random_diffeo(
-    rng: np.random.Generator, eps: float, n: int = 1024, modes: int = 8, fill: float = 0.9
-) -> CircleDiffeo:
-    """Element of the eps-neighbourhood at about fill * eps in C^1 norm."""
-    return _scaled_diffeo(_band_limited(rng, n, modes), eps, fill)
+def random_diffeo(rng: np.random.Generator, eps: float, n: int = 1024, fill: float = 0.9) -> CircleDiffeo:
+    """Element of the eps-neighbourhood at about fill * eps in C^1 norm, from 8 modes."""
+    return _scaled_diffeo(_band_limited(rng, n, 8), eps, fill)
 
 
 def random_rotation(rng: np.random.Generator, n: int = 1024) -> CircleDiffeo:
     return CircleDiffeo.rotation(rng.uniform(-np.pi, np.pi), n)
 
 
-def random_vect_field(
-    rng: np.random.Generator, n: int = 1024, modes: int = 6, amplitude: float = 1.0
-) -> PeriodicFunction:
-    return PeriodicFunction(amplitude * _band_limited(rng, n, modes))
+def random_vect_field(rng: np.random.Generator, n: int = 1024, modes: int = 6) -> PeriodicFunction:
+    return PeriodicFunction(_band_limited(rng, n, modes))
 
 
-def random_loop_algebra(
-    rng: np.random.Generator, norm: float, n: int = 1024, modes: int = 6, fill: float = 0.9
-) -> LoopAlgebraElement:
-    """su(2)-valued loop with sup operator norm about fill * norm."""
-    comps = np.stack([_band_limited(rng, n, modes) for _ in range(3)])
+def random_loop_algebra(rng: np.random.Generator, norm: float, n: int = 1024) -> LoopAlgebraElement:
+    """su(2)-valued loop from 6 modes with sup operator norm about 0.9 * norm."""
+    comps = np.stack([_band_limited(rng, n, 6) for _ in range(3)])
     point = np.sqrt((comps**2).sum(axis=0)).max()
-    comps *= fill * norm / max(point, 1e-300)
+    comps *= 0.9 * norm / max(point, 1e-300)
     return LoopAlgebraElement.from_components(*comps)
 
 
 def random_supported_diffeo(
-    rng: np.random.Generator, arc: IntervalArc, eps: float, n: int = 1024, fill: float = 0.9
+    rng: np.random.Generator, arc: IntervalArc, eps: float, n: int = 1024
 ) -> CircleDiffeo:
-    """Element of the eps-neighbourhood supported strictly inside the arc.
+    """Element of the eps-neighbourhood at about 0.9 * eps in C^1 norm,
+    supported strictly inside the arc.
 
     Transitions take at least a fifth of the arc, keeping the cutoff resolved
     on the default grid.
@@ -82,4 +77,4 @@ def random_supported_diffeo(
     bump = make_bump(arc, plateau)
     t = grid(n)
     wobble = 1.0 + 0.3 * np.sin(rng.integers(1, 4) * t + rng.uniform(0, 2 * np.pi))
-    return _scaled_diffeo(bump.values(t) * wobble * rng.choice([-1.0, 1.0]), eps, fill)
+    return _scaled_diffeo(bump.values(t) * wobble * rng.choice([-1.0, 1.0]), eps, 0.9)

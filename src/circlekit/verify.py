@@ -160,8 +160,7 @@ def diff_suite(n: int) -> list:
         # supports in disjoint arcs commute
         comm = compose(g1, g2).distance(compose(g2, g1))
         # support of a composition stays in the dilated hull of the factor arcs
-        hull_len = np.mod(arc2.b - arc1.a, TWO_PI)
-        hull = IntervalArc(arc1.a, arc1.a + hull_len).dilate(TWO_PI / n)
+        hull = IntervalArc(arc1.a, arc1.a + arc1.offset(arc2.b)).dilate(TWO_PI / n)
         overhang = hull.max_abs_outside(compose(g1, g2).periodic_part.samples)
         return comm, overhang
 
@@ -197,7 +196,8 @@ def diff_suite(n: int) -> list:
 
 def frag_suite(n: int) -> list:
     cover = CoverConfig.default()
-    fragmenter = frag_diff._fragmenter(cover, n)
+    o12, _, o31 = cover.overlaps
+    fragmenter = frag_diff.DiffeoFragmenter(cover, n)
     eps = 0.01
 
     def frag_trial(rng):
@@ -221,11 +221,9 @@ def frag_suite(n: int) -> list:
     def refine_trial(rng):
         g = random_supported_diffeo(rng, cover.i1, eps, n)
         res = fragmenter.fragment(g, eps=eps)
-        i12 = IntervalArc(cover.i2.a, cover.i1.b)
-        i13 = IntervalArc(cover.i1.a, cover.i3.b - TWO_PI)
         return max(
-            i12.max_abs_outside(res.xi2.periodic_part.samples),
-            i13.max_abs_outside(res.xi3.periodic_part.samples),
+            o12.max_abs_outside(res.xi2.periodic_part.samples),
+            o31.max_abs_outside(res.xi3.periodic_part.samples),
         )
 
     def gap_trial(rng):
@@ -233,9 +231,7 @@ def frag_suite(n: int) -> list:
         arc = IntervalArc(cover.i1.a + 0.05, cover.i2.a - 0.05)
         g = random_supported_diffeo(rng, arc, eps, n)
         res = fragmenter.fragment(g, eps=eps)
-        gap = IntervalArc(cover.i2.a, cover.i1.b)
-        mask = gap.contains(grid(n))
-        return float(np.abs(res.xi1.periodic_part.samples[mask]).max())
+        return float(np.abs(res.xi1.periodic_part.samples[o12.contains(grid(n))]).max())
 
     def continuity_trial(rng, wiggle_rng):
         g = random_diffeo(rng, 0.009, n)
@@ -300,6 +296,7 @@ def frag_suite(n: int) -> list:
 
 def loop_suite(n: int) -> list:
     cover = CoverConfig.default()
+    o12, _, o31 = cover.overlaps
 
     def algebra_trial(rng):
         xi = random_loop_algebra(rng, 0.5, n)
@@ -351,11 +348,9 @@ def loop_suite(n: int) -> list:
         xi = random_loop_algebra(rng, 0.05, n).scaled(b / max(np.abs(b).max(), 1e-300))
         g = loops.exp_loop(xi)
         parts = loops.fragment_loop(g, cover)
-        i12 = IntervalArc(cover.i2.a, cover.i1.b)
-        i13 = IntervalArc(cover.i1.a, cover.i3.b - TWO_PI)
         return max(
-            i12.max_abs_outside(parts[1].distance_to_identity()),
-            i13.max_abs_outside(parts[2].distance_to_identity()),
+            o12.max_abs_outside(parts[1].distance_to_identity()),
+            o31.max_abs_outside(parts[2].distance_to_identity()),
         )
 
     h = np.diag([1.0, -1.0]).astype(complex)

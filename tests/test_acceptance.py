@@ -14,7 +14,7 @@ import pytest
 
 from circlekit import cocycles, frag_diff, loops, verma
 from circlekit.diffeo import CircleDiffeo, CoverConfig, IntervalArc, compose
-from circlekit.periodic import TWO_PI, PeriodicFunction, grid
+from circlekit.periodic import PeriodicFunction, grid
 from circlekit.sampling import (
     random_diffeo,
     random_loop_algebra,
@@ -39,7 +39,7 @@ def report(criterion, passed, detail):
 @pytest.fixture(scope="module")
 def diff_frag_sweep():
     """1000 seeded fragmentations shared by criteria 1 and 2."""
-    fragmenter = frag_diff._fragmenter(COVER, N)
+    fragmenter = frag_diff.DiffeoFragmenter(COVER, N)
     a_bound = frag_diff.alpha1_bound(COVER, 0.01)
     b_bound = frag_diff.beta1_bound(COVER, 0.01)
     worst = {"rec": 0.0, "outside": 0.0, "bound_ratio": 0.0, "min_deriv": np.inf}
@@ -87,9 +87,8 @@ def test_criterion_2_coefficient_bounds(diff_frag_sweep):
 
 
 def test_criterion_3_support_refinements():
-    fragmenter = frag_diff._fragmenter(COVER, N)
-    i12 = IntervalArc(COVER.i2.a, COVER.i1.b)
-    i13 = IntervalArc(COVER.i1.a, COVER.i3.b - TWO_PI)
+    fragmenter = frag_diff.DiffeoFragmenter(COVER, N)
+    i12, _, i13 = COVER.overlaps
     out12, out13 = ~i12.contains(T), ~i13.contains(T)
     worst_refine = 0.0
     for i in range(50):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -168,6 +170,25 @@ def test_cover_json_roundtrip():
     cover = CoverConfig.default()
     back = CoverConfig.from_json(cover.to_json())
     assert back == cover
+
+
+# every endpoint differs from the default cover's
+JSON_COVER = json.dumps({
+    "I": [[0.4, 2.8], [2.1, 4.9], [4.4, TWO_PI + 0.9]],
+    "Ihat": [[0.55, 2.6], [2.3, 4.7], [4.6, TWO_PI + 0.75]],
+    "margin": 0.2,
+})
+
+
+@pytest.mark.parametrize("cover", [CoverConfig.default(), CoverConfig.from_json(JSON_COVER)], ids=["default", "json"])
+def test_cover_overlaps(cover):
+    chain = cover.chain()
+    a1, b3, a2, b1, a3, b2 = (chain[k] for k in (1, 4, 5, 8, 9, 12))
+    assert [o.as_tuple() for o in cover.overlaps] == [(a2, b1), (a3, b2), (a1, b3)]
+    t = grid(4096)
+    i1, i2, i3 = (arc.contains(t) for arc in cover.intervals)
+    for overlap, both in zip(cover.overlaps, (i1 & i2, i2 & i3, i3 & i1)):
+        assert np.array_equal(overlap.contains(t), both)
 
 
 def test_cover_json_malformed():

@@ -5,6 +5,7 @@ from circlekit.diffeo import CircleDiffeo, CoverConfig, IntervalArc, compose, su
 from circlekit.errors import NeighbourhoodError
 from circlekit.frag_diff import (
     BUILD_FACTOR,
+    DiffeoFragmenter,
     EpsilonNeighbourhood,
     alpha1,
     alpha1_bound,
@@ -14,9 +15,8 @@ from circlekit.frag_diff import (
     fragment,
     fragment_pair,
     solve_monotone,
-    _fragmenter,
-    _pair_stage,
     _solve_inside,
+    _stage,
     _stage_localize,
 )
 from circlekit.periodic import TWO_PI, PeriodicFunction, grid
@@ -49,7 +49,7 @@ def test_alpha1_vanishes_when_identity_below_b1():
 
 def test_alpha1_against_simpson_oracle():
     g = CircleDiffeo.from_fourier([(1, 0.0, 0.005)], N)
-    frag = _fragmenter(COVER, N)
+    frag = DiffeoFragmenter(COVER, N)
     dc = frag.stage1.bumps.center
     a, ha = COVER.i1.a, COVER.ihat1.a
     integral = simpson(lambda x: 0.005 * np.cos(x) * dc.values(x), 0.0, ha)
@@ -59,7 +59,7 @@ def test_alpha1_against_simpson_oracle():
 
 def test_beta1_against_simpson_oracle():
     g = CircleDiffeo.from_fourier([(1, 0.0, 0.005)], N)
-    frag = _fragmenter(COVER, N)
+    frag = DiffeoFragmenter(COVER, N)
     dc = frag.stage1.bumps.center
     hb, b = COVER.ihat1.b, COVER.i1.b
     integral = simpson(lambda x: 0.005 * np.cos(x) * dc.values(x), hb, b)
@@ -85,7 +85,7 @@ def test_neighbourhood_gate():
 
 
 def test_eps_above_positivity_threshold_rejected():
-    frag = _fragmenter(COVER, N)
+    frag = DiffeoFragmenter(COVER, N)
     g = CircleDiffeo.identity(N)
     with pytest.raises(NeighbourhoodError):
         frag.fragment(g, eps=frag.epsilon1 * 1.01)
@@ -137,8 +137,7 @@ def test_fragment_plateau_match():
 def test_fragment_supported_in_i1_refinement():
     g = random_supported_diffeo(rng_for(14, 0), COVER.i1, 0.01, N)
     res = fragment(g, COVER)
-    i12 = IntervalArc(COVER.i2.a, COVER.i1.b)
-    i13 = IntervalArc(COVER.i1.a, COVER.i3.b - TWO_PI)
+    i12, _, i13 = COVER.overlaps
     assert outside(res.xi2, i12) < 1e-9
     assert outside(res.xi3, i13) < 1e-9
 
@@ -148,7 +147,7 @@ def test_fragment_identity_on_overlap_when_support_avoids_it():
     arc = IntervalArc(COVER.i1.a + 0.05, COVER.i2.a - 0.05)
     g = random_supported_diffeo(rng_for(14, 1), arc, 0.01, N)
     res = fragment(g, COVER)
-    gap = IntervalArc(COVER.i2.a, COVER.i1.b)
+    gap = COVER.overlaps[0]
     assert np.abs(res.xi1.periodic_part.samples[gap.contains(T)]).max() < 1e-9
 
 
@@ -192,7 +191,7 @@ def test_fragment_pair():
 def test_interval_restricted_solves_match_full_solves(n):
     # each factor is the identity off its interval, so Newton on the targets
     # inside it gives what Newton on every target gives
-    frag = _fragmenter(COVER, n)
+    frag = DiffeoFragmenter(COVER, n)
     t_fine = grid(n * BUILD_FACTOR)
     for i in range(3):
         g = random_diffeo(rng_for(20260810, 1, i), 0.01, n)
@@ -213,10 +212,10 @@ def test_fragment_pair_cutoffs_memoized():
     left = IntervalArc(0.3, 3.6)
     right = IntervalArc(3.1, TWO_PI + 0.8)
     g = random_diffeo(rng_for(16, 2), 0.01, N)
-    _pair_stage.cache_clear()
+    _stage.cache_clear()
     first = fragment_pair(g, left, right)
     again = fragment_pair(g, left, right)
-    assert _pair_stage.cache_info().hits == 1
+    assert _stage.cache_info().hits == 1
     for a, b in zip(first, again):
         assert np.array_equal(a.periodic_part.samples, b.periodic_part.samples)
 
@@ -231,7 +230,7 @@ def test_coarse_factors_recompose_by_direct_sum():
         w[0] = w[-1] = 1.0
         return (np.exp(1j * np.outer(x, np.arange(len(c)))) @ (w * c)).real
 
-    frag = _fragmenter(COVER, N)
+    frag = DiffeoFragmenter(COVER, N)
     worst = 0.0
     for i in range(50):
         g = random_diffeo(rng_for(20260810, 1, i), 0.01, N)
@@ -243,7 +242,13 @@ def test_coarse_factors_recompose_by_direct_sum():
     assert worst < 1e-7
 
 
-def test_fragmenter_cache_is_bounded():
+def test_fragmenters_share_stages_across_margins():
+    # no stage reads the margin, so covers that differ only there share the
+    # stages of one bounded cache
+    _stage.cache_clear()
+    base = DiffeoFragmenter(CoverConfig.default(), 16)
     for k in range(20):
-        _fragmenter(CoverConfig.default(margin=0.1 + 0.01 * k), 16)
-    assert _fragmenter.cache_info().currsize <= 16
+        frag = DiffeoFragmenter(CoverConfig.default(margin=0.1 + 0.01 * k), 16)
+        assert frag.stage1 is base.stage1 and frag.stage2 is base.stage2
+    assert _stage.cache_info().misses == 2
+    assert _stage.cache_info().maxsize == 16

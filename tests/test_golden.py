@@ -1,17 +1,22 @@
 """SHA-256 digests pinned so any drift fails cheaply: the stdout of one `verma`
 CLI call, the Gram matrices at levels 0..10 of each `VERMA_PARAMETERS` module,
-one `verify all` report, the CSV files the CLI and `to_csv` write and the
-spectral operations of `PeriodicFunction`."""
+one `verify all` report, the CSV files the CLI and `to_csv` write, the
+spectral operations of `PeriodicFunction` and the geometry of the
+three-interval cover."""
 
 import hashlib
+import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from circlekit import frag_diff, loops
 from circlekit.cli import main
-from circlekit.periodic import PeriodicFunction, grid
+from circlekit.diffeo import CircleDiffeo, CoverConfig, IntervalArc
+from circlekit.periodic import TWO_PI, PeriodicFunction, grid
+from circlekit.sampling import random_diffeo, rng_for
 from circlekit.verify import VERMA_PARAMETERS, run_suites
 from circlekit.verma import VermaModule
 
@@ -55,6 +60,9 @@ SCALAR_CSV_DIGESTS = {
 
 # the bytes of every spectral operation of PeriodicFunction, see test_spectral_digest
 SPECTRAL_DIGEST = "2852e96c62f72b59ea69fe4f5c4cdeea3f8316eaca735c90b12623cecd6275ba"
+
+# the bytes of the cover geometry, see test_geometry_digest
+GEOMETRY_DIGEST = "4efb1038630a7a81c6d29193deb67db497c4a9935f2628b885d870eef6c5e1af"
 
 
 def test_verma_cli_stdout_digest():
@@ -137,3 +145,50 @@ def test_spectral_digest():
             for a in parts:
                 digest.update(np.ascontiguousarray(a).tobytes())
     assert digest.hexdigest() == SPECTRAL_DIGEST
+
+
+def _geometry_covers():
+    """The default cover at margins 0.1 and 0.3, and a cover read from JSON
+    whose every endpoint differs from the default's."""
+    custom = {
+        "I": [[0.4, 2.8], [2.1, 4.9], [4.4, TWO_PI + 0.9]],
+        "Ihat": [[0.55, 2.6], [2.3, 4.7], [4.6, TWO_PI + 0.75]],
+        "margin": 0.2,
+    }
+    return [CoverConfig.default(), CoverConfig.default(margin=0.3), CoverConfig.from_json(json.dumps(custom))]
+
+
+def test_geometry_digest():
+    """Loop cutoff weights at n = 256, interval membership on points spanning
+    six periods, the stage arrays and epsilon1 of DiffeoFragmenter(cover, 1024),
+    alpha1, beta1 and beta1_integral_form of three seeded diffeomorphisms and
+    the fragment_pair factors on the verify suite's arcs, taken under numpy
+    2.4.6 (Python 3.11.7, x86-64)."""
+    digest = hashlib.sha256()
+
+    def add(*arrays):
+        for a in arrays:
+            digest.update(np.ascontiguousarray(a, dtype=float).tobytes())
+
+    covers = _geometry_covers()
+    x = np.linspace(-3 * TWO_PI, 3 * TWO_PI, 4001)
+    for cover in covers:
+        c1, c2, weights = loops._cutoff_weights(cover, 256)
+        add(c1, c2, *weights)
+        arcs = cover.intervals + cover.inner_intervals
+        for arc in arcs:
+            add(arc.contains(x), [arc.contains_arc(other) for other in arcs])
+    for cover in covers[::2]:
+        fragmenter = frag_diff.DiffeoFragmenter(cover, 1024)
+        for stage in (fragmenter.stage1, fragmenter.stage2):
+            add(stage.endpoints, stage.center_fine, stage.left_fine, stage.right_fine)
+            add([stage.left_mass, stage.right_mass])
+        add([fragmenter.epsilon1])
+        for i in range(3):
+            g = random_diffeo(rng_for(20260810, 3, i), 0.01, 1024)
+            alpha = frag_diff.alpha1(g, cover)
+            add([alpha, frag_diff.beta1(g, cover), frag_diff.beta1_integral_form(g, cover, alpha=alpha)])
+    left, right = IntervalArc(0.3, 3.6), IntervalArc(3.1, TWO_PI + 0.8)
+    for g in (CircleDiffeo.identity(1024), random_diffeo(rng_for(20260810, 4, 0), 0.01, 1024)):
+        add(*(f.periodic_part.samples for f in frag_diff.fragment_pair(g, left, right)))
+    assert digest.hexdigest() == GEOMETRY_DIGEST

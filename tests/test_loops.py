@@ -25,7 +25,7 @@ from circlekit.loops import (
     precompose,
     su2_generators,
 )
-from circlekit.periodic import TWO_PI, grid
+from circlekit.periodic import grid
 from circlekit.sampling import random_diffeo, random_loop_algebra, random_supported_diffeo, rng_for
 
 N = 1024
@@ -144,8 +144,7 @@ def test_fragment_loop_supported_in_i1():
     window = window / np.abs(window).max()
     xi = random_loop_algebra(rng, 0.05, N).scaled(window)
     parts = fragment_loop(exp_loop(xi), COVER)
-    i12 = IntervalArc(COVER.i2.a, COVER.i1.b)
-    i13 = IntervalArc(COVER.i1.a, COVER.i3.b - TWO_PI)
+    i12, _, i13 = COVER.overlaps
     assert parts[1].distance_to_identity()[~i12.contains(T)].max() < 1e-10
     assert parts[2].distance_to_identity()[~i13.contains(T)].max() < 1e-10
 

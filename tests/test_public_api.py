@@ -2,6 +2,7 @@
 stay those frozen here."""
 
 import importlib
+import inspect
 import types
 
 import pytest
@@ -27,6 +28,10 @@ PACKAGE_NAMES = [
 ]
 
 
+# defaulted parameters of the exported callables, see test_defaulted_parameter_count
+DEFAULTED_PARAMETERS = 52
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_every_exported_name_resolves(name):
     module = importlib.import_module(f"circlekit.{name}")
@@ -39,3 +44,30 @@ def test_package_names_are_frozen():
         n for n, v in vars(circlekit).items() if not n.startswith("_") and not isinstance(v, types.ModuleType)
     )
     assert names == PACKAGE_NAMES
+
+
+def _defaulted(fn) -> int:
+    return sum(p.default is not inspect.Parameter.empty for p in inspect.signature(fn).parameters.values())
+
+
+def test_defaulted_parameter_count():
+    """A ratchet on options: the defaulted parameters of every callable in a
+    module's __all__, counting a class's constructor, public methods and
+    classmethods.  Adding an option means raising DEFAULTED_PARAMETERS on
+    purpose; removing one means lowering it."""
+    counts = {}
+    for name in MODULES:
+        module = importlib.import_module(f"circlekit.{name}")
+        for export in module.__all__:
+            obj = getattr(module, export)
+            if isinstance(obj, type):
+                methods = [obj.__init__]
+                for attr, member in vars(obj).items():
+                    if isinstance(member, (classmethod, staticmethod)):
+                        member = member.__func__
+                    if not attr.startswith("_") and inspect.isfunction(member):
+                        methods.append(member)
+                counts[f"{name}.{export}"] = sum(map(_defaulted, methods))
+            elif callable(obj):
+                counts[f"{name}.{export}"] = _defaulted(obj)
+    assert sum(counts.values()) == DEFAULTED_PARAMETERS, {k: v for k, v in counts.items() if v}
