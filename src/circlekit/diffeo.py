@@ -328,7 +328,9 @@ class CoverConfig:
       < bhat2 < b2 < 2*pi
     (endpoints of I3 and Ihat3 taken modulo 2*pi).  The chain encodes all
     cover invariants at once: each point lies in at most two of the I_j and
-    the inner intervals still cover the circle.
+    the inner intervals still cover the circle.  Beyond the chain, the loop
+    cutoff chi2 needs a2 - margin * |I1 & I2| > b3 - 2*pi, so that its
+    plateau starts after I3 ends (see loops.loop_cutoffs).
     """
 
     i1: IntervalArc
@@ -342,7 +344,14 @@ class CoverConfig:
     def __post_init__(self):
         if not 0.0 < self.margin < 0.5:
             raise GeometryError("margin must lie in (0, 1/2)")
-        self.chain()  # validates
+        chain = self.chain()  # validates
+        b3, a2, b1 = chain[4], chain[5], chain[8]
+        start = a2 - self.margin * (b1 - a2)
+        if start <= b3:
+            raise GeometryError(
+                f"margin {self.margin} times the I1 & I2 overlap {b1 - a2:.6g} reaches I3: "
+                f"a2 - margin * overlap = {start:.6g} must exceed b3 - 2*pi = {b3:.6g}"
+            )
 
     def chain(self) -> list[float]:
         """The lifted endpoint chain; raises GeometryError if out of order."""

@@ -134,13 +134,6 @@ def fragment_residuals(
     )
 
 
-def _trig_sum_eval(coeffs: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """Evaluate sum_k 2 Re(c_k e^{ik theta}) for k >= 1 (c_0 ignored)."""
-    k = np.arange(1, len(coeffs))
-    phases = np.exp(1j * np.outer(thetas, k))
-    return 2.0 * (phases @ coeffs[1:]).real
-
-
 class _Stage:
     """Precomputed fine-grid data for localizing to one interval: the cutoffs
     sampled on the n * factor grid, onto which gamma' is upsampled by factor.
@@ -148,6 +141,12 @@ class _Stage:
     endpoints are the lifted a < ahat < bhat < b of the interval and its inner
     interval.  The center bump is 1 on the inner interval; the left and right
     bumps sit in the gap zones and carry exactly half the gap length as mass.
+
+    The phases e^{ik theta} of the four boundary points theta = 0, ahat, bhat,
+    b, for the wavenumbers k = 1..K of the fine grid (K = n * factor / 2), are
+    kept as two short tables: with k - 1 = q B + r and B the largest power of
+    two not above sqrt(K), e^{ik theta} = e^{i q B theta} e^{i (r + 1) theta},
+    so phase_coarse[q] and phase_fine[r] hold 4 (K/B + B) entries in all.
     """
 
     def __init__(self, interval: IntervalArc, inner: IntervalArc, n: int, factor: int):
@@ -170,6 +169,18 @@ class _Stage:
         step = TWO_PI / len(tf)
         self.left_mass = self.left_fine.sum() * step
         self.right_mass = self.right_fine.sum() * step
+        k_max = len(tf) // 2
+        block = 1 << (k_max.bit_length() - 1) // 2
+        thetas = np.array([0.0, ha, hb, b])
+        self.phase_fine = np.exp(1j * np.outer(np.arange(1, block + 1), thetas))
+        self.phase_coarse = np.exp(1j * np.outer(np.arange(0, k_max, block), thetas))
+
+    def boundary_sums(self, coeffs: np.ndarray) -> np.ndarray:
+        """sum_k c_k e^{ik theta} over k = 1..K at the four boundary points,
+        for coefficients c_0..c_K in the fine grid's rfft layout (c_0 ignored):
+        one (K/B x B) @ (B x 4) product, then a sum over its K/B rows."""
+        inner = coeffs[1:].reshape(len(self.phase_coarse), -1) @ self.phase_fine
+        return np.einsum("qp,qp->p", inner, self.phase_coarse)
 
 
 def _stage_coefficients(g: CircleDiffeo, stage: _Stage):
@@ -179,16 +190,14 @@ def _stage_coefficients(g: CircleDiffeo, stage: _Stage):
     integ = g.deriv._upsample(stage.factor) * stage.center_fine
     fine = PeriodicFunction(integ)
     mean = fine.spectrum[0].real
-    f_spectrum = fine._antiderivative_spectrum()
-    f_vals = _trig_sum_eval(f_spectrum, np.array([0.0, ha, hb, b]))
+    f_vals = 2.0 * stage.boundary_sums(fine._antiderivative_spectrum()).real
+    g_ha, g_hb = g.eval(np.array([ha, hb]))
 
     def partial(theta, f_theta):
         return mean * theta + f_theta - f_vals[0]
 
-    alpha = 2.0 / (ha - a) * (g.eval(ha) - ha - partial(ha, f_vals[1]))
-    beta = 2.0 / (b - hb) * (
-        hb - g.eval(hb) - (partial(b, f_vals[3]) - partial(hb, f_vals[2]))
-    )
+    alpha = 2.0 / (ha - a) * (g_ha - ha - partial(ha, f_vals[1]))
+    beta = 2.0 / (b - hb) * (hb - g_hb - (partial(b, f_vals[3]) - partial(hb, f_vals[2])))
     # construction variant: cancel the full-period mean exactly, using the
     # measured bump masses, so the factor is 2pi-equivariant to roundoff
     beta_build = -(mean * TWO_PI + alpha * stage.left_mass) / stage.right_mass

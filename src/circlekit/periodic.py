@@ -5,13 +5,18 @@ identified with the unique trigonometric polynomial of degree < N/2 through
 them.  Differentiation and full-period integration act on the Fourier
 coefficients and are exact for band-limited data.  Evaluation between grid
 points uses 10-point local Lagrange interpolation on a cached grid whose
-resolution is chosen from the data.  For real scalar data the function's own
-spectrum certifies the interpolation error: when the summed Lagrange
-remainder bound over its modes is at most 1e-12, the samples themselves are
-the cache.  Otherwise, and for complex or matrix data, the cache is a
-zero-padded oversampling (64x for real data up to N = 2048, 8x above that
-and for complex data), which keeps modes up to the Nyquist frequency
-accurate to ~1e-13.
+resolution is chosen from the data.  The weights at cell offset u in [0, 1]
+are (1, u, ..., u^9) times one constant 10x10 matrix, the monomial
+coefficients of the Lagrange basis; on this fixed stencil the monomial form is
+well conditioned (its entries sum to 10.6 in absolute value), so it needs no
+per-point division.  A point within 1e-11 cells of a node is snapped onto it,
+u = 0, where the weights are exactly one-hot: grid points evaluate
+sample-exact.  For real scalar data the function's own spectrum certifies the
+interpolation error: when the summed Lagrange remainder bound over its modes
+is at most 1e-12, the samples themselves are the cache.  Otherwise, and for
+complex or matrix data, the cache is a zero-padded oversampling (64x for real
+data up to N = 2048, 8x above that and for complex data), which keeps modes
+up to the Nyquist frequency accurate to ~1e-13.
 
 Scalar (real or complex) and matrix-valued samples are supported; all
 spectral operations act along the first axis.
@@ -59,10 +64,26 @@ def _eval_factor_real(n: int) -> int:
 
 _STENCIL = 10
 _OFFSETS = np.arange(_STENCIL) - (_STENCIL // 2 - 1)  # -4 .. 5
-_DENOM = np.array(
-    [np.prod([o - p for p in _OFFSETS if p != o]) for o in _OFFSETS], dtype=float
-)
 _SNAP = 1e-11  # points this many cells from a node are snapped onto it
+
+
+def _monomial_form() -> np.ndarray:
+    """[d, s]: the u^d coefficient of the Lagrange basis polynomial of offset s.
+    Numerators and denominators are exact integers, so each entry is rounded
+    once; row 0, the basis at u = 0, is exactly one-hot."""
+    offsets = _OFFSETS.tolist()
+    columns = []
+    for o in offsets:
+        poly, denom = [1], 1  # lowest degree first
+        for p in offsets:
+            if p != o:
+                poly = [a - p * b for a, b in zip([0] + poly, poly + [0])]  # times (u - p)
+                denom *= o - p
+        columns.append([float(o == 0)] + [c / denom for c in poly[1:]])
+    return np.array(list(zip(*columns)))
+
+
+_MONOMIAL = _monomial_form()
 
 # Error of the stencil on one Fourier mode of unit amplitude, where kh is the
 # mode's phase advance per cell.  The Lagrange remainder gives R (kh)^10 with
@@ -152,33 +173,27 @@ def _pad_fine(fine: np.ndarray) -> np.ndarray:
 
 
 def _lagrange_weights(t: np.ndarray, m: int):
-    """Stencil base indices into a padded cache and the 10 barycentric weights.
+    """Stencil base indices into a padded cache and the 10 Lagrange weights,
+    as the powers of the cell offset u times _MONOMIAL.
 
-    Points within rounding distance of a fine-grid node (in particular every
-    coarse grid point) get a one-hot weight row, so those evaluations are
-    sample-exact.
+    Points within _SNAP cells of a fine-grid node (in particular every coarse
+    grid point) are moved onto it, u = 0, where the weight row is exactly
+    one-hot, so those evaluations are sample-exact.  A point just below a
+    cell's right node moves to the next cell, which after the last cell is
+    cell 0.
     """
     x = np.mod(t, TWO_PI) * (m / TWO_PI)
     x[x >= m] -= m  # mod can round up to the period boundary
     j0 = np.floor(x).astype(np.intp)
     u = x - j0
-    near0 = u < _SNAP
     near1 = u > 1.0 - _SNAP
-    u = np.where(near0, 0.0, u)
-    du = u[:, None] - _OFFSETS[None, :]
-    prod = du[:, 0].copy()
-    for s in range(1, _STENCIL):
-        prod *= du[:, s]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = prod[:, None] / (du * _DENOM[None, :])
-    center = _STENCIL // 2 - 1  # the offset-0 column
-    if near0.any():
-        w[near0] = 0.0
-        w[near0, center] = 1.0
-    if near1.any():
-        w[near1] = 0.0
-        w[near1, center + 1] = 1.0
-    return j0, w
+    j0 = (j0 + near1) % m
+    u[(u < _SNAP) | near1] = 0.0
+    powers = np.empty((_STENCIL, len(u)))
+    powers[0] = 1.0
+    for d in range(1, _STENCIL):
+        np.multiply(powers[d - 1], u, out=powers[d])
+    return j0, powers.T @ _MONOMIAL
 
 
 def _lagrange_eval(t: np.ndarray, *caches: np.ndarray) -> list:

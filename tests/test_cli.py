@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -164,6 +165,32 @@ def test_verify_deterministic_reports(tmp_path):
     threaded = run(*args, "--threads", "3")
     assert first.returncode == 0
     assert first.stdout == second.stdout == threaded.stdout
+
+
+def test_verify_report_independent_of_blas_threads():
+    """The stencil weights and a stage's boundary sums are BLAS products, so
+    the report must not depend on how many threads BLAS runs."""
+    args = ["verify", "all", "--seed", "11", "--trials", "4", "--json"]
+    outs = [run(*args, env={**os.environ, "OPENBLAS_NUM_THREADS": str(k)}) for k in (1, 2)]
+    assert outs[0].returncode == 0, outs[0].stderr
+    assert outs[0].stdout == outs[1].stdout
+
+
+# chain-valid, but chi2's plateau would start at a2 - 0.3 * 0.4 = 2.08, before I3 ends at 2.1
+LOOP_UNUSABLE_COVER = {
+    "I": [[0.3, 2.6], [2.2, 4.7], [4.3, 8.383185307179586]],
+    "Ihat": [[0.45, 2.45], [2.35, 4.55], [4.45, 8.3]],
+    "margin": 0.3,
+}
+
+
+@pytest.mark.parametrize("command, spec", [("fragment-diff", "fourier:[(1,0,0.005)]"), ("fragment-loop", "exp:[(1,1,0,0.02)]")])
+def test_cover_without_loop_cutoffs_rejected(command, spec, tmp_path):
+    cfg = tmp_path / "cover.json"
+    cfg.write_text(json.dumps(LOOP_UNUSABLE_COVER))
+    r = run(command, "--spec", spec, "--config", str(cfg), "--out", str(tmp_path))
+    assert r.returncode == 3
+    assert "margin 0.3 times the I1 & I2 overlap 0.4" in r.stderr
 
 
 def test_fragment_diff_non_monotone(tmp_path):

@@ -16,6 +16,7 @@ from circlekit.diffeo import (
     support,
 )
 from circlekit.errors import AliasingError, DerivativeError, GeometryError, MassError
+from circlekit.loops import loop_cutoffs
 from circlekit.periodic import TWO_PI, PeriodicFunction, grid
 from circlekit.sampling import random_diffeo, random_supported_diffeo, rng_for
 
@@ -164,6 +165,30 @@ def test_cover_rejects_bad_margin():
     cover = CoverConfig.default()
     with pytest.raises(GeometryError):
         CoverConfig(cover.i1, cover.i2, cover.i3, cover.ihat1, cover.ihat2, cover.ihat3, 0.7)
+
+
+def _random_chain_cover(rng):
+    """A cover from 12 sorted uniform points read as the chain a1 < ahat1 <
+    bhat3 < b3 < a2 < ahat2 < bhat1 < b1 < a3 < ahat3 < bhat2 < b2, margin in
+    (0.05, 0.49)."""
+    a1, ha1, hb3, b3, a2, ha2, hb1, b1, a3, ha3, hb2, b2 = np.sort(rng.uniform(0.0, TWO_PI, 12))
+    arcs = [(a1, b1), (a2, b2), (a3, b3 + TWO_PI), (ha1, hb1), (ha2, hb2), (ha3, hb3 + TWO_PI)]
+    return CoverConfig(*(IntervalArc(a, b) for a, b in arcs), rng.uniform(0.05, 0.49))
+
+
+def test_accepted_covers_build_loop_cutoffs():
+    """A cover CoverConfig accepts is one loop_cutoffs can use; of 200 seeded
+    chain-valid covers, the plateau check rejects some."""
+    rejected = 0
+    for i in range(200):
+        try:
+            cover = _random_chain_cover(np.random.default_rng([20260810, i]))
+        except GeometryError as exc:
+            assert "times the I1 & I2 overlap" in str(exc)
+            rejected += 1
+            continue
+        loop_cutoffs(cover)
+    assert 0 < rejected < 200
 
 
 def test_cover_json_roundtrip():

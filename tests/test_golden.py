@@ -30,15 +30,15 @@ GRAM_DIGESTS = {
     "26 3/2": "9e0a55e17da8052582e7f1b1cdf06b21c26c156211df0f468abf5f950a192d65",
 }
 
-VERIFY_ALL_REPORT = "710c664da04d78f9031f77eeab3bed3a9ab26cf0484c01592fb1fad61ce25f6f"
+VERIFY_ALL_REPORT = "8dff4a00a8c394dfdaaab54956476b997fdbdd5bd3074a597881615cc4be5386"
 
 # the files one CLI run writes, by command
 CSV_DIGESTS = {
     "fragment-diff": {
         "gamma": "9b0ed511c2bf5e44f3a6c8b885bc6c621f944296a8eb15759a18dafd1e665361",
-        "xi1": "fb8f165cf156432632874fd89c6462fc5acaadf78328738cfdbf78e92dae68e5",
-        "xi2": "75ac9b0b547d253aeb85bb6d46fe15a80bb758ccfb99eae2ef6218ae2c04be15",
-        "xi3": "a4cfd9137f06049fe541dc06bb0c9defce59cf29f173c50fa8cd02b08b72c05e",
+        "xi1": "ffae899609f889da96d67bf6bc0814ab35fa9e95f3715db2e8d807cd7973dd67",
+        "xi2": "42022b687585d662fe6e6e80a71e5fc874eff0b75985f36ea348a85ba78a01b3",
+        "xi3": "a16e299653af721ddb9843dd32da81a2151ae0004ca9ef87123697541f8c8756",
     },
     "fragment-loop": {
         "gamma": "199a433bf0a9d6c225dabfc001ced7563f5847e499a249a94a3365bee02e3285",
@@ -59,10 +59,10 @@ SCALAR_CSV_DIGESTS = {
 }
 
 # the bytes of every spectral operation of PeriodicFunction, see test_spectral_digest
-SPECTRAL_DIGEST = "2852e96c62f72b59ea69fe4f5c4cdeea3f8316eaca735c90b12623cecd6275ba"
+SPECTRAL_DIGEST = "f767a8a4db8a68f7934e7df2a5729311229b572440cb1ce593fa0c28a0e5610d"
 
 # the bytes of the cover geometry, see test_geometry_digest
-GEOMETRY_DIGEST = "4efb1038630a7a81c6d29193deb67db497c4a9935f2628b885d870eef6c5e1af"
+GEOMETRY_DIGEST = "3485f8f23d80c1ef2d5cd12d127e9fbba4f2923676394df87b305fbbfdf12223"
 
 
 def test_verma_cli_stdout_digest():
@@ -156,6 +156,15 @@ def _geometry_covers():
         "margin": 0.2,
     }
     return [CoverConfig.default(), CoverConfig.default(margin=0.3), CoverConfig.from_json(json.dumps(custom))]
+
+
+def test_geometry_covers_construct():
+    """Every cover of the geometry digest passes CoverConfig's checks and
+    builds its loop cutoffs."""
+    covers = _geometry_covers()
+    assert len(covers) == 3
+    for cover in covers:
+        loops.loop_cutoffs(cover)
 
 
 def test_geometry_digest():

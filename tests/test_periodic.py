@@ -9,7 +9,17 @@ from circlekit.diffeo import CircleDiffeo, IntervalArc
 from circlekit.errors import AliasingError
 from circlekit.frag_diff import fragment, fragment_pair
 from circlekit.loops import LoopAlgebraElement, exp_loop, multiply
-from circlekit.periodic import TWO_PI, PeriodicFunction, _pad_fine, _stencil_error_bound, grid
+from circlekit.periodic import (
+    _OFFSETS,
+    _SNAP,
+    TWO_PI,
+    PeriodicFunction,
+    _lagrange_eval,
+    _lagrange_weights,
+    _pad_fine,
+    _stencil_error_bound,
+    grid,
+)
 from circlekit.sampling import random_diffeo, rng_for
 
 
@@ -32,6 +42,45 @@ def test_eval_exact_at_grid_points():
     samples = rng.normal(size=256)
     f = PeriodicFunction(samples)
     assert np.array_equal(f.eval(grid(256)), samples)
+
+
+@pytest.mark.parametrize("m", [16, 1024, 8192])
+def test_stencil_sample_exact_at_and_near_nodes(m):
+    """Nodes, nodes moved by half the snap distance either way, and points just
+    below 2*pi, whose snap moves the last cell onto cell 0, read the samples
+    bit for bit."""
+    samples = np.random.default_rng(m).normal(size=m)
+    cache = _pad_fine(samples)
+    nodes = np.arange(m)
+    for shift in (0.0, 0.5 * _SNAP, -0.5 * _SNAP):
+        [out] = _lagrange_eval(TWO_PI * (nodes + shift) / m, cache)
+        assert np.array_equal(out, samples)
+    # 2*pi - 1e-13 lies within the snap distance of 2*pi for m = 16 only, so
+    # finer grids take half the snap distance below 2*pi; and one ulp below
+    t_end = np.array([TWO_PI - min(1e-13, 0.5 * _SNAP * TWO_PI / m), np.nextafter(TWO_PI, 0.0)])
+    assert np.all(np.floor(t_end * (m / TWO_PI)) == m - 1)
+    j0, _ = _lagrange_weights(t_end, m)
+    assert np.array_equal(j0, [0, 0])
+    [out] = _lagrange_eval(t_end, cache)
+    assert np.array_equal(out, [samples[0], samples[0]])
+
+
+@pytest.mark.parametrize("m", [16, 1024, 8192])
+def test_stencil_weights_partition_unity_and_reproduce_monomials(m):
+    """Between the snap zones the weights sum to 1 and interpolate every
+    polynomial of degree <= 9 on the 10 nodes, here (o/5)^d at offset o."""
+    rng = np.random.default_rng(m + 1)
+    u_in = np.concatenate([np.linspace(2 * _SNAP, 1.0 - 2 * _SNAP, 1001), rng.uniform(0.0, 1.0, 1000)])
+    j = rng.integers(0, m, u_in.size)
+    t = TWO_PI * (j + u_in) / m
+    j0, w = _lagrange_weights(t, m)
+    u = np.mod(t, TWO_PI) * (m / TWO_PI) - j0  # the offset the weights were built for
+    keep = (u >= _SNAP) & (u <= 1.0 - _SNAP)
+    assert keep.sum() > 1900
+    w, u = w[keep], u[keep]
+    assert np.abs(w.sum(axis=1) - 1.0).max() <= 1e-15
+    for d in range(10):
+        assert np.abs(w @ (_OFFSETS / 5.0) ** d - (u / 5.0) ** d).max() <= 1e-13, d
 
 
 def test_derivative_analytic():
