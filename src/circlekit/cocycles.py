@@ -71,7 +71,7 @@ def _as_pf(f) -> PeriodicFunction:
     return f.pf if isinstance(f, VectField) else f
 
 
-def vect_bracket(f, g, tail_tol: float = DEFAULT_TAIL_TOL) -> VectField:
+def vect_bracket(f, g) -> VectField:
     """[f, g] = f'g - fg'."""
     fp, gp = _as_pf(f), _as_pf(g)
     if fp.n != gp.n:
@@ -79,7 +79,7 @@ def vect_bracket(f, g, tail_tol: float = DEFAULT_TAIL_TOL) -> VectField:
     out = PeriodicFunction(
         fp.derivative().samples * gp.samples - fp.samples * gp.derivative().samples
     )
-    return VectField(_check_tail(out, tail_tol, "bracket"))
+    return VectField(_check_tail(out, DEFAULT_TAIL_TOL, "bracket"))
 
 
 def vect_cocycle(f, g) -> complex:

@@ -7,6 +7,7 @@ gamma' > 0; the representation is 2pi-equivariant by construction.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -155,11 +156,11 @@ class CircleDiffeo:
         return f"CircleDiffeo(n={self.n}, |gamma-id|={self.displacement():.3e})"
 
 
-def compose(g1: CircleDiffeo, g2: CircleDiffeo, tail_tol: float = DEFAULT_TAIL_TOL) -> CircleDiffeo:
+def compose(g1: CircleDiffeo, g2: CircleDiffeo) -> CircleDiffeo:
     """Composition gamma1 o gamma2, resampled onto the grid of gamma2."""
     p2 = g2.periodic_part.samples
     p = p2 + g1.periodic_part.eval(grid(g2.n) + p2)
-    return CircleDiffeo(_check_tail(PeriodicFunction(p), tail_tol, "composition"))
+    return CircleDiffeo(_check_tail(PeriodicFunction(p), DEFAULT_TAIL_TOL, "composition"))
 
 
 def solve_monotone(g: CircleDiffeo, targets: np.ndarray) -> np.ndarray:
@@ -378,7 +379,9 @@ class CoverConfig:
         return values
 
     @classmethod
-    def default(cls, margin: float = 0.1) -> "CoverConfig":
+    @functools.cache
+    def default(cls) -> "CoverConfig":
+        """The canonical cover, built once and shared (it is frozen)."""
         inset = 0.15
         i1 = IntervalArc(0.3, 2.6)
         i2 = IntervalArc(2.2, 4.7)
@@ -390,7 +393,6 @@ class CoverConfig:
             IntervalArc(i1.a + inset, i1.b - inset),
             IntervalArc(i2.a + inset, i2.b - inset),
             IntervalArc(i3.a + inset, i3.b - inset),
-            margin,
         )
 
     @property

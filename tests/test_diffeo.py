@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -100,7 +101,7 @@ def test_compose_aliasing_error():
     t = grid(32)
     g = CircleDiffeo(PeriodicFunction(0.1 * np.sin(9 * t)))
     with pytest.raises(AliasingError):
-        compose(g, g, tail_tol=1e-12)
+        compose(g, g)
 
 
 # -- bumps ------------------------------------------------------------------
@@ -151,6 +152,15 @@ def test_default_cover_satisfies_chain():
     cover = CoverConfig.default()
     chain = cover.chain()
     assert all(x < y for x, y in zip(chain, chain[1:]))
+
+
+def test_default_cover_is_built_once():
+    cover = CoverConfig.default()
+    assert CoverConfig.default() is cover
+    # a variant is a replace, which validates again
+    assert dataclasses.replace(cover, margin=0.3).margin == 0.3
+    with pytest.raises(GeometryError):
+        dataclasses.replace(cover, margin=0.5)
 
 
 def test_cover_rejects_permutations():

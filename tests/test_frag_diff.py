@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -248,7 +250,7 @@ def test_fragmenters_share_stages_across_margins():
     _stage.cache_clear()
     base = DiffeoFragmenter(CoverConfig.default(), 16)
     for k in range(20):
-        frag = DiffeoFragmenter(CoverConfig.default(margin=0.1 + 0.01 * k), 16)
+        frag = DiffeoFragmenter(dataclasses.replace(CoverConfig.default(), margin=0.1 + 0.01 * k), 16)
         assert frag.stage1 is base.stage1 and frag.stage2 is base.stage2
     assert _stage.cache_info().misses == 2
     assert _stage.cache_info().maxsize == 16

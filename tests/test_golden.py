@@ -4,6 +4,7 @@ one `verify all` report, the CSV files the CLI and `to_csv` write, the
 spectral operations of `PeriodicFunction` and the geometry of the
 three-interval cover."""
 
+import dataclasses
 import hashlib
 import json
 import subprocess
@@ -155,7 +156,7 @@ def _geometry_covers():
         "Ihat": [[0.55, 2.6], [2.3, 4.7], [4.6, TWO_PI + 0.75]],
         "margin": 0.2,
     }
-    return [CoverConfig.default(), CoverConfig.default(margin=0.3), CoverConfig.from_json(json.dumps(custom))]
+    return [CoverConfig.default(), dataclasses.replace(CoverConfig.default(), margin=0.3), CoverConfig.from_json(json.dumps(custom))]
 
 
 def test_geometry_covers_construct():

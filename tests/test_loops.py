@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -331,7 +333,7 @@ def test_su2_zero_entries_are_positive_zeros():
 def test_cutoff_weight_memo_is_bounded_and_read_only():
     loops._cutoff_weights.cache_clear()
     for k in range(20):
-        fragment_loop(LoopElement.identity(16), CoverConfig.default(margin=0.05 + 0.01 * k))
+        fragment_loop(LoopElement.identity(16), dataclasses.replace(CoverConfig.default(), margin=0.05 + 0.01 * k))
     info = loops._cutoff_weights.cache_info()
     assert info.maxsize == 16 and info.currsize == 16
     c1, c2, weights = loops._cutoff_weights(COVER, 64)

@@ -331,5 +331,5 @@ def test_tail_gate_raises(operation):
     call = _tail_gate_calls()[operation]
     with pytest.raises(AliasingError, match="; raise the grid size$"):
         call()
-    if operation in ("multiply", "vect_bracket"):
+    if operation == "multiply":
         assert call(tail_tol=None).pf.tail > 1e-3

@@ -29,7 +29,7 @@ PACKAGE_NAMES = [
 
 
 # defaulted parameters of the exported callables, see test_defaulted_parameter_count
-DEFAULTED_PARAMETERS = 52
+DEFAULTED_PARAMETERS = 49
 
 
 @pytest.mark.parametrize("name", MODULES)
