@@ -42,10 +42,6 @@ __all__ = [
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 60
 
-# Midpoint-rule points for a cutoff's full-period integral.
-BUMP_INTEGRAL_POINTS = 1 << 16
-
-
 @dataclass(frozen=True)
 class IntervalArc:
     """Proper open arc of the circle, stored lifted with a < b < a + 2*pi."""
@@ -272,14 +268,12 @@ class BumpFunction:
         return PeriodicFunction(self.values(grid(n)))
 
     def integral(self) -> float:
-        """Full-period integral by midpoint quadrature on BUMP_INTEGRAL_POINTS points.
+        """Full-period integral, scale * (|support| + |plateau|) / 2.
 
-        The integrand is flat to all orders at the support endpoints, so the
-        midpoint rule converges faster than any power of the step.
+        Each transition is s(x) on [0, 1] stretched over its gap, and
+        s(x) + s(1 - x) = 1 makes it integrate to half the gap's length.
         """
-        a, b, m = self.support.a, self.support.b, BUMP_INTEGRAL_POINTS
-        x = a + (np.arange(m) + 0.5) * ((b - a) / m)
-        return float(self.values(x).sum() * (b - a) / m)
+        return self.scale * (self.support.length + self.plateau.length) / 2.0
 
 
 def make_bump(support: IntervalArc, plateau: IntervalArc) -> BumpFunction:
@@ -293,25 +287,24 @@ def make_bump(support: IntervalArc, plateau: IntervalArc) -> BumpFunction:
 def make_normalized_bump(support: IntervalArc, target_integral: float) -> BumpFunction:
     """Cutoff with values in [0, 1] and prescribed full-period integral.
 
-    Widens the plateau of a base bump until its integral exceeds the target,
-    then scales the whole profile down.  Small plateaus are tried first so
-    the transitions stay as wide (and as spectrally tame) as possible.
+    The plateau is the smallest of at least 2% of the support whose base bump
+    integrates to the target or more (2T/W - 1 of the support width W, by the
+    closed form of BumpFunction.integral); the profile is then scaled to the
+    target.  A small plateau keeps the transitions wide and spectrally tame.
     """
     width = support.length
     if not 0.0 < target_integral < width:
         raise MassError(
             f"target integral {target_integral} not achievable on an arc of length {width}"
         )
-    for fraction in np.linspace(0.02, 0.95, 48):
-        half_gap = (1.0 - fraction) * width / 2.0
-        plateau = IntervalArc(support.a + half_gap, support.b - half_gap)
-        bump = BumpFunction(support, plateau)
-        integral = bump.integral()
-        if integral >= target_integral:
-            return BumpFunction(support, plateau, scale=target_integral / integral)
-    raise MassError(
-        f"target integral {target_integral} needs a plateau above 95% of the support"
-    )
+    fraction = max(0.02, 2.0 * target_integral / width - 1.0)
+    if fraction > 0.95:
+        raise MassError(
+            f"target integral {target_integral} needs a plateau above 95% of the support"
+        )
+    half_gap = (1.0 - fraction) * width / 2.0
+    bump = BumpFunction(support, IntervalArc(support.a + half_gap, support.b - half_gap))
+    return BumpFunction(support, bump.plateau, scale=target_integral / bump.integral())
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,50 @@ def test_normalized_bump_mass_error():
         make_normalized_bump(IntervalArc(0.0, 1.0), 0.0)
 
 
+def test_bump_integral_matches_midpoint_rule():
+    """The closed form against a 2^16-point midpoint rule, which converges
+    faster than any power of the step on the flat-ended profile, over 200
+    seeded (support, plateau, scale) triples with off-centre plateaus."""
+    rng = np.random.default_rng([20260810, 14])
+    m = 1 << 16
+    for _ in range(200):
+        a, width = rng.uniform(0.0, TWO_PI), rng.uniform(0.2, 6.0)
+        gap_left, gap_right = rng.uniform(0.05, 0.45, 2) * width
+        bump = BumpFunction(
+            IntervalArc(a, a + width), IntervalArc(a + gap_left, a + width - gap_right), rng.uniform(0.1, 2.0)
+        )
+        x = bump.support.a + (np.arange(m) + 0.5) * (width / m)
+        reference = bump.values(x).sum() * (width / m)
+        assert bump.integral() == pytest.approx(reference, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("a, b", [(0.3, 0.45), (2.45, 2.6), (4.3, 5.4), (5.0, 8.0)])
+def test_normalized_bump_plateau_rule(a, b):
+    support = IntervalArc(a, b)
+    width = support.length
+    # half the width as mass: the smallest plateau, 2% of the support
+    half_gap = (1.0 - 0.02) * width / 2.0
+    bump = make_normalized_bump(support, 0.5 * width)
+    assert bump.plateau == IntervalArc(support.a + half_gap, support.b - half_gap)
+    assert bump.integral() == pytest.approx(0.5 * width, rel=1e-15)
+    # a larger target widens the plateau instead of scaling, reaching it exactly
+    bump = make_normalized_bump(support, 0.9 * width)
+    assert bump.plateau.length == pytest.approx(0.8 * width, rel=1e-14)
+    assert abs(bump.integral() - 0.9 * width) <= 1e-15 * width
+    for target in (0.0, 0.976 * width, width):
+        with pytest.raises(MassError):
+            make_normalized_bump(support, target)
+
+
+def test_normalized_bump_evaluates_no_samples(monkeypatch):
+    def refuse(self, t):
+        raise AssertionError("make_normalized_bump sampled the profile")
+
+    monkeypatch.setattr(BumpFunction, "values", refuse)
+    bump = make_normalized_bump(IntervalArc(0.3, 0.45), 0.075)
+    assert bump.integral() == pytest.approx(0.075, rel=1e-15)
+
+
 # -- covers -----------------------------------------------------------------
 
 

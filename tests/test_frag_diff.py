@@ -256,6 +256,17 @@ def test_fragmenters_share_stages_across_margins():
     assert _stage.cache_info().maxsize == 16
 
 
+@pytest.mark.parametrize("n", [1024, 4096])
+def test_gap_bumps_carry_half_the_gap(n):
+    """The sampled masses of both stages' gap bumps, which beta_build divides
+    by, are the nominal half gaps (ahat - a) / 2 and (b - bhat) / 2."""
+    frag = DiffeoFragmenter(COVER, n)
+    for stage in (frag.stage1, frag.stage2):
+        a, ha, hb, b = stage.endpoints
+        assert abs(stage.left_mass - 0.5 * (ha - a)) <= 1e-15
+        assert abs(stage.right_mass - 0.5 * (b - hb)) <= 1e-15
+
+
 @pytest.mark.parametrize("n", [16, 1024, 4096])
 def test_stage_phase_tables_match_direct_sum(n):
     """A stage on n * 8 points sums the antiderivative spectrum of its own

@@ -31,7 +31,7 @@ GRAM_DIGESTS = {
     "26 3/2": "9e0a55e17da8052582e7f1b1cdf06b21c26c156211df0f468abf5f950a192d65",
 }
 
-VERIFY_ALL_REPORT = "8dff4a00a8c394dfdaaab54956476b997fdbdd5bd3074a597881615cc4be5386"
+VERIFY_ALL_REPORT = "799a207dd007c695cf07bc9206101936fc38d07cc745f165e963b2e7a258a9d6"
 
 # the files one CLI run writes, by command
 CSV_DIGESTS = {
@@ -63,7 +63,7 @@ SCALAR_CSV_DIGESTS = {
 SPECTRAL_DIGEST = "f767a8a4db8a68f7934e7df2a5729311229b572440cb1ce593fa0c28a0e5610d"
 
 # the bytes of the cover geometry, see test_geometry_digest
-GEOMETRY_DIGEST = "3485f8f23d80c1ef2d5cd12d127e9fbba4f2923676394df87b305fbbfdf12223"
+GEOMETRY_DIGEST = "1aaefa7173ee2804fdecf5f0f3b3a8f0f6866f5b8f568ea419cecf47fc51e01d"
 
 
 def test_verma_cli_stdout_digest():
