@@ -285,12 +285,12 @@ def make_bump(support: IntervalArc, plateau: IntervalArc) -> BumpFunction:
 
 
 def make_normalized_bump(support: IntervalArc, target_integral: float) -> BumpFunction:
-    """Cutoff with values in [0, 1] and prescribed full-period integral.
+    """Cutoff with values in [0, 1] (to round-off) and prescribed full-period integral.
 
-    The plateau is the smallest of at least 2% of the support whose base bump
-    integrates to the target or more (2T/W - 1 of the support width W, by the
-    closed form of BumpFunction.integral); the profile is then scaled to the
-    target.  A small plateau keeps the transitions wide and spectrally tame.
+    The plateau covers the fraction max(0.02, 2T/W - 1) of the support width
+    W: the smallest one, of at least 2%, whose unscaled bump integrates to the
+    target T or more.  The profile is then scaled to T.  A small plateau keeps
+    the transitions wide and spectrally tame.
     """
     width = support.length
     if not 0.0 < target_integral < width:

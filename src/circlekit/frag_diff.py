@@ -140,7 +140,8 @@ class _Stage:
 
     endpoints are the lifted a < ahat < bhat < b of the interval and its inner
     interval.  The center bump is 1 on the inner interval; the left and right
-    bumps sit in the gap zones and carry exactly half the gap length as mass.
+    bumps sit in the gap zones and carry exactly half the gap length as mass,
+    by the closed-form integral; their sampled masses agree to round-off.
 
     The phases e^{ik theta} of the four boundary points theta = 0, ahat, bhat,
     b, for the wavenumbers k = 1..K of the fine grid (K = n * factor / 2), are

@@ -154,9 +154,8 @@ def test_bump_integral_matches_midpoint_rule():
     for _ in range(200):
         a, width = rng.uniform(0.0, TWO_PI), rng.uniform(0.2, 6.0)
         gap_left, gap_right = rng.uniform(0.05, 0.45, 2) * width
-        bump = BumpFunction(
-            IntervalArc(a, a + width), IntervalArc(a + gap_left, a + width - gap_right), rng.uniform(0.1, 2.0)
-        )
+        plateau = IntervalArc(a + gap_left, a + width - gap_right)
+        bump = BumpFunction(IntervalArc(a, a + width), plateau, rng.uniform(0.1, 2.0))
         x = bump.support.a + (np.arange(m) + 0.5) * (width / m)
         reference = bump.values(x).sum() * (width / m)
         assert bump.integral() == pytest.approx(reference, rel=1e-14, abs=0.0)
