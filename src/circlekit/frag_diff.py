@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffeo import (
+    NEWTON_TOL,
     BumpFunction,
     CircleDiffeo,
     CoverConfig,
@@ -139,9 +140,10 @@ class _Stage:
     sampled on the n * factor grid, onto which gamma' is upsampled by factor.
 
     endpoints are the lifted a < ahat < bhat < b of the interval and its inner
-    interval.  The center bump is 1 on the inner interval; the left and right
-    bumps sit in the gap zones and carry exactly half the gap length as mass,
-    by the closed-form integral; their sampled masses agree to round-off.
+    interval.  The center bump is 1 on the inner interval, whose fine nodes
+    inner_fine marks; the left and right bumps sit in the gap zones and carry
+    exactly half the gap length as mass, by the closed-form integral; their
+    sampled masses agree to round-off.
 
     The phases e^{ik theta} of the four boundary points theta = 0, ahat, bhat,
     b, for the wavenumbers k = 1..K of the fine grid (K = n * factor / 2), are
@@ -165,6 +167,7 @@ class _Stage:
         )
         tf = grid(n * factor)
         self.center_fine = self.bumps.center.values(tf)
+        self.inner_fine = inner.contains(tf)
         self.left_fine = self.bumps.left.values(tf)
         self.right_fine = self.bumps.right.values(tf)
         step = TWO_PI / len(tf)
@@ -273,10 +276,15 @@ class DiffeoFragmenter:
         # factor, so its samples carry no unresolved-tail noise
         xi1_fine = CircleDiffeo(PeriodicFunction(p1_fine))
         t_fine = grid(self.n * BUILD_FACTOR)
-        g_fine = t_fine + g.periodic_part._upsample(BUILD_FACTOR)
-        q_fine = CircleDiffeo(
-            PeriodicFunction(_solve_inside(xi1_fine, self.cover.i1, g_fine) - t_fine)
-        )
+        pg_fine = g.periodic_part._upsample(BUILD_FACTOR)
+        # xi1 equals gamma on the inner interval, so there each fine node is
+        # its own preimage; the sample residual confirms it without a stencil
+        own = self.stage1.inner_fine & (np.abs(p1_fine - pg_fine) < NEWTON_TOL)
+        u = t_fine + pg_fine  # the targets gamma(t_k), replaced by their preimages
+        u[own] = t_fine[own]
+        rest = ~own
+        u[rest] = _solve_inside(xi1_fine, self.cover.i1, u[rest])
+        q_fine = CircleDiffeo(PeriodicFunction(u - t_fine))
 
         p2_fine, a2, b2, defect2 = _stage_localize(q_fine, self.stage2)
         xi2 = _coarse_factor(p2_fine)

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from circlekit import frag_diff
 from circlekit.diffeo import CircleDiffeo, CoverConfig, IntervalArc, compose, support
 from circlekit.errors import NeighbourhoodError
 from circlekit.frag_diff import (
@@ -208,6 +209,44 @@ def test_interval_restricted_solves_match_full_solves(n):
         q_coarse = q_fine.samples[::BUILD_FACTOR]
         xi3 = _solve_inside(xi2, COVER.i2, q_coarse)
         assert np.abs(xi3 - solve_monotone(xi2, q_coarse)).max() < 1e-15
+
+
+@pytest.mark.parametrize("n", [1024, 4096])
+def test_first_remainder_solve_skips_the_plateau(n, monkeypatch):
+    """xi1 equals gamma on the inner interval, so the first remainder solve
+    takes each fine node there as its own preimage: q vanishes exactly on
+    those nodes, Newton sees only what is left of I1 (all of I1 is about 37 %
+    of the fine grid), and the nodes it skips are exactly the plateau's, where
+    xi1 and gamma agree to 1e-15."""
+    solved, localized = [], []
+
+    def counting_solve(g, targets):
+        solved.append(np.array(targets))
+        return solve_monotone(g, targets)
+
+    def recording_localize(g, stage):
+        out = _stage_localize(g, stage)
+        localized.append((g, out[0]))
+        return out
+
+    monkeypatch.setattr(frag_diff, "solve_monotone", counting_solve)
+    monkeypatch.setattr(frag_diff, "_stage_localize", recording_localize)
+    frag = DiffeoFragmenter(COVER, n)
+    t_fine = grid(n * BUILD_FACTOR)
+    plateau = COVER.ihat1.contains(t_fine)
+    for i in range(3):
+        solved.clear()
+        localized.clear()
+        g = random_diffeo(rng_for(777, n, i), 0.01, n)
+        frag.fragment(g)
+        (_, p1_fine), (q_fine, _) = localized
+        assert np.all(q_fine.periodic_part.samples[plateau] == 0.0)
+        assert len(solved[0]) <= 0.15 * len(t_fine)
+        pg_fine = g.periodic_part._upsample(BUILD_FACTOR)
+        g_fine = t_fine + pg_fine
+        skipped = COVER.i1.contains(g_fine) & ~np.isin(g_fine, solved[0])
+        assert np.array_equal(skipped, plateau)
+        assert np.abs(p1_fine - pg_fine)[skipped].max() <= 1e-15
 
 
 def test_fragment_pair_cutoffs_memoized():

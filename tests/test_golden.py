@@ -31,15 +31,15 @@ GRAM_DIGESTS = {
     "26 3/2": "9e0a55e17da8052582e7f1b1cdf06b21c26c156211df0f468abf5f950a192d65",
 }
 
-VERIFY_ALL_REPORT = "799a207dd007c695cf07bc9206101936fc38d07cc745f165e963b2e7a258a9d6"
+VERIFY_ALL_REPORT = "2c64ae36bfd37fcb88205d7d65c67efc718b04334de7a5479b8cef6d175176d9"
 
 # the files one CLI run writes, by command
 CSV_DIGESTS = {
     "fragment-diff": {
         "gamma": "9b0ed511c2bf5e44f3a6c8b885bc6c621f944296a8eb15759a18dafd1e665361",
         "xi1": "ffae899609f889da96d67bf6bc0814ab35fa9e95f3715db2e8d807cd7973dd67",
-        "xi2": "42022b687585d662fe6e6e80a71e5fc874eff0b75985f36ea348a85ba78a01b3",
-        "xi3": "a16e299653af721ddb9843dd32da81a2151ae0004ca9ef87123697541f8c8756",
+        "xi2": "c4cba89eb4000acdce41fdacb5f6113d435ed6aa06b8b249422b08cfd25a4494",
+        "xi3": "3cac6e54ca2657724a2b47fd0951183fe4abe4d10cc3aee9aa79724ff3adeb3a",
     },
     "fragment-loop": {
         "gamma": "199a433bf0a9d6c225dabfc001ced7563f5847e499a249a94a3365bee02e3285",
