@@ -164,26 +164,30 @@ def solve_monotone(g: CircleDiffeo, targets: np.ndarray) -> np.ndarray:
 
     Monotonicity of gamma makes u - y a bounded periodic quantity; the
     initial guess u = y - p(y) already has O(|p|^2) residual, so a couple of
-    Newton steps reach the NEWTON_TOL residual target.  Steps are clamped to a
-    bracket that the displacement bound provides, which cannot fail while
-    gamma' > 0.  The slope only scales the step, so it is read on the stencil
-    of p's evaluation cache, whatever resolution gamma' alone would get.
+    Newton steps reach the NEWTON_TOL residual target.  Each target stops on
+    its own: it takes the step computed from its first residual below
+    NEWTON_TOL, which carries it to round-off, and then leaves the set, so
+    its answer does not depend on which other targets share the call.  Steps
+    are clamped to a bracket that the displacement bound provides, which
+    cannot fail while gamma' > 0.  The slope only scales the step, so it is
+    read on the stencil of p's evaluation cache, whatever resolution gamma'
+    alone would get.
     """
     p = g.periodic_part
     fine_p, fine_dp = _caches_on_one_stencil(p, g.deriv)
     y = np.asarray(targets, dtype=float)
     bound = min(g.displacement() * 1.5 + 1e-9, 1.5)
-    lo, hi = y - bound, y + bound
     u = y - p.eval(y)
-    residual = None
+    live = np.arange(len(y))
     for _ in range(NEWTON_MAX_ITER):
-        pu, dpu = _lagrange_eval(u, fine_p, fine_dp)
-        r = u + pu - y
-        residual = np.abs(r).max()
-        if residual < NEWTON_TOL:
+        ul, yl = u[live], y[live]
+        pu, dpu = _lagrange_eval(ul, fine_p, fine_dp)
+        r = ul + pu - yl
+        u[live] = np.clip(ul - r / (1.0 + dpu), yl - bound, yl + bound)
+        live = live[~(np.abs(r) < NEWTON_TOL)]  # NaN stays live and fails below
+        if not live.size:
             return u
-        u = np.clip(u - r / (1.0 + dpu), lo, hi)
-    raise ConvergenceError(f"Newton inversion stalled at residual {residual:.3e}")
+    raise ConvergenceError(f"Newton inversion stalled at residual {np.abs(r).max():.3e}")
 
 
 def inverse(g: CircleDiffeo) -> CircleDiffeo:

@@ -145,11 +145,14 @@ class _Stage:
     exactly half the gap length as mass, by the closed-form integral; their
     sampled masses agree to round-off.
 
-    The phases e^{ik theta} of the four boundary points theta = 0, ahat, bhat,
-    b, for the wavenumbers k = 1..K of the fine grid (K = n * factor / 2), are
-    kept as two short tables: with k - 1 = q B + r and B the largest power of
-    two not above sqrt(K), e^{ik theta} = e^{i q B theta} e^{i (r + 1) theta},
-    so phase_coarse[q] and phase_fine[r] hold 4 (K/B + B) entries in all.
+    Integrals start at theta0, the first fine node outside the interval (its
+    index is origin), where the factor is the identity; as the interval is
+    lifted to 0 <= a < 2pi, b - 2pi <= theta0 <= a.  The phases e^{ik theta}
+    of the four boundary points theta = theta0, ahat, bhat, b, for the
+    wavenumbers k = 1..K of the fine grid (K = n * factor / 2), are kept as
+    two short tables: with k - 1 = q B + r and B the largest power of two not
+    above sqrt(K), e^{ik theta} = e^{i q B theta} e^{i (r + 1) theta}, so
+    phase_coarse[q] and phase_fine[r] hold 4 (K/B + B) entries in all.
     """
 
     def __init__(self, interval: IntervalArc, inner: IntervalArc, n: int, factor: int):
@@ -166,16 +169,25 @@ class _Stage:
             make_normalized_bump(IntervalArc(hb, b), 0.5 * (b - hb)),
         )
         tf = grid(n * factor)
+        step = TWO_PI / len(tf)
+        # only nodes below b - 2pi can lie in the interval before the first
+        # node outside it, which is therefore among the first few
+        head = tf[: int(max(b - TWO_PI, 0.0) / step) + 2]
+        outside = np.flatnonzero(~interval.contains(head))
+        if not outside.size:
+            raise GeometryError("no admissible integration origin outside the interval")
+        self.interval = interval
+        self.origin = int(outside[0])
+        self.theta0 = float(tf[self.origin])
         self.center_fine = self.bumps.center.values(tf)
         self.inner_fine = inner.contains(tf)
         self.left_fine = self.bumps.left.values(tf)
         self.right_fine = self.bumps.right.values(tf)
-        step = TWO_PI / len(tf)
         self.left_mass = self.left_fine.sum() * step
         self.right_mass = self.right_fine.sum() * step
         k_max = len(tf) // 2
         block = 1 << (k_max.bit_length() - 1) // 2
-        thetas = np.array([0.0, ha, hb, b])
+        thetas = np.array([self.theta0, ha, hb, b])
         self.phase_fine = np.exp(1j * np.outer(np.arange(1, block + 1), thetas))
         self.phase_coarse = np.exp(1j * np.outer(np.arange(0, k_max, block), thetas))
 
@@ -198,7 +210,7 @@ def _stage_coefficients(g: CircleDiffeo, stage: _Stage):
     g_ha, g_hb = g.eval(np.array([ha, hb]))
 
     def partial(theta, f_theta):
-        return mean * theta + f_theta - f_vals[0]
+        return mean * (theta - stage.theta0) + f_theta - f_vals[0]
 
     alpha = 2.0 / (ha - a) * (g_ha - ha - partial(ha, f_vals[1]))
     beta = 2.0 / (b - hb) * (hb - g_hb - (partial(b, f_vals[3]) - partial(hb, f_vals[2])))
@@ -216,18 +228,24 @@ def _stage_localize(g: CircleDiffeo, stage: _Stage):
         raise DerivativeError("localized factor has non-positive derivative")
     pf = PeriodicFunction(g_fine)
     defect = abs(pf.spectrum[0].real) * TWO_PI
-    return pf.antiderivative()[0].samples, alpha, beta, defect
+    p_fine = pf.antiderivative()[0].samples
+    return p_fine - p_fine[stage.origin], alpha, beta, defect
 
 
-def _solve_inside(factor: CircleDiffeo, arc: IntervalArc, targets: np.ndarray) -> np.ndarray:
-    """factor^{-1}(targets) for a factor that is the identity off arc and maps
-    arc onto itself: Newton runs only on the targets inside arc, the others
-    are their own preimages."""
-    u = np.array(targets, dtype=float)
-    inside = arc.contains(u)
-    if inside.any():
-        u[inside] = solve_monotone(factor, u[inside])
-    return u
+def _remainder(xi_fine: CircleDiffeo, stage: _Stage, p: np.ndarray) -> CircleDiffeo:
+    """xi^{-1} o gamma on p's grid, gamma = t + p, for the factor xi_fine that
+    stage localized gamma to.  xi is the identity off the stage's interval and
+    equals gamma on its inner interval, so every target outside the interval
+    and every inner node where the samples of xi and gamma agree to NEWTON_TOL
+    is its own preimage; Newton runs only on the targets left inside."""
+    t = grid(len(p))
+    stride = xi_fine.n // len(p)
+    own = stage.inner_fine[::stride] & (np.abs(xi_fine.periodic_part.samples[::stride] - p) < NEWTON_TOL)
+    u = t + p  # the targets gamma(t_k), replaced by their preimages
+    u[own] = t[own]
+    solve = ~own & stage.interval.contains(u)
+    u[solve] = solve_monotone(xi_fine, u[solve])
+    return CircleDiffeo(PeriodicFunction(u - t))
 
 
 @functools.lru_cache(maxsize=16)
@@ -275,28 +293,16 @@ class DiffeoFragmenter:
         # remainder evaluated against the fine representation of the first
         # factor, so its samples carry no unresolved-tail noise
         xi1_fine = CircleDiffeo(PeriodicFunction(p1_fine))
-        t_fine = grid(self.n * BUILD_FACTOR)
-        pg_fine = g.periodic_part._upsample(BUILD_FACTOR)
-        # xi1 equals gamma on the inner interval, so there each fine node is
-        # its own preimage; the sample residual confirms it without a stencil
-        own = self.stage1.inner_fine & (np.abs(p1_fine - pg_fine) < NEWTON_TOL)
-        u = t_fine + pg_fine  # the targets gamma(t_k), replaced by their preimages
-        u[own] = t_fine[own]
-        rest = ~own
-        u[rest] = _solve_inside(xi1_fine, self.cover.i1, u[rest])
-        q_fine = CircleDiffeo(PeriodicFunction(u - t_fine))
+        q_fine = _remainder(xi1_fine, self.stage1, g.periodic_part._upsample(BUILD_FACTOR))
 
         p2_fine, a2, b2, defect2 = _stage_localize(q_fine, self.stage2)
         xi2 = _coarse_factor(p2_fine)
         xi2_fine = CircleDiffeo(PeriodicFunction(p2_fine))
-        t = grid(self.n)
-        q_coarse = q_fine.samples[::BUILD_FACTOR]
-        xi3_samples = _solve_inside(xi2_fine, self.cover.i2, q_coarse)
-        xi3 = CircleDiffeo(PeriodicFunction(xi3_samples - t))
+        xi3 = _remainder(xi2_fine, self.stage2, q_fine.periodic_part.samples[::BUILD_FACTOR])
 
         # reconstruction measured through the fine representations, which
         # resolve the factors' spectral tails
-        rec = xi1_fine.eval(xi2_fine.eval(xi3_samples))
+        rec = xi1_fine.eval(xi2_fine.eval(xi3.samples))
         err = float(np.abs(rec - g.samples).max())
         return FragmentationResult(
             xi1, xi2, xi3, a1, b1, a2, b2, err, max(defect1, defect2)
@@ -370,23 +376,7 @@ def fragment_pair(
     gap_l = left.offset(core.a)
     gap_r = np.mod(left.b - core.b, TWO_PI)
     plateau = IntervalArc(core.a - PAIR_MARGIN * gap_l, core.b + PAIR_MARGIN * gap_r)
-
-    # shift the integration origin to a grid point outside the left arc
-    n = g.n
-    h = TWO_PI / n
-    comp_mid = left.b + (TWO_PI - left.length) / 2.0
-    k0 = int(round(np.mod(comp_mid, TWO_PI) / h)) % n
-    theta0 = k0 * h
-    if np.any(left.contains(theta0)):
-        raise GeometryError("no admissible integration origin outside the left arc")
-    shifted = CircleDiffeo(PeriodicFunction(np.roll(g.periodic_part.samples, -k0)))
-    s_left = IntervalArc(left.a - theta0, left.b - theta0)
-    s_plateau = IntervalArc(plateau.a - theta0, plateau.b - theta0)
-
-    p_fine, _, _, _ = _stage_localize(shifted, _stage(s_left, s_plateau, n, BUILD_FACTOR))
-    p_fine = np.roll(p_fine, k0 * BUILD_FACTOR)
-    g_left = _coarse_factor(p_fine)
-    t = grid(n)
-    left_fine = CircleDiffeo(PeriodicFunction(p_fine))
-    g_right = CircleDiffeo(PeriodicFunction(_solve_inside(left_fine, left, g.samples) - t))
-    return g_left, g_right
+    stage = _stage(left, plateau, g.n, BUILD_FACTOR)
+    p_fine, _, _, _ = _stage_localize(g, stage)
+    g_right = _remainder(CircleDiffeo(PeriodicFunction(p_fine)), stage, g.periodic_part.samples)
+    return _coarse_factor(p_fine), g_right

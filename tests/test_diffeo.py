@@ -14,6 +14,7 @@ from circlekit.diffeo import (
     inverse,
     make_bump,
     make_normalized_bump,
+    solve_monotone,
     support,
 )
 from circlekit.errors import AliasingError, DerivativeError, GeometryError, MassError
@@ -51,6 +52,23 @@ def test_inverse_reads_slope_on_the_stencil_of_p():
     assert len(p._fine_values()) != len(g.deriv._fine_values())
     u = inverse(g).samples
     assert np.abs(g.eval(u) - grid(64)).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [1024, 4096])
+def test_solve_monotone_answer_depends_only_on_its_target(n):
+    """Each target stops on its own residual, so solving it alone gives what
+    solving it among 400 others gives.  Not bit for bit: the stencil weights
+    come from one (M, 10) @ (10, 10) product in periodic._lagrange_weights,
+    and BLAS sums a lone row in another order than a batch of rows, which
+    moves a few answers by an ulp.  np.einsum would make every probe
+    bit-equal, but it takes the weights 1.6 to 1.9 times as long."""
+    for i in range(25):
+        rng = rng_for(4242, n, i)
+        g = random_diffeo(rng, 0.01, n)
+        y = rng.uniform(0.0, TWO_PI, 400)
+        together = solve_monotone(g, y)
+        for j in np.linspace(0, len(y) - 1, 31).astype(int):
+            assert abs(together[j] - solve_monotone(g, y[j : j + 1])[0]) <= 1e-15
 
 
 def test_derivative_positivity_enforced():

@@ -5,7 +5,7 @@ import pytest
 
 from circlekit import frag_diff
 from circlekit.diffeo import CircleDiffeo, CoverConfig, IntervalArc, compose, support
-from circlekit.errors import NeighbourhoodError
+from circlekit.errors import GeometryError, NeighbourhoodError
 from circlekit.frag_diff import (
     BUILD_FACTOR,
     DiffeoFragmenter,
@@ -18,7 +18,7 @@ from circlekit.frag_diff import (
     fragment,
     fragment_pair,
     solve_monotone,
-    _solve_inside,
+    _remainder,
     _stage,
     _stage_localize,
 )
@@ -190,63 +190,81 @@ def test_fragment_pair():
     assert np.abs(gr.periodic_part.samples[~overlap_mask]).max() < 1e-9
 
 
-@pytest.mark.parametrize("n", [1024, 4096])
-def test_interval_restricted_solves_match_full_solves(n):
-    # each factor is the identity off its interval, so Newton on the targets
-    # inside it gives what Newton on every target gives
-    frag = DiffeoFragmenter(COVER, n)
-    t_fine = grid(n * BUILD_FACTOR)
-    for i in range(3):
-        g = random_diffeo(rng_for(20260810, 1, i), 0.01, n)
-        p1, _, _, _ = _stage_localize(g, frag.stage1)
-        xi1 = CircleDiffeo(PeriodicFunction(p1))
-        g_fine = t_fine + g.periodic_part._upsample(BUILD_FACTOR)
-        q = _solve_inside(xi1, COVER.i1, g_fine)
-        assert np.abs(q - solve_monotone(xi1, g_fine)).max() < 1e-15
-        q_fine = CircleDiffeo(PeriodicFunction(q - t_fine))
-        p2, _, _, _ = _stage_localize(q_fine, frag.stage2)
-        xi2 = CircleDiffeo(PeriodicFunction(p2))
-        q_coarse = q_fine.samples[::BUILD_FACTOR]
-        xi3 = _solve_inside(xi2, COVER.i2, q_coarse)
-        assert np.abs(xi3 - solve_monotone(xi2, q_coarse)).max() < 1e-15
+PAIR_ARCS = (IntervalArc(0.3, 3.6), IntervalArc(3.1, TWO_PI + 0.8))
 
 
 @pytest.mark.parametrize("n", [1024, 4096])
-def test_first_remainder_solve_skips_the_plateau(n, monkeypatch):
-    """xi1 equals gamma on the inner interval, so the first remainder solve
-    takes each fine node there as its own preimage: q vanishes exactly on
-    those nodes, Newton sees only what is left of I1 (all of I1 is about 37 %
-    of the fine grid), and the nodes it skips are exactly the plateau's, where
-    xi1 and gamma agree to 1e-15."""
-    solved, localized = [], []
+@pytest.mark.parametrize("site", ["first", "second", "pair"])
+def test_remainder_solves_skip_the_plateau(site, n, monkeypatch):
+    """Each factor equals its remainder's target on the inner interval, so
+    every remainder solve takes each node there as its own preimage: the
+    remainder vanishes exactly on those nodes, and Newton sees only what is
+    left of the interval (all of it is 37 to 53 % of the grid).  The nodes it
+    skips inside the interval are exactly the inner ones, where the factor and
+    gamma agree to 1e-15, and the answer is the one Newton on every target
+    gives."""
+    solved, calls = [], []
 
     def counting_solve(g, targets):
         solved.append(np.array(targets))
         return solve_monotone(g, targets)
 
-    def recording_localize(g, stage):
-        out = _stage_localize(g, stage)
-        localized.append((g, out[0]))
+    def recording_remainder(xi_fine, stage, p):
+        before = len(solved)
+        out = _remainder(xi_fine, stage, p)
+        calls.append((xi_fine, stage, p, out, np.concatenate(solved[before:])))
         return out
 
     monkeypatch.setattr(frag_diff, "solve_monotone", counting_solve)
-    monkeypatch.setattr(frag_diff, "_stage_localize", recording_localize)
+    monkeypatch.setattr(frag_diff, "_remainder", recording_remainder)
     frag = DiffeoFragmenter(COVER, n)
-    t_fine = grid(n * BUILD_FACTOR)
-    plateau = COVER.ihat1.contains(t_fine)
     for i in range(3):
-        solved.clear()
-        localized.clear()
+        calls.clear()
         g = random_diffeo(rng_for(777, n, i), 0.01, n)
-        frag.fragment(g)
-        (_, p1_fine), (q_fine, _) = localized
-        assert np.all(q_fine.periodic_part.samples[plateau] == 0.0)
-        assert len(solved[0]) <= 0.15 * len(t_fine)
-        pg_fine = g.periodic_part._upsample(BUILD_FACTOR)
-        g_fine = t_fine + pg_fine
-        skipped = COVER.i1.contains(g_fine) & ~np.isin(g_fine, solved[0])
+        if site == "pair":
+            fragment_pair(g, *PAIR_ARCS)
+        else:
+            frag.fragment(g)
+        xi_fine, stage, p, out, newton = calls[site == "second"]
+        t = grid(len(p))
+        stride = xi_fine.n // len(p)
+        _, ha, hb, _ = stage.endpoints
+        plateau = IntervalArc(ha, hb).contains(t)
+        assert np.all(out.periodic_part.samples[plateau] == 0.0)
+        assert len(newton) <= (0.20 if site == "pair" else 0.15) * len(t)
+        targets = t + p
+        assert np.abs(out.samples - solve_monotone(xi_fine, targets)).max() <= 1e-15
+        skipped = stage.interval.contains(targets) & ~np.isin(targets, newton)
         assert np.array_equal(skipped, plateau)
-        assert np.abs(p1_fine - pg_fine)[skipped].max() <= 1e-15
+        assert np.abs(xi_fine.periodic_part.samples[::stride] - p)[plateau].max() <= 1e-15
+
+
+def test_fragment_pair_is_rotation_equivariant(monkeypatch):
+    """Rolling g by k nodes and turning both arcs by k h rolls the factors:
+    each stage integrates from its own first node outside the left arc, which
+    moves off 0 once the turned arc wraps through it."""
+    left, right = PAIR_ARCS
+    g = random_diffeo(rng_for(16, 3), 0.01, N)
+    base = fragment_pair(g, left, right)
+    h = TWO_PI / N
+    origins = []
+
+    def recording_localize(g, stage):
+        origins.append(stage.theta0)
+        return _stage_localize(g, stage)
+
+    monkeypatch.setattr(frag_diff, "_stage_localize", recording_localize)
+    for k in (0, 100, 300, 512, 700, 900, 1000):
+        turned = [IntervalArc(arc.a + k * h, arc.b + k * h) for arc in PAIR_ARCS]
+        gk = CircleDiffeo(PeriodicFunction(np.roll(g.periodic_part.samples, k)))
+        factors = fragment_pair(gk, *turned)
+        for f, f0 in zip(factors, base):
+            assert np.abs(f.periodic_part.samples - np.roll(f0.periodic_part.samples, k)).max() <= 1e-14
+        assert compose(*factors).distance(gk) < 1e-7
+        assert outside(factors[0], turned[0]) < 1e-9
+        assert outside(factors[1], turned[1]) < 1e-9
+    # k = 512, 700 and 900 turn the left arc through 0
+    assert [theta0 != 0.0 for theta0 in origins] == [False, False, False, True, True, True, False]
 
 
 def test_fragment_pair_cutoffs_memoized():
@@ -306,6 +324,22 @@ def test_gap_bumps_carry_half_the_gap(n):
         assert abs(stage.right_mass - 0.5 * (b - hb)) <= 1e-15
 
 
+def test_stage_origin_is_the_first_fine_node_outside():
+    """A stage integrates from the first fine node outside its interval, also
+    when the interval wraps through 0 or ends on a node; an interval whose
+    complement holds no node has no origin and is refused."""
+    tf = grid(16 * BUILD_FACTOR)
+    h = tf[1]
+    for a, b in [(0.3, 3.6), (0.0, 5.0), (3.44, TWO_PI + 0.46), (2.0, TWO_PI + 5 * h), (1.0, TWO_PI + 0.95)]:
+        interval = IntervalArc(a, b)
+        length = interval.length
+        stage = _stage(interval, IntervalArc(a + 0.3 * length, a + 0.7 * length), 16, BUILD_FACTOR)
+        assert stage.origin == np.flatnonzero(~interval.contains(tf))[0]
+        assert stage.theta0 == tf[stage.origin]
+    with pytest.raises(GeometryError, match="integration origin"):
+        _stage(IntervalArc(0.9 * h, TWO_PI + 0.1 * h), IntervalArc(2.0, 4.0), 16, BUILD_FACTOR)
+
+
 @pytest.mark.parametrize("n", [16, 1024, 4096])
 def test_stage_phase_tables_match_direct_sum(n):
     """A stage on n * 8 points sums the antiderivative spectrum of its own
@@ -317,7 +351,7 @@ def test_stage_phase_tables_match_direct_sum(n):
     rows, block = len(stage.phase_coarse), len(stage.phase_fine)
     assert rows * block == k_max
     assert stage.phase_coarse.size + stage.phase_fine.size <= 4 * (k_max // block + block)
-    theta = np.array([0.0, *stage.endpoints[1:]])
+    theta = np.array([stage.theta0, *stage.endpoints[1:]])
     k = np.arange(1, k_max + 1)
     for i in range(3):
         g = random_diffeo(rng_for(31, n, i), 0.01, n)

@@ -31,15 +31,15 @@ GRAM_DIGESTS = {
     "26 3/2": "9e0a55e17da8052582e7f1b1cdf06b21c26c156211df0f468abf5f950a192d65",
 }
 
-VERIFY_ALL_REPORT = "2c64ae36bfd37fcb88205d7d65c67efc718b04334de7a5479b8cef6d175176d9"
+VERIFY_ALL_REPORT = "5b9d48af6b68efcb8d183d6f3fa3703dc1aeba379426ec38b885d35684ccf657"
 
 # the files one CLI run writes, by command
 CSV_DIGESTS = {
     "fragment-diff": {
         "gamma": "9b0ed511c2bf5e44f3a6c8b885bc6c621f944296a8eb15759a18dafd1e665361",
         "xi1": "ffae899609f889da96d67bf6bc0814ab35fa9e95f3715db2e8d807cd7973dd67",
-        "xi2": "c4cba89eb4000acdce41fdacb5f6113d435ed6aa06b8b249422b08cfd25a4494",
-        "xi3": "3cac6e54ca2657724a2b47fd0951183fe4abe4d10cc3aee9aa79724ff3adeb3a",
+        "xi2": "218bda0943d8fb77e3ac0d955a12a1bb4dcb6305a3bd9e9530ee6950f2f102cd",
+        "xi3": "d33d381395cc18b01862489a9b3dafbe826c7a5dfef87a07b3a00ed36a0a4cc5",
     },
     "fragment-loop": {
         "gamma": "199a433bf0a9d6c225dabfc001ced7563f5847e499a249a94a3365bee02e3285",
@@ -63,7 +63,7 @@ SCALAR_CSV_DIGESTS = {
 SPECTRAL_DIGEST = "f767a8a4db8a68f7934e7df2a5729311229b572440cb1ce593fa0c28a0e5610d"
 
 # the bytes of the cover geometry, see test_geometry_digest
-GEOMETRY_DIGEST = "1aaefa7173ee2804fdecf5f0f3b3a8f0f6866f5b8f568ea419cecf47fc51e01d"
+GEOMETRY_DIGEST = "695b2d81166ee22757ef20dc62861800dc6e708827f82c37b86fcd23e126ca43"
 
 
 def test_verma_cli_stdout_digest():
