@@ -17,7 +17,7 @@ Exit codes:
 
 Budget, checked before any work (exit 2 otherwise):
 
-- --grid at most 65536 on every command (fragment-diff there: 1.6 s, 155 MB);
+- --grid at most 65536 on every command (fragment-diff there: 1.5 s, 165 MB);
 - verify: --threads 1..32, --trials x --grid at most 1000 x 1024, and
   min(--threads, --trials) x --grid at most 2 x 65536, since the pool runs
   that many trials at once and the second adds 40-115 MB at --grid 65536.  Worst

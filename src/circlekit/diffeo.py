@@ -97,13 +97,25 @@ class CircleDiffeo:
     def __init__(self, periodic_part: PeriodicFunction) -> None:
         if not periodic_part.is_real or periodic_part.samples.ndim != 1:
             raise ValueError("periodic part must be a real scalar function")
+        self._set_parts(periodic_part, None)
+
+    def _set_parts(self, periodic_part: PeriodicFunction, deriv: PeriodicFunction | None) -> None:
         self.periodic_part = periodic_part
         self.n = periodic_part.n
-        self._deriv = None
+        self._deriv = deriv
         if not np.all(self.deriv_samples > 0.0):  # NaN fails too
             raise DerivativeError("gamma' must be positive at every grid point")
 
     # -- constructors ---------------------------------------------------
+
+    @classmethod
+    def _from_parts(cls, periodic_part: PeriodicFunction, deriv: PeriodicFunction) -> "CircleDiffeo":
+        """gamma = t + p with gamma' - 1 = deriv supplied by a caller that
+        already knows it, instead of re-derived spectrally; the positivity
+        test still runs on deriv's samples."""
+        g = cls.__new__(cls)
+        g._set_parts(periodic_part, deriv)
+        return g
 
     @classmethod
     def identity(cls, n: int = 1024) -> "CircleDiffeo":

@@ -35,7 +35,7 @@ from .diffeo import (
     make_normalized_bump,
     solve_monotone,
 )
-from .errors import DerivativeError, GeometryError, NeighbourhoodError
+from .errors import GeometryError, NeighbourhoodError
 from .periodic import DEFAULT_TAIL_TOL, TWO_PI, PeriodicFunction, _check_tail, grid
 
 __all__ = [
@@ -136,14 +136,19 @@ def fragment_residuals(
 
 
 class _Stage:
-    """Precomputed fine-grid data for localizing to one interval: the cutoffs
-    sampled on the n * factor grid, onto which gamma' is upsampled by factor.
+    """Precomputed fine-grid data for localizing to one interval on the
+    n * factor grid, onto which gamma' is upsampled by factor.
 
     endpoints are the lifted a < ahat < bhat < b of the interval and its inner
     interval.  The center bump is 1 on the inner interval, whose fine nodes
-    inner_fine marks; the left and right bumps sit in the gap zones and carry
-    exactly half the gap length as mass, by the closed-form integral; their
-    sampled masses agree to round-off.
+    inner_fine marks, and is kept sampled on every fine node.  The left and
+    right bumps sit in the gap zones and carry exactly half the gap length as
+    mass, by the closed-form integral; their sampled masses agree to
+    round-off.  Each is nonzero on a few percent of the nodes, so it is kept
+    on the node window of its support only (left_nodes, left_values), plus
+    the rfft spectrum of its samples (left_spec, normalized as
+    PeriodicFunction.spectrum): the localized derivative is linear in the
+    two, so its spectrum needs no transform of its own.
 
     Integrals start at theta0, the first fine node outside the interval (its
     index is origin), where the factor is the identity; as the interval is
@@ -168,24 +173,27 @@ class _Stage:
             make_normalized_bump(IntervalArc(a, ha), 0.5 * (ha - a)),
             make_normalized_bump(IntervalArc(hb, b), 0.5 * (b - hb)),
         )
-        tf = grid(n * factor)
-        step = TWO_PI / len(tf)
+        m = n * factor
+        step = TWO_PI / m
         # only nodes below b - 2pi can lie in the interval before the first
         # node outside it, which is therefore among the first few
-        head = tf[: int(max(b - TWO_PI, 0.0) / step) + 2]
+        head = _nodes(np.arange(int(max(b - TWO_PI, 0.0) / step) + 2), m)
         outside = np.flatnonzero(~interval.contains(head))
         if not outside.size:
             raise GeometryError("no admissible integration origin outside the interval")
         self.interval = interval
         self.origin = int(outside[0])
-        self.theta0 = float(tf[self.origin])
-        self.center_fine = self.bumps.center.values(tf)
-        self.inner_fine = inner.contains(tf)
-        self.left_fine = self.bumps.left.values(tf)
-        self.right_fine = self.bumps.right.values(tf)
-        self.left_mass = self.left_fine.sum() * step
-        self.right_mass = self.right_fine.sum() * step
-        k_max = len(tf) // 2
+        self.theta0 = float(head[self.origin])
+        # the center bump and the inner mask vanish off the interval's nodes
+        window = _arc_window(interval, m)
+        t = _nodes(window, m)
+        self.center_fine = np.zeros(m)
+        self.center_fine[window] = self.bumps.center.values(t)
+        self.inner_fine = np.zeros(m, dtype=bool)
+        self.inner_fine[window] = inner.contains(t)
+        self.left_nodes, self.left_values, self.left_spec, self.left_mass = _gap_cutoff(self.bumps.left, m)
+        self.right_nodes, self.right_values, self.right_spec, self.right_mass = _gap_cutoff(self.bumps.right, m)
+        k_max = m // 2
         block = 1 << (k_max.bit_length() - 1) // 2
         thetas = np.array([self.theta0, ha, hb, b])
         self.phase_fine = np.exp(1j * np.outer(np.arange(1, block + 1), thetas))
@@ -199,9 +207,33 @@ class _Stage:
         return np.einsum("qp,qp->p", inner, self.phase_coarse)
 
 
+def _nodes(indices: np.ndarray, m: int) -> np.ndarray:
+    """grid(m)[indices], bit for bit, without the rest of the grid."""
+    return TWO_PI * indices / m
+
+
+def _arc_window(arc: IntervalArc, m: int) -> np.ndarray:
+    """Indices of the m-point grid's nodes that the open arc can hold, with
+    one node of slack at each end: every other node lies outside it."""
+    step = TWO_PI / m
+    first = int(arc.a / step) - 1
+    return np.arange(first, min(int(arc.b / step) + 2, first + m)) % m
+
+
+def _gap_cutoff(bump: BumpFunction, m: int):
+    """A gap cutoff on the m-point grid: its support's node window (it is 0 at
+    every other node), its samples there, and the spectrum and mass of all m
+    samples, the mass summed over all m as a dense sum is."""
+    window = _arc_window(bump.support, m)
+    values = bump.values(_nodes(window, m))
+    dense = np.zeros(m)
+    dense[window] = values
+    return window, values, PeriodicFunction(dense).spectrum, dense.sum() * (TWO_PI / m)
+
+
 def _stage_coefficients(g: CircleDiffeo, stage: _Stage):
-    """alpha, beta (boundary form), the beta used in the construction, and the
-    fine-grid samples of (gamma' - 1) * Dc."""
+    """alpha, beta (boundary form), the beta used in the construction, and
+    (gamma' - 1) * Dc on the fine grid."""
     a, ha, hb, b = stage.endpoints
     integ = g.deriv._upsample(stage.factor) * stage.center_fine
     fine = PeriodicFunction(integ)
@@ -217,19 +249,34 @@ def _stage_coefficients(g: CircleDiffeo, stage: _Stage):
     # construction variant: cancel the full-period mean exactly, using the
     # measured bump masses, so the factor is 2pi-equivariant to roundoff
     beta_build = -(mean * TWO_PI + alpha * stage.left_mass) / stage.right_mass
-    return alpha, beta, beta_build, integ
+    return alpha, beta, beta_build, fine
 
 
 def _stage_localize(g: CircleDiffeo, stage: _Stage):
-    """Fine-grid periodic part of the localized factor, plus its coefficients."""
-    alpha, beta, beta_build, integ = _stage_coefficients(g, stage)
-    g_fine = integ + alpha * stage.left_fine + beta_build * stage.right_fine
-    if g_fine.min() <= -1.0:
-        raise DerivativeError("localized factor has non-positive derivative")
-    pf = PeriodicFunction(g_fine)
-    defect = abs(pf.spectrum[0].real) * TWO_PI
-    p_fine = pf.antiderivative()[0].samples
-    return p_fine - p_fine[stage.origin], alpha, beta, defect
+    """The localized factor on the fine grid, plus its coefficients.
+
+    Its derivative g_fine = integ + alpha Dl + beta Dr is linear in what the
+    stage and _stage_coefficients hold, and so is its spectrum: the factor
+    costs one inverse transform.  It keeps g_fine, less the mean and the
+    Nyquist mode that the antiderivative drops, as gamma' - 1 instead of
+    re-deriving it."""
+    alpha, beta, beta_build, fine = _stage_coefficients(g, stage)
+    g_spec = fine.spectrum + alpha * stage.left_spec
+    g_spec += beta_build * stage.right_spec
+    g_fine = fine.samples.copy()
+    g_fine[stage.left_nodes] += alpha * stage.left_values
+    g_fine[stage.right_nodes] += beta_build * stage.right_values
+    mean, nyquist = g_spec[0].real, g_spec[-1].real
+    g_spec[[0, -1]] = 0.0
+    g_fine -= mean
+    g_fine[::2] -= nyquist  # the Nyquist mode alternates in sign over the nodes
+    g_fine[1::2] += nyquist
+    deriv = PeriodicFunction._with_spectrum(g_fine, g_spec)
+    antideriv = deriv._antiderivative_spectrum()
+    f = deriv._from_spectrum(antideriv)
+    antideriv[0] = -f[stage.origin]
+    xi_fine = CircleDiffeo._from_parts(PeriodicFunction._with_spectrum(f - f[stage.origin], antideriv), deriv)
+    return xi_fine, alpha, beta, abs(mean) * TWO_PI
 
 
 def _remainder(xi_fine: CircleDiffeo, stage: _Stage, p: np.ndarray) -> CircleDiffeo:
@@ -256,8 +303,8 @@ def _stage(interval: IntervalArc, inner: IntervalArc, n: int, factor: int) -> _S
     return _Stage(interval, inner, n, factor)
 
 
-def _coarse_factor(p_fine: np.ndarray) -> CircleDiffeo:
-    coarse = PeriodicFunction(p_fine[::BUILD_FACTOR])
+def _coarse_factor(xi_fine: CircleDiffeo) -> CircleDiffeo:
+    coarse = PeriodicFunction(xi_fine.periodic_part.samples[::BUILD_FACTOR])
     return CircleDiffeo(_check_tail(coarse, DEFAULT_TAIL_TOL, "localized factor"))
 
 
@@ -288,16 +335,14 @@ class DiffeoFragmenter:
                 f"eps={eps} is not below the positivity threshold {self.epsilon1:.4f}"
             )
         _check_neighbourhood(g, eps)
-        p1_fine, a1, b1, defect1 = _stage_localize(g, self.stage1)
-        xi1 = _coarse_factor(p1_fine)
+        xi1_fine, a1, b1, defect1 = _stage_localize(g, self.stage1)
+        xi1 = _coarse_factor(xi1_fine)
         # remainder evaluated against the fine representation of the first
         # factor, so its samples carry no unresolved-tail noise
-        xi1_fine = CircleDiffeo(PeriodicFunction(p1_fine))
         q_fine = _remainder(xi1_fine, self.stage1, g.periodic_part._upsample(BUILD_FACTOR))
 
-        p2_fine, a2, b2, defect2 = _stage_localize(q_fine, self.stage2)
-        xi2 = _coarse_factor(p2_fine)
-        xi2_fine = CircleDiffeo(PeriodicFunction(p2_fine))
+        xi2_fine, a2, b2, defect2 = _stage_localize(q_fine, self.stage2)
+        xi2 = _coarse_factor(xi2_fine)
         xi3 = _remainder(xi2_fine, self.stage2, q_fine.periodic_part.samples[::BUILD_FACTOR])
 
         # reconstruction measured through the fine representations, which
@@ -377,6 +422,5 @@ def fragment_pair(
     gap_r = np.mod(left.b - core.b, TWO_PI)
     plateau = IntervalArc(core.a - PAIR_MARGIN * gap_l, core.b + PAIR_MARGIN * gap_r)
     stage = _stage(left, plateau, g.n, BUILD_FACTOR)
-    p_fine, _, _, _ = _stage_localize(g, stage)
-    g_right = _remainder(CircleDiffeo(PeriodicFunction(p_fine)), stage, g.periodic_part.samples)
-    return _coarse_factor(p_fine), g_right
+    xi_fine, _, _, _ = _stage_localize(g, stage)
+    return _coarse_factor(xi_fine), _remainder(xi_fine, stage, g.periodic_part.samples)

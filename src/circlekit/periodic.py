@@ -253,6 +253,15 @@ class PeriodicFunction:
     def constant(cls, value: float, n: int = 1024) -> "PeriodicFunction":
         return cls(np.full(n, float(value)))
 
+    @classmethod
+    def _with_spectrum(cls, samples, spectrum: np.ndarray) -> "PeriodicFunction":
+        """The function of these samples, whose spectrum (in the layout and
+        normalization of `spectrum`) the caller already knows, so the forward
+        transform is skipped; nothing checks that the two agree."""
+        pf = cls(samples)
+        pf._spectrum = spectrum
+        return pf
+
     # -- spectrum -----------------------------------------------------
 
     @property

@@ -88,6 +88,19 @@ def test_non_finite_derivative_is_not_positive(bad):
         CircleDiffeo.from_fourier([(1, 1e308, 1e308)], 64)
 
 
+@pytest.mark.parametrize("bad", [-1.0, -1.5, np.nan])
+def test_from_parts_keeps_the_positivity_test(bad):
+    """A factor built from a known derivative keeps it, unexamined but for
+    the sample test 1 + deriv > 0, which a sample at or below -1 and a NaN
+    both fail."""
+    deriv = PeriodicFunction(0.01 * np.sin(grid(64)))
+    assert CircleDiffeo._from_parts(PeriodicFunction.zero(64), deriv).deriv is deriv
+    samples = deriv.samples.copy()
+    samples[5] = bad
+    with pytest.raises(DerivativeError):
+        CircleDiffeo._from_parts(PeriodicFunction.zero(64), PeriodicFunction(samples))
+
+
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 def test_group_axioms(seed):
     rng = np.random.default_rng(seed)

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 
 import numpy as np
@@ -237,6 +238,77 @@ def test_remainder_solves_skip_the_plateau(site, n, monkeypatch):
         skipped = stage.interval.contains(targets) & ~np.isin(targets, newton)
         assert np.array_equal(skipped, plateau)
         assert np.abs(xi_fine.periodic_part.samples[::stride] - p)[plateau].max() <= 1e-15
+
+
+def _count_transform_sizes(monkeypatch) -> collections.Counter:
+    """Patch np.fft.rfft and irfft to count their calls by grid size: the
+    input length of an rfft, the output length of an irfft."""
+    sizes = collections.Counter()
+    for name in ("rfft", "irfft"):
+        original = getattr(np.fft, name)
+
+        def counted(a, n=None, *args, _original=original, _name=name, **kwargs):
+            sizes[n if _name == "irfft" else len(a)] += 1
+            return _original(a, n, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return sizes
+
+
+@pytest.mark.parametrize("n", [1024, 4096])
+def test_fine_grid_transforms_per_fragmentation(n, monkeypatch):
+    """A stage builds its factor from spectra it already holds: at most 8
+    transforms on the 8n-point grid per fragment and 3 per fragment_pair
+    (14 and 6 when each factor was transformed back and re-derived)."""
+    frag = DiffeoFragmenter(COVER, n)
+    warm = random_diffeo(rng_for(17, n, 0), 0.01, n)
+    frag.fragment(warm)
+    fragment_pair(warm, *PAIR_ARCS)  # every stage built and cached
+    g = random_diffeo(rng_for(17, n, 1), 0.01, n)
+    sizes = _count_transform_sizes(monkeypatch)
+    frag.fragment(g)
+    assert 0 < sizes[n * BUILD_FACTOR] <= 8
+    sizes.clear()
+    fragment_pair(g, *PAIR_ARCS)
+    assert 0 < sizes[n * BUILD_FACTOR] <= 3
+
+
+def test_fine_factors_carry_their_construction(monkeypatch):
+    """xi1_fine, xi2_fine and the fragment_pair factor are built with their
+    spectra and derivative already known.  Both spectra match those of the
+    same periodic part re-derived spectrally to 1e-14, and the derivative's
+    has exactly zero mean and Nyquist entries, as a spectral derivative's
+    has.  The derivative samples match the spectral derivative of the factor's
+    samples taken in long double (80-bit on x86-64) to 1e-14.  The double
+    re-derivation zeroes coefficients below 4 eps max|c_k|, part of the
+    cutoffs' Gevrey tail, so it is held to 1e-12 only."""
+    built = []
+
+    def recording_localize(g, stage):
+        out = _stage_localize(g, stage)
+        xi = out[0]
+        built.append((xi, xi.periodic_part._spectrum, xi.deriv._spectrum))
+        return out
+
+    monkeypatch.setattr(frag_diff, "_stage_localize", recording_localize)
+    frag = DiffeoFragmenter(COVER, N)
+    for i in range(3):
+        g = random_diffeo(rng_for(18, i), 0.01, N)
+        frag.fragment(g)
+        fragment_pair(g, *PAIR_ARCS)
+    assert len(built) == 9
+    for xi, p_spec, d_spec in built:
+        assert p_spec is not None and d_spec is not None  # no transform was needed
+        fresh = CircleDiffeo(PeriodicFunction(xi.periodic_part.samples))
+        assert np.abs(p_spec - fresh.periodic_part.spectrum).max() <= 1e-14
+        assert np.abs(d_spec - fresh.deriv.spectrum).max() <= 1e-14
+        assert d_spec[0] == 0.0 and d_spec[-1] == 0.0
+        c = np.fft.rfft(xi.periodic_part.samples.astype(np.longdouble), norm="forward")
+        c *= 1j * np.arange(len(c))
+        c[-1] = 0.0
+        extended = np.fft.irfft(c, xi.n, norm="forward")
+        assert np.abs(xi.deriv.samples - extended).max() <= 1e-14
+        assert np.abs(xi.deriv.samples - fresh.deriv.samples).max() <= 1e-12
 
 
 def test_fragment_pair_is_rotation_equivariant(monkeypatch):
