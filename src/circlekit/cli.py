@@ -15,14 +15,16 @@ Exit codes:
    above --grid/2; raise --grid
 5  a Newton inversion did not converge (ConvergenceError)
 
-Budget, checked before any work (exit 2 otherwise):
+Budget, checked before any import or work (exit 2 otherwise):
 
-- --grid at most 65536 on every command (fragment-diff there: 1.5 s, 165 MB);
-- verify: --threads 1..32, --trials x --grid at most 1000 x 1024, and
-  min(--threads, --trials) x --grid at most 2 x 65536, since the pool runs
-  that many trials at once and the second adds 40-115 MB at --grid 65536.  Worst
-  admitted `verify all` with one thread (Python 3.11, Intel Xeon): 78 s,
-  43 MB at --trials 1000; 56 s, 219 MB at --trials 15 --grid 65536;
+- --grid a power of two, 16..65536, on every command (fragment-diff at 65536:
+  1.5 s, 165 MB);
+- verify: --trials at least 0, --threads 1..32, --trials x --grid at most
+  1000 x 1024, and min(--threads, --trials) x --grid at most 2 x 65536, since
+  the pool runs that many trials at once and the second adds 40-125 MB at
+  --grid 65536.  Worst admitted `verify all` with one thread (Python 3.11,
+  Intel Xeon): 78 s, 43 MB at --trials 1000; 27 s, 260 MB at --trials 15
+  --grid 65536;
 - verma: --level 0..12, --c/--h fractions of at most 16 characters, no
   exponent, numerator and denominator below 2^16 in absolute value (level
   12 with 16-bit operands: 1.6-3.5 s, 39 MB, most of it the determinant);
@@ -33,17 +35,15 @@ from __future__ import annotations
 
 import argparse
 import ast
+import cmath
 import json
 import math
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import cocycles, frag_diff, loops, verma
-from .diffeo import CircleDiffeo, CoverConfig, support
 from .errors import (
     AliasingError,
     BranchError,
@@ -55,8 +55,14 @@ from .errors import (
     NeighbourhoodError,
     TruncationError,
 )
-from .periodic import PeriodicFunction, _fourier_samples, _require_resolved, _write_csv, grid
-from .verify import SUITES, CheckResult, RunReport, digest_inputs, run_suites
+
+if TYPE_CHECKING:  # each command imports what it runs, so --help and verma load no numpy
+    import numpy as np
+
+    from . import loops
+    from .diffeo import CircleDiffeo, CoverConfig
+    from .periodic import PeriodicFunction
+    from .report import RunReport
 
 EXIT_FAIL = 1
 EXIT_OPERAND = 2
@@ -71,6 +77,10 @@ VERIFY_MAX_PARALLEL_POINTS = 2 * 65536  # min(--threads, --trials) x --grid
 VERMA_MAX_LEVEL = 12
 VERMA_MAX_CHARS = 16
 VERMA_MAX_BITS = 16
+MIN_GRID = 16
+# verify.SUITES' names in report order, kept here so --help need not import
+# the suites (pinned by a test)
+VERIFY_SUITES = ("diff", "loop", "cocycle", "verma")
 
 
 class OperandError(ValueError):
@@ -117,6 +127,8 @@ def parse_fourier_terms(text: str, prefix: str, types=(_wavenumber, float, float
 
 def _finite(samples: np.ndarray, text: str) -> np.ndarray:
     """The operand's samples, which overflow must not have made inf or NaN."""
+    import numpy as np
+
     if not np.all(np.isfinite(samples)):
         raise OperandError(f"{text!r}: samples are not finite")
     return samples
@@ -124,16 +136,25 @@ def _finite(samples: np.ndarray, text: str) -> np.ndarray:
 
 def _operand_samples(text: str, n: int) -> np.ndarray:
     """Finite samples of "fourier:[(k,a,b),...]" on the n-point grid."""
+    from .periodic import _fourier_samples
+
     return _finite(_fourier_samples(parse_fourier_terms(text, "fourier"), n), text)
 
 
 def parse_diffeo(text: str, n: int) -> CircleDiffeo:
     """gamma(t) = t + sum a_k cos(k t) + b_k sin(k t), from "fourier:[(k,a,b),...]"."""
+    from .diffeo import CircleDiffeo
+    from .periodic import PeriodicFunction
+
     return CircleDiffeo(PeriodicFunction(_operand_samples(text, n)))
 
 
 def parse_field(text: str, n: int) -> PeriodicFunction:
     """Vector field operand: "fourier:[(k,a,b),...]" or "monomial:k" for e^{ikt}."""
+    import numpy as np
+
+    from .periodic import PeriodicFunction, _require_resolved, grid
+
     if text.startswith("monomial:"):
         try:
             k = _wavenumber(text.split(":", 1)[1])
@@ -147,6 +168,9 @@ def parse_field(text: str, n: int) -> PeriodicFunction:
 def parse_loop_algebra(text: str, n: int, prefix: str = "su2") -> loops.LoopAlgebraElement:
     """su(2) operand "su2:[(axis,k,a,b),...]": component on i*sigma_axis.  Errors
     quote the text as given, also under the "exp" prefix of parse_loop."""
+    from . import loops
+    from .periodic import _fourier_samples
+
     terms = parse_fourier_terms(text, prefix, (int, _wavenumber, float, float))
     if any(term[0] not in (1, 2, 3) for term in terms):
         raise OperandError("axis must be 1, 2 or 3")
@@ -156,6 +180,8 @@ def parse_loop_algebra(text: str, n: int, prefix: str = "su2") -> loops.LoopAlge
 
 def parse_loop(text: str, n: int) -> loops.LoopElement:
     """Loop operand "exp:[(axis,k,a,b),...]": pointwise exponential of an su(2) field."""
+    from . import loops
+
     return loops.exp_loop(parse_loop_algebra(text, n, prefix="exp"))
 
 
@@ -174,10 +200,15 @@ def parse_verma_operand(text: str, flag: str) -> Fraction:
 
 
 def check_budget(args) -> None:
-    """Reject a request beyond the CLI budget (exit 2) before any work."""
-    if getattr(args, "grid", 0) > MAX_GRID:
-        raise OperandError(f"--grid {args.grid}: at most {MAX_GRID}")
+    """Reject a request beyond the CLI budget (exit 2) before any import or work."""
+    grid = getattr(args, "grid", MIN_GRID)
+    if grid > MAX_GRID:
+        raise OperandError(f"--grid {grid}: at most {MAX_GRID}")
+    if grid < MIN_GRID or grid & (grid - 1):
+        raise OperandError(f"--grid {grid}: must be a power of two >= {MIN_GRID}")
     if args.command == "verify":
+        if args.trials < 0:
+            raise OperandError(f"--trials {args.trials}: must be at least 0")
         if not 1 <= args.threads <= MAX_THREADS:
             raise OperandError(f"--threads {args.threads}: must lie in 1..{MAX_THREADS}")
         if args.trials * args.grid > VERIFY_MAX_POINTS:
@@ -193,6 +224,8 @@ def check_budget(args) -> None:
 
 
 def load_cover(path: str | None) -> CoverConfig:
+    from .diffeo import CoverConfig
+
     if path is None:
         return CoverConfig.default()
     try:
@@ -215,6 +248,11 @@ def _emit(report: RunReport, as_json: bool) -> None:
 
 
 def cmd_fragment_diff(args) -> int:
+    from . import frag_diff
+    from .diffeo import support
+    from .periodic import _write_csv
+    from .report import CheckResult, RunReport, digest_inputs
+
     start = time.perf_counter()
     cover = load_cover(args.config)
     g = parse_diffeo(args.spec, args.grid)
@@ -255,6 +293,9 @@ def cmd_fragment_diff(args) -> int:
 
 
 def cmd_fragment_loop(args) -> int:
+    from . import loops
+    from .report import CheckResult, RunReport, digest_inputs
+
     start = time.perf_counter()
     cover = load_cover(args.config)
     g = parse_loop(args.spec, args.grid)
@@ -279,13 +320,18 @@ def cmd_fragment_loop(args) -> int:
 
 def cmd_cocycle(args) -> int:
     n = args.grid
-    if args.kind == "bott":
-        value = cocycles.bott(parse_diffeo(args.operands[0], n), parse_diffeo(args.operands[1], n))
-    elif args.kind == "vect":
-        value = cocycles.vect_cocycle(parse_field(args.operands[0], n), parse_field(args.operands[1], n))
-    else:
+    if args.kind == "omega":
+        from . import loops
+
         value = loops.omega(parse_loop_algebra(args.operands[0], n), parse_loop_algebra(args.operands[1], n))
-    if not np.isfinite(value):  # finite samples whose derivatives or sums overflow
+    else:
+        from . import cocycles
+
+        if args.kind == "bott":
+            value = cocycles.bott(parse_diffeo(args.operands[0], n), parse_diffeo(args.operands[1], n))
+        else:
+            value = cocycles.vect_cocycle(parse_field(args.operands[0], n), parse_field(args.operands[1], n))
+    if not cmath.isfinite(value):  # finite samples whose derivatives or sums overflow
         raise OperandError(f"{args.kind} cocycle of {args.operands[0]!r}, {args.operands[1]!r} overflows to {value}")
     if args.kind != "vect":
         sys.stdout.write(f"{value:.17g}\n")
@@ -297,6 +343,8 @@ def cmd_cocycle(args) -> int:
 
 
 def cmd_verma(args) -> int:
+    from . import verma
+
     c = parse_verma_operand(args.c, "--c")
     h = parse_verma_operand(args.h, "--h")
     max_level = max(args.max_level, args.level)
@@ -313,6 +361,13 @@ def cmd_verma(args) -> int:
     }
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     return 0
+
+
+def run_suites(*args, **kwargs):
+    """verify.run_suites, imported only when the verify command runs."""
+    from . import verify
+
+    return verify.run_suites(*args, **kwargs)
 
 
 def cmd_verify(args) -> int:
@@ -369,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     vm.set_defaults(fn=cmd_verma)
 
     vf = sub.add_parser("verify", help="run property suites")
-    vf.add_argument("suite", nargs="?", default="all", choices=["all", *SUITES])
+    vf.add_argument("suite", nargs="?", default="all", choices=["all", *VERIFY_SUITES])
     vf.add_argument("--seed", type=int, default=0)
     vf.add_argument("--trials", type=int, default=200)
     vf.add_argument("--grid", type=int, default=1024)

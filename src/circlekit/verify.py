@@ -13,10 +13,7 @@ existing family).
 
 from __future__ import annotations
 
-import hashlib
-import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -26,6 +23,7 @@ from . import cocycles, frag_diff, loops, verma
 from .diffeo import CircleDiffeo, CoverConfig, IntervalArc, compose, inverse
 from .errors import GeometryError
 from .periodic import TWO_PI, PeriodicFunction, grid
+from .report import CheckResult, RunReport, digest_inputs
 from .sampling import (
     random_diffeo,
     random_loop_algebra,
@@ -36,61 +34,6 @@ from .sampling import (
 )
 
 __all__ = ["CheckResult", "RunReport", "run_suites", "SUITES"]
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    residual: float
-    tol: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "residual", float(self.residual))
-        object.__setattr__(self, "tol", float(self.tol))
-
-    @property
-    def passed(self) -> bool:
-        return self.residual < self.tol
-
-
-@dataclass
-class RunReport:
-    command: str
-    checks: list = field(default_factory=list)
-    inputs_digest: str = ""
-    wall_time: float = 0.0
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "checks": [
-                {"name": c.name, "residual": c.residual, "tol": c.tol, "pass": c.passed}
-                for c in self.checks
-            ],
-            "pass": self.passed,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    def format_text(self) -> str:
-        lines = [f"command: {self.command}"]
-        if self.inputs_digest:
-            lines.append(f"inputs:  {self.inputs_digest}")
-        for c in self.checks:
-            status = "pass" if c.passed else "FAIL"
-            lines.append(f"  [{status}] {c.name}: residual {c.residual:.6e} (tol {c.tol:.1e})")
-        lines.append(f"result: {'pass' if self.passed else 'FAIL'} ({self.wall_time:.2f} s)")
-        return "\n".join(lines)
-
-
-def digest_inputs(**kwargs) -> str:
-    blob = json.dumps(kwargs, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
 
 
 class Family(NamedTuple):

@@ -1,12 +1,14 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
 
-from circlekit import cli, errors, frag_diff, verma
+from circlekit import cli, errors, frag_diff, verify, verma
 from circlekit.verify import CheckResult, RunReport
 
 CMD = [sys.executable, "-m", "circlekit"]
@@ -282,6 +284,13 @@ def _no_command_runs(monkeypatch):
         ["verify", "--threads", "15", "--trials", "15", "--grid", "65536"],
         ["verify", "--threads", "3", "--trials", "3", "--grid", "65536"],
         ["verma", "--level", "13"],
+        # --grid must be a power of two >= 16, as PeriodicFunction requires
+        ["cocycle", "vect", "monomial:2", "monomial:1", "--grid", "3"],
+        ["cocycle", "vect", "monomial:2", "monomial:1", "--grid", "0"],
+        ["fragment-diff", "--spec", "fourier:[]", "--grid", "-8"],
+        ["fragment-loop", "--spec", "exp:[]", "--grid", "1000"],
+        ["verify", "--grid", "8", "--trials", "1"],
+        ["verify", "all", "--trials", "-3", "--json"],
     ],
 )
 def test_budget_rejected_before_any_work(argv, monkeypatch, capsys):
@@ -357,3 +366,73 @@ def test_fragment_loop_error_names_the_typed_operand(capsys, tmp_path):
 def test_verma_zero_denominator(capsys):
     assert cli.main(["verma", "--c", "1/0"]) == 2
     assert "zero denominator" in capsys.readouterr().err
+
+
+def test_verify_suite_choices_are_verify_suites():
+    assert cli.VERIFY_SUITES == tuple(verify.SUITES)
+
+
+# SHA-256 of each --help text at 80 columns, taken under Python 3.11.7,
+# whose argparse lays them out; loading modules per command must not move a byte
+HELP_DIGESTS = {
+    "": "e1aa51ac27ca54bae41c143da27c5fa61f7dc35e0742f969c595ef02e94a968f",
+    "fragment-diff": "2d77eace19a88c12337b7899e0b9e47f05b8a813ab97c801a7615bbe5aa5e770",
+    "fragment-loop": "9b249417a63331abdc43f3a0b034a23c8835cd87f09bc00a09b9210bc1836672",
+    "cocycle": "f3c5c328329fe00c4ac5d3fdd42e1a5a15dd3338402a0f383a2a7a835e78d447",
+    "verma": "05ecb9c7fbb731f2c06a4ce770f134076c2530b3d0a25548101ec3eb4f8558af",
+    "verify": "56847a5311f7b68c37369675affb10d67f92040b4d5dd39f7fff40575973da4a",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_DIGESTS))
+def test_help_text_digests(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([command, "--help"] if command else ["--help"])
+    assert exit_.value.code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == HELP_DIGESTS[command]
+
+
+# runs cli.main on its arguments, then prints the exit code and the numpy and
+# circlekit modules loaded, on one line of stderr
+IMPORT_PROBE = textwrap.dedent(
+    """
+    import sys
+    from circlekit import cli
+    try:
+        code = cli.main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+    loaded = sorted(m for m in sys.modules if m == "numpy" or m.startswith("circlekit"))
+    print(code, *loaded, file=sys.stderr)
+    """
+)
+BASE = {"circlekit", "circlekit.cli", "circlekit.errors"}
+NUMERIC = BASE | {"numpy", "circlekit.diffeo", "circlekit.periodic"}
+EVERY_MODULE = NUMERIC | {f"circlekit.{m}" for m in ("cocycles", "frag_diff", "loops", "report", "sampling", "verify", "verma")}
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (["--help"], BASE),
+        (["verma", "--c", "1/2", "--h", "1/16", "--level", "2"], BASE | {"circlekit.verma"}),
+        (["cocycle", "bott", "fourier:[(1,0,0.004)]", "fourier:[(2,0.003,0)]"], NUMERIC | {"circlekit.cocycles"}),
+        (["cocycle", "vect", "monomial:2", "monomial:-2"], NUMERIC | {"circlekit.cocycles"}),
+        (["cocycle", "omega", "su2:[(1,1,1,0)]", "su2:[(1,1,0,1)]"], NUMERIC | {"circlekit.loops"}),
+        (["fragment-diff", "--spec", "fourier:[(1,0,0.005)]", "--json"], NUMERIC | {"circlekit.frag_diff", "circlekit.report"}),
+        (["fragment-loop", "--spec", "exp:[(1,1,0,0.02)]"], NUMERIC | {"circlekit.loops", "circlekit.report"}),
+        (["verify", "all", "--seed", "42", "--trials", "1", "--json"], EVERY_MODULE),
+    ],
+    ids=["help", "verma", "cocycle-bott", "cocycle-vect", "cocycle-omega", "fragment-diff", "fragment-loop", "verify"],
+)
+def test_each_command_imports_only_what_it_runs(argv, modules, tmp_path):
+    """The README's commands (verify with one trial) and --help, each in a
+    fresh interpreter: --help and verma load no numpy, and no command loads
+    a module it does not run."""
+    if argv[0].startswith("fragment"):
+        argv = argv + ["--out", str(tmp_path)]
+    r = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv], capture_output=True, text=True, timeout=600)
+    code, *loaded = r.stderr.splitlines()[-1].split()
+    assert code == "0", r.stderr
+    assert set(loaded) == modules

@@ -3,6 +3,10 @@ stay those frozen here."""
 
 import importlib
 import inspect
+import json
+import subprocess
+import sys
+import textwrap
 import types
 
 import pytest
@@ -40,10 +44,47 @@ def test_every_exported_name_resolves(name):
 
 
 def test_package_names_are_frozen():
-    names = sorted(
-        n for n, v in vars(circlekit).items() if not n.startswith("_") and not isinstance(v, types.ModuleType)
-    )
+    """dir() lists the public names, which the package resolves on first use."""
+    names = [n for n in dir(circlekit) if not isinstance(getattr(circlekit, n), types.ModuleType)]
     assert names == PACKAGE_NAMES
+
+
+# what a fresh interpreter sees of the package, as JSON
+LAZY_PROBE = textwrap.dedent(
+    """
+    import json, pkgutil, sys
+    import circlekit
+    loaded = sorted(m for m in sys.modules if m == "numpy" or m.startswith("circlekit."))
+    frag_diff = circlekit.frag_diff.__name__, "fragment" in vars(circlekit.frag_diff)
+    star = {}
+    exec("from circlekit import *", star)
+    submodules = [m.name for m in pkgutil.iter_modules(circlekit.__path__) if m.name != "__main__"]
+    print(json.dumps({
+        "loaded": loaded,
+        "frag_diff": frag_diff,
+        "dir": dir(circlekit),
+        "star": sorted(n for n in star if n != "__builtins__"),
+        "submodules": {m: getattr(circlekit, m).__name__ for m in submodules},
+    }))
+    """
+)
+
+
+def test_package_loads_names_on_first_use():
+    r = subprocess.run([sys.executable, "-c", LAZY_PROBE], capture_output=True, text=True, timeout=600)
+    assert r.returncode == 0, r.stderr
+    probe = json.loads(r.stdout)
+    assert probe["loaded"] == []
+    assert probe["frag_diff"] == ["circlekit.frag_diff", True]
+    assert probe["dir"] == probe["star"] == PACKAGE_NAMES
+    assert probe["submodules"] == {m: f"circlekit.{m}" for m in probe["submodules"]}
+    assert {"cli", "report", "verify"} <= set(probe["submodules"])
+
+
+def test_unknown_package_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        circlekit.no_such_name  # noqa: B018
+    assert not hasattr(circlekit, "__main__")
 
 
 def _defaulted(fn) -> int:
