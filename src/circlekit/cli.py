@@ -18,12 +18,12 @@ Exit codes:
 Budget, checked before any import or work (exit 2 otherwise):
 
 - --grid a power of two, 16..65536, on every command (fragment-diff at 65536:
-  1.5 s, 165 MB);
+  0.9-1.3 s, 74 MB);
 - verify: --trials at least 0, --threads 1..32, --trials x --grid at most
   1000 x 1024, and min(--threads, --trials) x --grid at most 2 x 65536, since
-  the pool runs that many trials at once and the second adds 40-125 MB at
+  the pool runs that many trials at once and the second adds 16-150 MB at
   --grid 65536.  Worst admitted `verify all` with one thread (Python 3.11,
-  Intel Xeon): 78 s, 43 MB at --trials 1000; 27 s, 260 MB at --trials 15
+  Intel Xeon): 78 s, 43 MB at --trials 1000; 19 s, 221 MB at --trials 15
   --grid 65536;
 - verma: --level 0..12, --c/--h fractions of at most 16 characters, no
   exponent, numerator and denominator below 2^16 in absolute value (level

@@ -13,9 +13,13 @@ and returns to the identity at the right endpoint.  The same construction on
 the remainder localizes to the second interval, and the final factor is the
 exact group-theoretic remainder.
 
-Construction integrals run on an oversampled grid: the cutoffs are only
+Construction integrals run on a finer grid: the cutoffs are only
 Gevrey-regular, and quadrature at the working resolution would leak ~1e-8
-into the region where the factors must equal the identity to 1e-9.
+into the region where the factors must equal the identity to 1e-9.  The
+cutoffs' transitions have a fixed width in radians, so they need a fixed
+number of nodes whatever n is: the construction grid holds
+min(8n, max(n, 16384)) nodes (`_build_factor`), 8x oversampled up to
+n = 2048 and not oversampled from n = 16384 on.
 """
 
 from __future__ import annotations
@@ -52,7 +56,8 @@ __all__ = [
     "beta1_bound",
 ]
 
-BUILD_FACTOR = 8  # oversampling for construction integrals
+BUILD_FACTOR = 8  # most oversampling for construction integrals
+BUILD_NODES = 16384  # construction grids hold at least this many nodes
 PAIR_MARGIN = 0.1  # fragment_pair's plateau reaches this fraction into each overlap
 
 
@@ -89,10 +94,11 @@ class FragmentationResult:
     coefficients.
 
     reconstruction_error is max |xi1(xi2(xi3(t_k))) - gamma(t_k)| over the
-    coarse grid, measured through the 8x-oversampled fine representations of
-    xi1 and xi2, which resolve their spectral tails.  The returned coarse
-    factors recomposed by direct trigonometric sum reconstruct gamma only up
-    to those tails: at most 5.2e-8 over the 1000 acceptance trials.
+    coarse grid, measured through the representations of xi1 and xi2 on the
+    construction grid (min(8n, max(n, 16384)) nodes), which resolve their
+    spectral tails.  The returned coarse factors recomposed by
+    direct trigonometric sum reconstruct gamma only up to those tails: at
+    most 5.2e-8 over the 1000 acceptance trials.
     """
 
     xi1: CircleDiffeo
@@ -137,7 +143,8 @@ def fragment_residuals(
 
 class _Stage:
     """Precomputed fine-grid data for localizing to one interval on the
-    n * factor grid, onto which gamma' is upsampled by factor.
+    n * factor grid (the construction grid, see _build_factor), onto which
+    gamma' is upsampled by factor.
 
     endpoints are the lifted a < ahat < bhat < b of the interval and its inner
     interval.  The center bump is 1 on the inner interval, whose fine nodes
@@ -295,6 +302,12 @@ def _remainder(xi_fine: CircleDiffeo, stage: _Stage, p: np.ndarray) -> CircleDif
     return CircleDiffeo(PeriodicFunction(u - t))
 
 
+def _build_factor(n: int) -> int:
+    """Oversampling of the construction grid for an n-point input: the grid
+    holds min(BUILD_FACTOR * n, max(n, BUILD_NODES)) nodes."""
+    return min(BUILD_FACTOR, max(1, BUILD_NODES // n))
+
+
 @functools.lru_cache(maxsize=16)
 def _stage(interval: IntervalArc, inner: IntervalArc, n: int, factor: int) -> _Stage:
     """The localization stage for (interval, inner interval, grid,
@@ -303,8 +316,13 @@ def _stage(interval: IntervalArc, inner: IntervalArc, n: int, factor: int) -> _S
     return _Stage(interval, inner, n, factor)
 
 
-def _coarse_factor(xi_fine: CircleDiffeo) -> CircleDiffeo:
-    coarse = PeriodicFunction(xi_fine.periodic_part.samples[::BUILD_FACTOR])
+def _first_stage(cover: CoverConfig, n: int) -> _Stage:
+    """The stage that localizes an n-point input to the cover's first interval."""
+    return _stage(cover.i1, cover.ihat1, n, _build_factor(n))
+
+
+def _coarse_factor(xi_fine: CircleDiffeo, n: int) -> CircleDiffeo:
+    coarse = PeriodicFunction(xi_fine.periodic_part.samples[:: xi_fine.n // n])
     return CircleDiffeo(_check_tail(coarse, DEFAULT_TAIL_TOL, "localized factor"))
 
 
@@ -315,10 +333,10 @@ class DiffeoFragmenter:
     def __init__(self, cover: CoverConfig, n: int = 1024):
         self.cover = cover
         self.n = n
-        self.stage1 = _stage(cover.i1, cover.ihat1, n, BUILD_FACTOR)
+        self.stage1 = _first_stage(cover, n)
         # the second stage consumes the remainder at fine resolution, where
         # the first factor's slow spectral tail is already resolved
-        self.stage2 = _stage(cover.i2, cover.ihat2, n * BUILD_FACTOR, 1)
+        self.stage2 = _stage(cover.i2, cover.ihat2, n * self.stage1.factor, 1)
         # below this threshold the blended derivative stays positive
         bumps = self.stage1.bumps
         self.epsilon1 = 1.0 / (
@@ -336,14 +354,14 @@ class DiffeoFragmenter:
             )
         _check_neighbourhood(g, eps)
         xi1_fine, a1, b1, defect1 = _stage_localize(g, self.stage1)
-        xi1 = _coarse_factor(xi1_fine)
+        xi1 = _coarse_factor(xi1_fine, self.n)
         # remainder evaluated against the fine representation of the first
         # factor, so its samples carry no unresolved-tail noise
-        q_fine = _remainder(xi1_fine, self.stage1, g.periodic_part._upsample(BUILD_FACTOR))
+        q_fine = _remainder(xi1_fine, self.stage1, g.periodic_part._upsample(self.stage1.factor))
 
         xi2_fine, a2, b2, defect2 = _stage_localize(q_fine, self.stage2)
-        xi2 = _coarse_factor(xi2_fine)
-        xi3 = _remainder(xi2_fine, self.stage2, q_fine.periodic_part.samples[::BUILD_FACTOR])
+        xi2 = _coarse_factor(xi2_fine, self.n)
+        xi3 = _remainder(xi2_fine, self.stage2, q_fine.periodic_part.samples[:: self.stage1.factor])
 
         # reconstruction measured through the fine representations, which
         # resolve the factors' spectral tails
@@ -370,14 +388,14 @@ def _check_neighbourhood(g: CircleDiffeo, eps: float) -> None:
 def alpha1(g: CircleDiffeo, cover: CoverConfig, eps: float = 0.01) -> float:
     """Left blending coefficient of the first localization stage."""
     _check_neighbourhood(g, eps)
-    value, _, _, _ = _stage_coefficients(g, _stage(cover.i1, cover.ihat1, g.n, BUILD_FACTOR))
+    value, _, _, _ = _stage_coefficients(g, _first_stage(cover, g.n))
     return value
 
 
 def beta1(g: CircleDiffeo, cover: CoverConfig, eps: float = 0.01) -> float:
     """Right blending coefficient (boundary form)."""
     _check_neighbourhood(g, eps)
-    _, value, _, _ = _stage_coefficients(g, _stage(cover.i1, cover.ihat1, g.n, BUILD_FACTOR))
+    _, value, _, _ = _stage_coefficients(g, _first_stage(cover, g.n))
     return value
 
 
@@ -386,7 +404,7 @@ def beta1_integral_form(g: CircleDiffeo, cover: CoverConfig, alpha: float | None
 
     beta1 = -2/(b - bhat) * int_0^{2pi} ((gamma'(t)-1) Dc(t) + alpha1 Dl(t)) dt.
     """
-    stage = _stage(cover.i1, cover.ihat1, g.n, BUILD_FACTOR)
+    stage = _first_stage(cover, g.n)
     if alpha is None:
         alpha = alpha1(g, cover)
     d_fine = g.deriv._upsample(stage.factor)
@@ -421,6 +439,6 @@ def fragment_pair(
     gap_l = left.offset(core.a)
     gap_r = np.mod(left.b - core.b, TWO_PI)
     plateau = IntervalArc(core.a - PAIR_MARGIN * gap_l, core.b + PAIR_MARGIN * gap_r)
-    stage = _stage(left, plateau, g.n, BUILD_FACTOR)
+    stage = _stage(left, plateau, g.n, _build_factor(g.n))
     xi_fine, _, _, _ = _stage_localize(g, stage)
-    return _coarse_factor(xi_fine), _remainder(xi_fine, stage, g.periodic_part.samples)
+    return _coarse_factor(xi_fine, g.n), _remainder(xi_fine, stage, g.periodic_part.samples)

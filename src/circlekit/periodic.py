@@ -39,6 +39,7 @@ caller switches it off, and `_write_csv` writes every sampled CSV file.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -109,12 +110,44 @@ def _check_grid_size(n: int) -> None:
         raise ValueError(f"grid size must be a power of two >= 16, got {n}")
 
 
+def _wavenumbers(n: int, is_real: bool) -> np.ndarray:
+    """Wavenumber at each index of the n-point spectrum; the Nyquist mode,
+    +n/2 in the rfft layout and -n/2 in the fft layout, at index n/2."""
+    return np.arange(n // 2 + 1) if is_real else np.fft.fftfreq(n, d=1.0 / n)
+
+
+# Per-grid spectral tables, built once per (n, layout): read-only, since every
+# caller shares them.  A table holds 16 (n/2 + 1) bytes for real data and 16 n
+# for complex data, 0.5 and 1 MB at n = 65536.
+@functools.lru_cache(maxsize=32)
+def _mode_factors(n: int, is_real: bool, order: int) -> np.ndarray:
+    """(ik)^order at each index of the n-point spectrum in its layout, for a
+    derivative of order 1..3; for order -1, the antiderivative's 1/(ik), 0 at
+    k = 0.  Numpy divides by 0 + ik as it multiplies by fl(1/k), so
+    multiplying by this table gives the division's bytes."""
+    k = _wavenumbers(n, is_real)
+    if order > 0:
+        table = (1j * k) ** order
+    else:
+        table = np.zeros(len(k), dtype=complex)
+        table[1:] = 1 / (1j * k[1:])
+    table.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=8)
+def _stencil_mode_errors(n: int) -> np.ndarray:
+    """The stencil's error on each rfft mode of the n-point grid (see _REMAINDER)."""
+    kh = np.arange(n // 2 + 1) * (TWO_PI / n)
+    table = np.minimum(_REMAINDER * kh**_STENCIL, _MODE_ERROR_CAP) + _SNAP * kh
+    table.flags.writeable = False
+    return table
+
+
 def _stencil_error_bound(spectrum: np.ndarray, n: int) -> float:
     """Bound on the 10-point interpolation error of real data on its own n-point
     grid, summed over its rfft coefficients c_k (each mode has amplitude 2|c_k|)."""
-    kh = np.arange(len(spectrum)) * (TWO_PI / n)
-    per_mode = np.minimum(_REMAINDER * kh**_STENCIL, _MODE_ERROR_CAP) + _SNAP * kh
-    return 2.0 * float(np.abs(spectrum) @ per_mode)
+    return 2.0 * float(np.abs(spectrum) @ _stencil_mode_errors(n))
 
 
 def _along_first_axis(k: np.ndarray, samples: np.ndarray) -> np.ndarray:
@@ -272,12 +305,6 @@ class PeriodicFunction:
             self._spectrum = fft(self.samples, axis=0, norm="forward")
         return self._spectrum
 
-    def _wavenumbers(self) -> np.ndarray:
-        """Wavenumber at each index of the spectrum; the Nyquist mode, +n/2 in
-        the rfft layout and -n/2 in the fft layout, at index n/2."""
-        n = self.n
-        return np.arange(n // 2 + 1) if self.is_real else np.fft.fftfreq(n, d=1.0 / n)
-
     def _from_spectrum(self, c: np.ndarray, m: int | None = None) -> np.ndarray:
         """Samples on the m-point grid (default n) of the coefficients c, given
         in this function's layout for m points."""
@@ -347,7 +374,7 @@ class PeriodicFunction:
             raise ValueError("derivative order must be 1, 2 or 3")
         c = self.spectrum.copy()
         c[np.abs(c) < 4.0 * np.finfo(float).eps * np.abs(c).max()] = 0.0
-        c *= _along_first_axis((1j * self._wavenumbers()) ** order, c)
+        c *= _along_first_axis(_mode_factors(self.n, self.is_real, order), c)
         c[self.n // 2] = 0.0  # Nyquist mode dropped by convention
         return PeriodicFunction(self._from_spectrum(c))
 
@@ -371,10 +398,8 @@ class PeriodicFunction:
         """Coefficients of the zero-mean periodic antiderivative, in the
         spectrum's layout; the mean and the Nyquist mode are dropped."""
         c = self.spectrum
-        k = _along_first_axis(self._wavenumbers(), c)
-        out = np.zeros_like(c)
-        out[1:] = c[1:] / (1j * k[1:])
-        out[self.n // 2] = 0.0
+        out = c * _along_first_axis(_mode_factors(self.n, self.is_real, -1), c)
+        out[[0, self.n // 2]] = 0.0
         return out
 
     def integrate(self, a: float, b: float):

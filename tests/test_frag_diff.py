@@ -19,6 +19,7 @@ from circlekit.frag_diff import (
     fragment,
     fragment_pair,
     solve_monotone,
+    _build_factor,
     _remainder,
     _stage,
     _stage_localize,
@@ -255,11 +256,16 @@ def _count_transform_sizes(monkeypatch) -> collections.Counter:
     return sizes
 
 
-@pytest.mark.parametrize("n", [1024, 4096])
+@pytest.mark.parametrize("n", [1024, 4096, 16384])
 def test_fine_grid_transforms_per_fragmentation(n, monkeypatch):
     """A stage builds its factor from spectra it already holds: at most 8
-    transforms on the 8n-point grid per fragment and 3 per fragment_pair
-    (14 and 6 when each factor was transformed back and re-derived)."""
+    transforms on the construction grid per fragment and 3 per fragment_pair
+    (14 and 6 when each factor was transformed back and re-derived).  At
+    n = 16384 the construction grid is the input grid, so the count takes in
+    the coarse factors' transforms too: 12 and 6, against 8 + 7 and 3 + 4 on
+    two grids at n = 1024."""
+    m = n * _build_factor(n)
+    per_fragment, per_pair = (8, 3) if m > n else (12, 6)
     frag = DiffeoFragmenter(COVER, n)
     warm = random_diffeo(rng_for(17, n, 0), 0.01, n)
     frag.fragment(warm)
@@ -267,10 +273,35 @@ def test_fine_grid_transforms_per_fragmentation(n, monkeypatch):
     g = random_diffeo(rng_for(17, n, 1), 0.01, n)
     sizes = _count_transform_sizes(monkeypatch)
     frag.fragment(g)
-    assert 0 < sizes[n * BUILD_FACTOR] <= 8
+    assert 0 < sizes[m] <= per_fragment
     sizes.clear()
     fragment_pair(g, *PAIR_ARCS)
-    assert 0 < sizes[n * BUILD_FACTOR] <= 3
+    assert 0 < sizes[m] <= per_pair
+
+
+def test_construction_grid_size():
+    """The construction grid holds min(8n, max(n, 16384)) nodes, so stage 2
+    at n = 2048 and at n = 4096 is one cached stage."""
+    sizes = {n: n * _build_factor(n) for n in (16, 1024, 2048, 4096, 8192, 16384, 65536)}
+    assert sizes == {16: 128, 1024: 8192, 2048: 16384, 4096: 16384, 8192: 16384, 16384: 16384, 65536: 65536}
+    assert DiffeoFragmenter(COVER, 2048).stage2 is DiffeoFragmenter(COVER, 4096).stage2
+
+
+@pytest.mark.parametrize("n", [1024, 4096, 16384])
+def test_first_stage_coefficients_have_one_owner(n, monkeypatch):
+    """alpha1, beta1 and beta1_integral_form read the fragmenter's own first
+    stage, on its construction grid: alpha1 and beta1 equal the fragment's
+    coefficients bit for bit."""
+    frag = DiffeoFragmenter(COVER, n)
+    g = random_diffeo(rng_for(21, n), 0.01, n)
+    res = frag.fragment(g)
+    read = []
+    cached = frag_diff._stage
+    monkeypatch.setattr(frag_diff, "_stage", lambda *key: read.append(cached(*key)) or read[-1])
+    a = alpha1(g, COVER)
+    assert a == res.alpha1 and beta1(g, COVER) == res.beta1
+    assert abs(beta1_integral_form(g, COVER, alpha=a) - res.beta1) <= 1e-12
+    assert len(read) == 3 and all(stage is frag.stage1 for stage in read)
 
 
 def test_fine_factors_carry_their_construction(monkeypatch):
@@ -351,26 +382,51 @@ def test_fragment_pair_cutoffs_memoized():
         assert np.array_equal(a.periodic_part.samples, b.periodic_part.samples)
 
 
+def direct_sum(p, x):
+    """The trigonometric interpolant of the samples p at the points x, summed
+    over its rfft modes k: with k = q B + r, e^{ikx} = e^{iqBx} e^{irx}, so the
+    sum is one (len(x) x B) @ (B x K/B) product and no len(x) x K table."""
+    c = np.fft.rfft(p) / len(p)
+    c[1:-1] *= 2.0
+    block = 1 << (len(c).bit_length() // 2)
+    c = np.concatenate([c, np.zeros(-len(c) % block)]).reshape(-1, block)
+    inner = np.exp(1j * np.outer(x, np.arange(block))) @ c.T
+    return (inner * np.exp(1j * np.outer(x, block * np.arange(len(c))))).sum(axis=1).real
+
+
+def recompose_by_direct_sum(res):
+    """xi1(xi2(xi3(t_k))) from the returned coarse factors, by direct sum."""
+    x3 = res.xi3.samples
+    x2 = x3 + direct_sum(res.xi2.periodic_part.samples, x3)
+    return x2 + direct_sum(res.xi1.periodic_part.samples, x2)
+
+
 def test_coarse_factors_recompose_by_direct_sum():
     """reconstruction_error is measured through the fine factors; the coarse
     factors a caller gets recompose gamma up to their spectral tails."""
-
-    def trig(p, x):
-        c = np.fft.rfft(p) / len(p)
-        w = np.full(len(c), 2.0)
-        w[0] = w[-1] = 1.0
-        return (np.exp(1j * np.outer(x, np.arange(len(c)))) @ (w * c)).real
-
     frag = DiffeoFragmenter(COVER, N)
     worst = 0.0
     for i in range(50):
         g = random_diffeo(rng_for(20260810, 1, i), 0.01, N)
         res = frag.fragment(g, eps=0.01)
-        x3 = res.xi3.samples
-        x2 = x3 + trig(res.xi2.periodic_part.samples, x3)
-        x1 = x2 + trig(res.xi1.periodic_part.samples, x2)
-        worst = max(worst, float(np.abs(x1 - g.samples).max()))
+        worst = max(worst, float(np.abs(recompose_by_direct_sum(res) - g.samples).max()))
     assert worst < 1e-7
+
+
+@pytest.mark.parametrize("n", [4096, 8192, 16384])
+def test_construction_grid_resolves_cutoffs(n):
+    """The construction grid's 16384 nodes resolve the cutoffs' transitions
+    above n = 2048, where it oversamples less than 8x (4x at 4096, none from
+    16384 on): the returned factors recompose gamma by direct sum, vanish
+    outside their intervals and reconstruct it through the fine factors to
+    round-off.  An 8192-node floor fails it."""
+    frag = DiffeoFragmenter(COVER, n)
+    for i in range(3):
+        g = random_diffeo(rng_for(777, n, i), 0.01, n)
+        res = frag.fragment(g)
+        assert np.abs(recompose_by_direct_sum(res) - g.samples).max() < (5e-12 if n == 4096 else 1e-14)
+        assert frag_diff.fragment_residuals(res, COVER, 0.01)[0] <= 4.5e-16
+        assert res.reconstruction_error <= 2e-15
 
 
 def test_fragmenters_share_stages_across_margins():

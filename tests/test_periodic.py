@@ -10,14 +10,18 @@ from circlekit.errors import AliasingError
 from circlekit.frag_diff import fragment, fragment_pair
 from circlekit.loops import LoopAlgebraElement, exp_loop, multiply
 from circlekit.periodic import (
+    _MODE_ERROR_CAP,
     _OFFSETS,
+    _REMAINDER,
     _SNAP,
     TWO_PI,
     PeriodicFunction,
     _lagrange_eval,
     _lagrange_weights,
+    _mode_factors,
     _pad_fine,
     _stencil_error_bound,
+    _stencil_mode_errors,
     grid,
 )
 from circlekit.sampling import random_diffeo, rng_for
@@ -91,6 +95,38 @@ def test_derivative_analytic():
     assert np.abs(g.derivative(3).samples - (-8 * np.cos(2 * t))).max() < 1e-10
     c = PeriodicFunction.constant(4.0, 64)
     assert np.abs(c.derivative().samples).max() == 0.0
+
+
+@pytest.mark.parametrize("n", [16, 1024, 16384])
+def test_spectral_tables_give_the_direct_formulas_bytes(n):
+    """derivative, the antiderivative spectrum and the stencil error bound
+    read per-grid tables; they give the bytes of the formulas written out, on
+    real, complex and matrix data.  The tables are shared, so read-only."""
+    rng = rng_for(23, n)
+    data = [rng.normal(size=n) / np.arange(1, n + 1), rng.normal(size=n) + 1j * rng.normal(size=n)]
+    data.append(rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2)))
+    for samples in data:
+        f = PeriodicFunction(samples)
+        c = f.spectrum
+        k = np.arange(n // 2 + 1) if f.is_real else np.fft.fftfreq(n, d=1.0 / n)
+        k = k.reshape((-1,) + (1,) * (c.ndim - 1))
+        for order in (1, 2, 3):
+            d = c.copy()
+            d[np.abs(d) < 4.0 * np.finfo(float).eps * np.abs(d).max()] = 0.0
+            d *= (1j * k) ** order
+            d[n // 2] = 0.0
+            assert f.derivative(order).samples.tobytes() == f._from_spectrum(d).tobytes()
+        anti = np.zeros_like(c)
+        anti[1:] = c[1:] / (1j * k[1:])
+        anti[n // 2] = 0.0
+        assert f._antiderivative_spectrum().tobytes() == anti.tobytes()
+    kh = np.arange(n // 2 + 1) * (TWO_PI / n)
+    per_mode = np.minimum(_REMAINDER * kh**10, _MODE_ERROR_CAP) + _SNAP * kh
+    c = PeriodicFunction(data[0]).spectrum
+    assert _stencil_error_bound(c, n) == 2.0 * float(np.abs(c) @ per_mode)
+    for table in (_mode_factors(n, True, 1), _mode_factors(n, False, -1), _stencil_mode_errors(n)):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1.0
 
 
 def test_derivative_order_validation():
