@@ -20,11 +20,11 @@ Budget, checked before any import or work (exit 2 otherwise):
 - --grid a power of two, 16..65536, on every command (fragment-diff at 65536:
   0.9-1.3 s, 74 MB);
 - verify: --trials at least 0, --threads 1..32, --trials x --grid at most
-  1000 x 1024, and min(--threads, --trials) x --grid at most 2 x 65536, since
-  the pool runs that many trials at once and the second adds 16-150 MB at
-  --grid 65536.  Worst admitted `verify all` with one thread (Python 3.11,
-  Intel Xeon): 78 s, 43 MB at --trials 1000; 19 s, 221 MB at --trials 15
-  --grid 65536;
+  1000 x 1024, and min(--threads, --trials) x --grid at most 2 x 65536.
+  Trials run one at a time whatever --threads says; the flag and its bounds
+  stay so that existing command lines keep their meaning.  Worst admitted
+  `verify all` (Python 3.11, Intel Xeon): 21 s, 42 MB at --trials 1000;
+  15 s, 164 MB at --trials 15 --grid 65536;
 - verma: --level 0..12, --c/--h fractions of at most 16 characters, no
   exponent, numerator and denominator below 2^16 in absolute value (level
   12 with 16-bit operands: 1.6-3.5 s, 39 MB, most of it the determinant);
@@ -216,8 +216,8 @@ def check_budget(args) -> None:
         parallel = min(args.threads, args.trials) * args.grid
         if parallel > VERIFY_MAX_PARALLEL_POINTS:
             raise OperandError(
-                f"--threads {args.threads} --trials {args.trials} --grid {args.grid}: the pool holds "
-                f"{parallel} grid points of trials at once, at most {VERIFY_MAX_PARALLEL_POINTS}"
+                f"--threads {args.threads} --trials {args.trials} --grid {args.grid}: "
+                f"min(--threads, --trials) x --grid = {parallel}, at most {VERIFY_MAX_PARALLEL_POINTS}"
             )
     if args.command == "verma" and not 0 <= args.level <= VERMA_MAX_LEVEL:
         raise OperandError(f"--level {args.level}: must lie in 0..{VERMA_MAX_LEVEL}")

@@ -11,12 +11,13 @@ coefficients of the Lagrange basis; on this fixed stencil the monomial form is
 well conditioned (its entries sum to 10.6 in absolute value), so it needs no
 per-point division.  A point within 1e-11 cells of a node is snapped onto it,
 u = 0, where the weights are exactly one-hot: grid points evaluate
-sample-exact.  For real scalar data the function's own spectrum certifies the
-interpolation error: when the summed Lagrange remainder bound over its modes
-is at most 1e-12, the samples themselves are the cache.  Otherwise, and for
-complex or matrix data, the cache is a zero-padded oversampling (64x for real
-data up to N = 2048, 8x above that and for complex data), which keeps modes
-up to the Nyquist frequency accurate to ~1e-13.
+sample-exact.  The function's own spectrum certifies the interpolation error:
+the cache is the zero-padded oversampling by the smallest power-of-two factor
+F whose summed Lagrange remainder bound over the modes is at most 1e-12 on the
+F * N grid, so F = 1 makes the samples themselves the cache.  Data that never
+certifies stops at a cap (64x for real data up to N = 2048, 8x above that and
+for complex data), which keeps modes up to the Nyquist frequency accurate to
+~1e-13.
 
 Scalar (real or complex) and matrix-valued samples are supported; all
 spectral operations act along the first axis.
@@ -50,17 +51,11 @@ __all__ = ["PeriodicFunction", "grid"]
 
 TWO_PI = 2.0 * np.pi
 
-# Oversampling factors for the point-evaluation cache when the samples alone
-# are not certified accurate enough.  Real scalar data is the
-# accuracy-critical path (diffeomorphism arithmetic), matrix data only feeds
-# tolerance checks at the 1e-8 level.  Long grids already resolve their
-# content, so their cache oversamples less.
+# Caps on the point-evaluation cache's oversampling, for data that never
+# certifies: 64x for real data up to N = 2048, 8x for longer grids, which
+# already resolve their content, and for complex data.
 _EVAL_FACTOR_REAL = 64
 _EVAL_FACTOR_COMPLEX = 8
-
-
-def _eval_factor_real(n: int) -> int:
-    return _EVAL_FACTOR_REAL if n <= 2048 else 8
 
 
 _STENCIL = 10
@@ -95,8 +90,7 @@ _MONOMIAL = _monomial_form()
 _REMAINDER = float(np.prod(np.abs(0.5 - _OFFSETS))) / math.factorial(_STENCIL)
 _MODE_ERROR_CAP = 2.57
 
-# Real scalar data evaluates straight from its own samples when their
-# certified stencil error is at most this.
+# An evaluation cache is certified when its stencil error bound is at most this.
 _OWN_SAMPLES_TOL = 1e-12
 
 
@@ -135,19 +129,28 @@ def _mode_factors(n: int, is_real: bool, order: int) -> np.ndarray:
     return table
 
 
-@functools.lru_cache(maxsize=8)
-def _stencil_mode_errors(n: int) -> np.ndarray:
-    """The stencil's error on each rfft mode of the n-point grid (see _REMAINDER)."""
-    kh = np.arange(n // 2 + 1) * (TWO_PI / n)
+@functools.lru_cache(maxsize=32)
+def _stencil_mode_errors(n: int, factor: int = 1) -> np.ndarray:
+    """The stencil's error on each wavenumber 0..n/2 of the n-point grid, read on
+    the factor * n grid (see _REMAINDER)."""
+    kh = np.arange(n // 2 + 1) * (TWO_PI / (n * factor))
     table = np.minimum(_REMAINDER * kh**_STENCIL, _MODE_ERROR_CAP) + _SNAP * kh
     table.flags.writeable = False
     return table
 
 
-def _stencil_error_bound(spectrum: np.ndarray, n: int) -> float:
-    """Bound on the 10-point interpolation error of real data on its own n-point
-    grid, summed over its rfft coefficients c_k (each mode has amplitude 2|c_k|)."""
-    return 2.0 * float(np.abs(spectrum) @ _stencil_mode_errors(n))
+def _stencil_error_bound(spectrum: np.ndarray, n: int, is_real: bool = True, factor: int = 1) -> float:
+    """Bound on the 10-point interpolation error, on the factor * n grid, of data
+    with this n-point spectrum: the stencil's error on each wavenumber 0..n/2
+    times its amplitude, summed.  The amplitude is 2|c_k| for real data and
+    |c_k| + |c_-k| for complex data, each the largest over a matrix's entries."""
+    a = np.abs(spectrum)
+    if a.ndim > 1:
+        a = a.reshape(len(a), -1).max(axis=1)
+    if not is_real:
+        a, negative = a[: n // 2 + 1].copy(), a[: n // 2 : -1]
+        a[1 : n // 2] += negative
+    return (2.0 if is_real else 1.0) * float(a @ _stencil_mode_errors(n, factor))
 
 
 def _along_first_axis(k: np.ndarray, samples: np.ndarray) -> np.ndarray:
@@ -321,20 +324,17 @@ class PeriodicFunction:
     # -- evaluation ---------------------------------------------------
 
     def _fine_values(self) -> np.ndarray:
-        """Padded cache backing arbitrary-point evaluation: the samples
-        themselves when their certified stencil error is within
-        _OWN_SAMPLES_TOL, an oversampled grid otherwise."""
+        """Padded cache backing arbitrary-point evaluation, on the grid of the
+        smallest power-of-two factor whose certified stencil error is within
+        _OWN_SAMPLES_TOL (up to the cap); factor 1 is the samples themselves."""
         if self._fine is None:
-            if (
-                self.is_real
-                and self.samples.ndim == 1
-                and _stencil_error_bound(self.spectrum, self.n) <= _OWN_SAMPLES_TOL
-            ):
-                self._fine = _pad_fine(self.samples)
-                return self._fine
-            factor = _eval_factor_real(self.n) if self.is_real else _EVAL_FACTOR_COMPLEX
+            cap = _EVAL_FACTOR_REAL if self.is_real and self.n <= 2048 else _EVAL_FACTOR_COMPLEX
+            factor = 1
+            while factor < cap and _stencil_error_bound(self.spectrum, self.n, self.is_real, factor) > _OWN_SAMPLES_TOL:
+                factor *= 2
             fine = self._upsample(factor)
-            fine[::factor] = self.samples  # keep grid nodes bit-exact
+            if factor > 1:
+                fine[::factor] = self.samples  # keep grid nodes bit-exact
             self._fine = _pad_fine(fine)
         return self._fine
 

@@ -4,16 +4,15 @@ Each suite turns the library's mathematical guarantees into named checks
 with measured residuals and fixed tolerances.  A suite is an ordered table:
 each row is either a fixed CheckResult or a Family of seeded trials, and one
 runner, _run, emits the table's checks in row order.  Trial i of a family
-draws from the stream derived from (seed, family stream, i), so reports are
-byte-stable across runs and across thread counts; every family runs on the
---threads pool, and each residual column aggregates by max, which is
-order-independent.  A new check is one row of a table (or one column of an
-existing family).
+draws from the stream derived from (seed, family stream, i), and each
+residual column aggregates by max, so reports are byte-stable across runs.
+Trials run one after another whatever --threads says: they are short numpy
+calls that hold the GIL, so a thread pool only added overhead.  A new check
+is one row of a table (or one column of an existing family).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -51,14 +50,7 @@ class Family(NamedTuple):
     columns: tuple[tuple[str, float], ...]
 
 
-def _map(fn, count: int, threads: int) -> list:
-    if threads > 1 and count > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, range(count)))
-    return [fn(i) for i in range(count)]
-
-
-def _run(table: list, seed: int, trials: int, threads: int) -> list[CheckResult]:
+def _run(table: list, seed: int, trials: int) -> list[CheckResult]:
     """The table's checks in row order: a fixed row as it is, a family's
     columns as their maxima over its trials (0.0 when there are none)."""
     checks = []
@@ -68,12 +60,10 @@ def _run(table: list, seed: int, trials: int, threads: int) -> list[CheckResult]
             continue
         streams = row.stream if isinstance(row.stream, tuple) else (row.stream,)
         count = row.count(trials) if callable(row.count) else max(trials // row.count, 1)
-
-        def trial(i, row=row, streams=streams):
+        values = []
+        for i in range(count):
             out = row.trial(*(rng_for(seed, s, i) for s in streams))
-            return out if isinstance(out, tuple) else (out,)
-
-        values = _map(trial, count, threads)
+            values.append(out if isinstance(out, tuple) else (out,))
         checks.extend(
             CheckResult(name, max((v[j] for v in values), default=0.0), tol)
             for j, (name, tol) in enumerate(row.columns)
@@ -484,7 +474,9 @@ SUITES = {
 
 
 def run_suites(selector: str, seed: int, trials: int, n: int = 1024, threads: int = 1) -> RunReport:
-    """Run the selected property suites and collect a report."""
+    """Run the selected property suites and collect a report.  threads is
+    accepted for the CLI's --threads and does not change the work or the
+    report: every family runs its trials in order."""
     report = RunReport(command=f"verify {selector}")
     report.inputs_digest = digest_inputs(selector=selector, seed=seed, trials=trials, n=n)
     if trials <= 0:
@@ -493,5 +485,5 @@ def run_suites(selector: str, seed: int, trials: int, n: int = 1024, threads: in
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}")
         for build in SUITES[name]:
-            report.checks.extend(_run(build(n), seed, trials, threads))
+            report.checks.extend(_run(build(n), seed, trials))
     return report

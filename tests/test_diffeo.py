@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from circlekit import diffeo
 from circlekit.diffeo import (
     BumpFunction,
     CircleDiffeo,
@@ -52,6 +53,26 @@ def test_inverse_reads_slope_on_the_stencil_of_p():
     assert len(p._fine_values()) != len(g.deriv._fine_values())
     u = inverse(g).samples
     assert np.abs(g.eval(u) - grid(64)).max() < 1e-12
+
+
+def test_solve_monotone_reads_both_caches_at_the_factor_of_p(monkeypatch):
+    # p certifies at 8x and its derivative, 20 times larger, at 16x: the
+    # derivative is resampled onto p's 8x grid, not read from its own cache
+    g = CircleDiffeo.from_fourier([(20, 0.0, 1e-3)], 64)
+    p = g.periodic_part
+    assert (len(p._fine_values()), len(g.deriv._fine_values())) == (8 * 64 + 9, 16 * 64 + 9)
+    lengths = []
+    real_eval = diffeo._lagrange_eval
+
+    def spy(t, *caches):
+        lengths.append({len(c) for c in caches})
+        return real_eval(t, *caches)
+
+    monkeypatch.setattr(diffeo, "_lagrange_eval", spy)
+    y = grid(64) + 0.01
+    u = solve_monotone(g, y)
+    assert lengths and all(s == {8 * 64 + 9} for s in lengths)
+    assert np.abs(u + p.eval(u) - y).max() < 1e-12
 
 
 @pytest.mark.parametrize("n", [1024, 4096])

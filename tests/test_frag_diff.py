@@ -470,23 +470,23 @@ def test_stage_origin_is_the_first_fine_node_outside():
 
 @pytest.mark.parametrize("n", [16, 1024, 4096])
 def test_stage_phase_tables_match_direct_sum(n):
-    """A stage on n * 8 points sums the antiderivative spectrum of its own
-    integrand at its four boundary points from two tables of 4 (K/B + B)
-    entries, to 1e-15 sum|c_k| of the direct product exp(i outer(theta, k)) @ c
-    and of the same product accumulated in long double (80-bit on x86-64)."""
-    stage = _stage(COVER.i1, COVER.ihat1, n, BUILD_FACTOR)
-    k_max = n * BUILD_FACTOR // 2
-    rows, block = len(stage.phase_coarse), len(stage.phase_fine)
-    assert rows * block == k_max
-    assert stage.phase_coarse.size + stage.phase_fine.size <= 4 * (k_max // block + block)
-    theta = np.array([stage.theta0, *stage.endpoints[1:]])
-    k = np.arange(1, k_max + 1)
-    for i in range(3):
-        g = random_diffeo(rng_for(31, n, i), 0.01, n)
-        c = PeriodicFunction(g.deriv._upsample(BUILD_FACTOR) * stage.center_fine)._antiderivative_spectrum()
-        tol = 1e-15 * np.abs(c[1:]).sum()
-        direct = np.exp(1j * np.outer(theta, k)) @ c[1:]
-        extended = (np.exp(1j * np.outer(theta.astype(np.longdouble), k)) * c[1:]).sum(axis=1)
-        sums = stage.boundary_sums(c)
-        assert np.abs(sums - direct).max() <= tol
-        assert np.abs(sums - extended).max() <= tol
+    """A stage on n * 8 points, and on the construction grid of n where that
+    is smaller (16384 nodes at n = 4096), sums the antiderivative spectrum of
+    its own integrand at its four boundary points from two tables of
+    4 (K/B + B) entries, to 1e-15 sum|c_k| of the direct sum
+    exp(i outer(theta, k)) c accumulated in long double (80-bit on x86-64).
+    A double-precision direct sum is no reference there: on the 16384-node
+    stage it reads up to 3.1e-18 off the long-double one, above that tolerance."""
+    for factor in sorted({BUILD_FACTOR, _build_factor(n)}):
+        stage = _stage(COVER.i1, COVER.ihat1, n, factor)
+        k_max = n * factor // 2
+        rows, block = len(stage.phase_coarse), len(stage.phase_fine)
+        assert rows * block == k_max
+        assert stage.phase_coarse.size + stage.phase_fine.size <= 4 * (k_max // block + block)
+        theta = np.array([stage.theta0, *stage.endpoints[1:]]).astype(np.longdouble)
+        k = np.arange(1, k_max + 1)
+        for i in range(3):
+            g = random_diffeo(rng_for(31, n, i), 0.01, n)
+            c = PeriodicFunction(g.deriv._upsample(factor) * stage.center_fine)._antiderivative_spectrum()
+            extended = (np.exp(1j * np.outer(theta, k)) * c[1:]).sum(axis=1)
+            assert np.abs(stage.boundary_sums(c) - extended).max() <= 1e-15 * np.abs(c[1:]).sum()

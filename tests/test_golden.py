@@ -31,7 +31,7 @@ GRAM_DIGESTS = {
     "26 3/2": "9e0a55e17da8052582e7f1b1cdf06b21c26c156211df0f468abf5f950a192d65",
 }
 
-VERIFY_ALL_REPORT = "2b4037e825c69f2da4ca5f92a275849ab49eb3fb536dc9f0f6c22598f835e188"
+VERIFY_ALL_REPORT = "de8df0e8002266bc1dd19dd43d28092a336815faa8dfad9e7d71ef20b280877c"
 
 # the files one CLI run writes, by command
 CSV_DIGESTS = {

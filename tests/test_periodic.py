@@ -25,6 +25,7 @@ from circlekit.periodic import (
     grid,
 )
 from circlekit.sampling import random_diffeo, rng_for
+from circlekit.verify import run_suites
 
 
 def test_eval_reproduces_band_limited():
@@ -334,13 +335,54 @@ def test_band_limited_cache_is_own_samples():
 
 
 def test_near_nyquist_content_is_oversampled():
-    n = 8192
-    t = grid(n)
-    f = PeriodicFunction(np.sin(t) + 1e-5 * np.cos(4000 * t) + 1e-5 * np.sin(4090 * t))
-    assert _stencil_error_bound(f.spectrum, n) > 1e-12
-    assert len(f._fine_values()) == 8 * n + 9
+    """Content near the Nyquist frequency keeps the caps: 64x for real data up
+    to N = 2048, 8x above that and for complex data."""
     x = np.random.default_rng(2).uniform(0, 2 * np.pi, 500)
-    assert np.abs(f.eval(x) - direct_sum(f.samples, x)).max() < 1e-12
+    for n, factor, fn in [
+        (8192, 8, lambda t: np.sin(t) + 1e-5 * np.cos(4000 * t) + 1e-5 * np.sin(4090 * t)),
+        (1024, 64, lambda t: np.sin(t) + np.cos(500 * t) + np.sin(510 * t)),
+        (1024, 8, lambda t: np.exp(1j * t) + 1e-5 * np.exp(-500j * t) + 1e-5 * np.exp(-510j * t)),
+    ]:
+        f = PeriodicFunction.from_callable(fn, n)
+        assert _stencil_error_bound(f.spectrum, n, f.is_real) > 1e-12
+        assert len(f._fine_values()) == factor * n + 9
+        if f.is_real:
+            reference = direct_sum(f.samples, x)
+        else:  # no Nyquist mode, so the fft coefficients sum directly
+            reference = np.exp(1j * np.outer(x, np.fft.fftfreq(n, d=1.0 / n))) @ (np.fft.fft(f.samples) / n)
+        assert np.abs(f.eval(x) - reference).max() < 1e-12
+
+
+def test_every_verify_cache_sits_at_its_certified_factor(monkeypatch):
+    """Each evaluation cache that run_suites("all", 11, 4) builds sits at the
+    smallest power-of-two factor F whose stencil bound on the F * n grid,
+    written out here mode by mode in the fft layout, is at most 1e-12, or at
+    the cap: 64x for real data up to n = 2048, 8x otherwise."""
+    fill = PeriodicFunction._fine_values
+    caches = []
+
+    def bound(f, factor):
+        k = np.arange(f.n // 2 + 1) if f.is_real else np.abs(np.fft.fftfreq(f.n, d=1.0 / f.n))
+        kh = k * TWO_PI / (f.n * factor)
+        amplitude = np.abs(f.spectrum).reshape(len(k), -1).max(axis=1) * (2.0 if f.is_real else 1.0)
+        return float(amplitude @ (np.minimum(_REMAINDER * kh**10, _MODE_ERROR_CAP) + _SNAP * kh))
+
+    def spy(f):
+        if f._fine is not None:
+            return fill(f)
+        cache = fill(f)
+        factor = (len(cache) - 9) // f.n
+        cap = 64 if f.is_real and f.n <= 2048 else 8
+        caches.append((factor, cap, bound(f, factor), bound(f, factor // 2) if factor > 1 else math.inf))
+        return cache
+
+    monkeypatch.setattr(PeriodicFunction, "_fine_values", spy)
+    run_suites("all", 11, 4, 1024)
+    assert {factor for factor, *_ in caches} >= {1, 2}
+    for factor, cap, at_factor, at_half in caches:
+        assert factor in (1, 2, 4, 8, 16, 32, 64) and factor <= cap
+        assert at_factor <= 1e-12 or factor == cap
+        assert at_half > 1e-12
 
 
 def _tail_gate_calls():
