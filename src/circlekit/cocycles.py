@@ -103,10 +103,9 @@ def bott(g1: CircleDiffeo, g2: CircleDiffeo) -> float:
         raise ValueError("grid size mismatch")
     d2 = g2.deriv_samples
     # (g1 o g2)'(t) = g1'(g2(t)) * g2'(t), evaluated pointwise for accuracy
-    d1_at = 1.0 + g1.deriv.eval(g2.samples)
+    d1_at = 1.0 + g2._pull_back(g1.deriv)
     log_comp = np.log(d1_at * d2)
-    ratio = g2.periodic_part.derivative(2).samples / d2
-    return float((log_comp * ratio).mean() * TWO_PI * (-1.0 / (48.0 * np.pi)))
+    return float((log_comp * g2._log_deriv_slope()).mean() * TWO_PI * (-1.0 / (48.0 * np.pi)))
 
 
 @dataclass(frozen=True)

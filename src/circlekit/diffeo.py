@@ -18,10 +18,13 @@ from .periodic import (
     DEFAULT_TAIL_TOL,
     TWO_PI,
     PeriodicFunction,
+    _cache_length,
     _caches_on_one_stencil,
     _check_tail,
     _fourier_samples,
+    _lagrange_apply,
     _lagrange_eval,
+    _lagrange_weights,
     grid,
 )
 
@@ -92,7 +95,7 @@ class IntervalArc:
 class CircleDiffeo:
     """Lift gamma(t) = t + p(t) of an orientation-preserving circle diffeomorphism."""
 
-    __slots__ = ("periodic_part", "n", "_deriv")
+    __slots__ = ("periodic_part", "n", "_deriv", "_stencils", "_log_slope")
 
     def __init__(self, periodic_part: PeriodicFunction) -> None:
         if not periodic_part.is_real or periodic_part.samples.ndim != 1:
@@ -103,6 +106,8 @@ class CircleDiffeo:
         self.periodic_part = periodic_part
         self.n = periodic_part.n
         self._deriv = deriv
+        self._stencils = {}
+        self._log_slope = None
         if not np.all(self.deriv_samples > 0.0):  # NaN fails too
             raise DerivativeError("gamma' must be positive at every grid point")
 
@@ -153,6 +158,25 @@ class CircleDiffeo:
 
     __call__ = eval
 
+    def _pull_back(self, f: PeriodicFunction) -> np.ndarray:
+        """Samples of f o gamma: f.eval(self.samples), read through the
+        stencil of gamma's sample points on f's evaluation cache.  The stencil
+        depends only on those points and the cache's length, so it is built
+        once per length and kept with gamma (88 KB at n = 1024)."""
+        fine = f._fine_values()
+        m = _cache_length(fine)
+        stencil = self._stencils.get(m)
+        if stencil is None:
+            stencil = self._stencils[m] = _lagrange_weights(self.samples, m)
+        [out] = _lagrange_apply(stencil, fine)
+        return out
+
+    def _log_deriv_slope(self) -> np.ndarray:
+        """(log gamma')' = p'' / gamma' at the grid points, computed once."""
+        if self._log_slope is None:
+            self._log_slope = self.periodic_part.derivative(2).samples / self.deriv_samples
+        return self._log_slope
+
     def displacement(self) -> float:
         """Sup-norm distance from the identity at the grid points."""
         return float(np.abs(self.periodic_part.samples).max())
@@ -166,8 +190,7 @@ class CircleDiffeo:
 
 def compose(g1: CircleDiffeo, g2: CircleDiffeo) -> CircleDiffeo:
     """Composition gamma1 o gamma2, resampled onto the grid of gamma2."""
-    p2 = g2.periodic_part.samples
-    p = p2 + g1.periodic_part.eval(grid(g2.n) + p2)
+    p = g2.periodic_part.samples + g2._pull_back(g1.periodic_part)
     return CircleDiffeo(_check_tail(PeriodicFunction(p), DEFAULT_TAIL_TOL, "composition"))
 
 

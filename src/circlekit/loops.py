@@ -329,9 +329,7 @@ def omega(xi: LoopAlgebraElement, eta: LoopAlgebraElement):
 
 def precompose(el, diffeo: CircleDiffeo):
     """Reparametrize a loop (group or algebra element) by a diffeomorphism."""
-    targets = diffeo.samples
-    vals = el.pf.eval(targets)
-    return type(el)(vals, check=False)
+    return type(el)(diffeo._pull_back(el.pf), check=False)
 
 
 def loop_support(g: LoopElement, tol: float = 1e-10):

@@ -232,21 +232,33 @@ def _lagrange_weights(t: np.ndarray, m: int):
     return j0, powers.T @ _MONOMIAL
 
 
-def _lagrange_eval(t: np.ndarray, *caches: np.ndarray) -> list:
-    """Interpolate padded, equally oversampled periodic data at angles t: one
-    value array per cache, all read through one stencil."""
-    m = caches[0].shape[0] - _STENCIL + 1
-    j0, w = _lagrange_weights(t, m)
+def _cache_length(fine: np.ndarray) -> int:
+    """Points of the grid behind a padded cache."""
+    return fine.shape[0] - _STENCIL + 1
+
+
+def _lagrange_apply(stencil, *caches: np.ndarray) -> list:
+    """Interpolate padded caches of one length through a stencil that
+    _lagrange_weights built for that length: one value array per cache."""
+    j0, w = stencil
     idx = j0[:, None] + np.arange(_STENCIL)[None, :]
     return [np.einsum("ps,ps->p" if c.ndim == 1 else "ps,ps...->p...", w, c[idx]) for c in caches]
 
 
+def _lagrange_eval(t: np.ndarray, *caches: np.ndarray) -> list:
+    """Interpolate padded, equally oversampled periodic data at angles t: one
+    value array per cache, all read through one stencil."""
+    return _lagrange_apply(_lagrange_weights(t, _cache_length(caches[0])), *caches)
+
+
 def _caches_on_one_stencil(f: "PeriodicFunction", g: "PeriodicFunction"):
     """f's evaluation cache and g resampled to the same resolution, for one
-    _lagrange_eval; g's own cache is reused when it matches."""
+    _lagrange_eval.  g's own cache is read when g certifies at f's factor
+    above 1x (it is built then if need be); otherwise g is upsampled once."""
     fine_f = f._fine_values()
-    factor = (len(fine_f) - _STENCIL + 1) // f.n
-    fine_g = g._fine_values() if factor > 1 else None
+    factor = _cache_length(fine_f) // f.n
+    own = factor > 1 and (g._fine is not None or g._certified_factor() == factor)
+    fine_g = g._fine_values() if own else None
     if fine_g is None or len(fine_g) != len(fine_f):
         fine_g = _pad_fine(g._upsample(factor))
     return fine_f, fine_g
@@ -328,15 +340,21 @@ class PeriodicFunction:
         smallest power-of-two factor whose certified stencil error is within
         _OWN_SAMPLES_TOL (up to the cap); factor 1 is the samples themselves."""
         if self._fine is None:
-            cap = _EVAL_FACTOR_REAL if self.is_real and self.n <= 2048 else _EVAL_FACTOR_COMPLEX
-            factor = 1
-            while factor < cap and _stencil_error_bound(self.spectrum, self.n, self.is_real, factor) > _OWN_SAMPLES_TOL:
-                factor *= 2
+            factor = self._certified_factor()
             fine = self._upsample(factor)
             if factor > 1:
                 fine[::factor] = self.samples  # keep grid nodes bit-exact
             self._fine = _pad_fine(fine)
         return self._fine
+
+    def _certified_factor(self) -> int:
+        """The smallest power-of-two factor whose stencil error bound is within
+        _OWN_SAMPLES_TOL, or the cap if none below it is."""
+        cap = _EVAL_FACTOR_REAL if self.is_real and self.n <= 2048 else _EVAL_FACTOR_COMPLEX
+        factor = 1
+        while factor < cap and _stencil_error_bound(self.spectrum, self.n, self.is_real, factor) > _OWN_SAMPLES_TOL:
+            factor *= 2
+        return factor
 
     def _upsample(self, factor: int) -> np.ndarray:
         """Samples on the factor * n grid: the spectrum zero-padded, with the
@@ -373,7 +391,8 @@ class PeriodicFunction:
         if order not in (1, 2, 3):
             raise ValueError("derivative order must be 1, 2 or 3")
         c = self.spectrum.copy()
-        c[np.abs(c) < 4.0 * np.finfo(float).eps * np.abs(c).max()] = 0.0
+        a = np.abs(c)
+        c[a < 4.0 * np.finfo(float).eps * a.max()] = 0.0
         c *= _along_first_axis(_mode_factors(self.n, self.is_real, order), c)
         c[self.n // 2] = 0.0  # Nyquist mode dropped by convention
         return PeriodicFunction(self._from_spectrum(c))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from circlekit import diffeo, periodic
 from circlekit.cocycles import (
     VectField,
     VirasoroElement,
@@ -129,6 +130,64 @@ def test_vir_associativity():
     assert vir_multiply(xs[0], xs[1]).gamma.distance(
         compose(xs[0].gamma, xs[1].gamma)
     ) == 0.0
+
+
+# Right operands whose sample points leave [0, 2pi), below 0 and above 2pi
+OFF_THE_PERIOD = [[(0, -0.4, 0.0), (1, 0.0, 0.3)], [(0, 0.4, 0.0), (2, 0.1, 0.0)]]
+
+
+def _bott_by_evaluation(g1, g2):
+    """bott with g1' read by PeriodicFunction.eval at g2's points."""
+    d2 = g2.deriv_samples
+    log_comp = np.log((1.0 + g1.deriv.eval(g2.samples)) * d2)
+    ratio = g2.periodic_part.derivative(2).samples / d2
+    return float((log_comp * ratio).mean() * TWO_PI * (-1.0 / (48.0 * np.pi)))
+
+
+@pytest.mark.parametrize("terms", OFF_THE_PERIOD)
+def test_bott_and_vir_multiply_equal_evaluation_at_the_points_of_g2(terms):
+    """bott and vir_multiply read g1 through g2's kept stencils, bit for bit
+    what evaluation at g2's points gives: g1' cached at 1x and 16x for bott,
+    g1 at 1x and 4x for vir_multiply, whose composition gates the tail."""
+    g2 = CircleDiffeo.from_fourier(terms, 64)
+    band_limited = CircleDiffeo.from_fourier([(1, 0.05, 0.1)], 64)
+    for g1 in (band_limited, CircleDiffeo.from_fourier([(20, 0.0, 1e-3)], 64), band_limited):
+        assert bott(g1, g2) == _bott_by_evaluation(g1, g2)
+    for g1 in (band_limited, CircleDiffeo.from_fourier([(8, 0.0, 1e-4)], 64)):
+        x = vir_multiply(VirasoroElement(0.25, g1), VirasoroElement(-1.5, g2))
+        assert x.a == 0.25 + -1.5 + _bott_by_evaluation(g1, g2)
+        expected = g2.periodic_part.samples + g1.periodic_part.eval(g2.samples)
+        assert np.array_equal(x.gamma.periodic_part.samples, expected)
+
+
+def test_group_triples_build_one_stencil_per_right_operand(monkeypatch):
+    """A Bott triple and a Virasoro triple each read three distinct right
+    operands (g2, g3 and g2 o g3; x2, x3 and x1 x2): three stencil builds and
+    three second derivatives each, where evaluating afresh at every call
+    builds 6 and 8 stencils and takes 4 second derivatives."""
+    rng = rng_for(33, 0)
+    g1, g2, g3 = (random_diffeo(rng, 0.05, N) for _ in range(3))
+    xs = [VirasoroElement(rng.normal(), random_diffeo(rng, 0.05, N)) for _ in range(3)]
+    counts = {"stencils": 0, "second_derivatives": 0}
+    real_weights, real_derivative = periodic._lagrange_weights, PeriodicFunction.derivative
+
+    def weights(t, m):
+        counts["stencils"] += 1
+        return real_weights(t, m)
+
+    def derivative(self, order=1):
+        counts["second_derivatives"] += order == 2
+        return real_derivative(self, order)
+
+    monkeypatch.setattr(periodic, "_lagrange_weights", weights)
+    monkeypatch.setattr(diffeo, "_lagrange_weights", weights)
+    monkeypatch.setattr(PeriodicFunction, "derivative", derivative)
+    cocycle_identity_residual(bott, g1, g2, g3)
+    assert counts == {"stencils": 3, "second_derivatives": 3}
+    counts.update(stencils=0, second_derivatives=0)
+    vir_multiply(vir_multiply(xs[0], xs[1]), xs[2])
+    vir_multiply(xs[0], vir_multiply(xs[1], xs[2]))
+    assert counts == {"stencils": 3, "second_derivatives": 3}
 
 
 def test_bott_mixed_derivative_antisymmetric():

@@ -73,6 +73,29 @@ def test_solve_monotone_reads_both_caches_at_the_factor_of_p(monkeypatch):
     u = solve_monotone(g, y)
     assert lengths and all(s == {8 * 64 + 9} for s in lengths)
     assert np.abs(u + p.eval(u) - y).max() < 1e-12
+    # a fresh g: its derivative, certified at 16x, is upsampled once to 8x
+    # and gets no cache of its own; the answer is the same bytes
+    fresh = CircleDiffeo.from_fourier([(20, 0.0, 1e-3)], 64)
+    assert np.array_equal(solve_monotone(fresh, y), u)
+    assert fresh.deriv._fine is None
+
+
+# Right operands whose sample points leave [0, 2pi), below 0 and above 2pi
+OFF_THE_PERIOD = [[(0, -0.4, 0.0), (1, 0.0, 0.3)], [(0, 0.4, 0.0), (2, 0.1, 0.0)]]
+
+
+@pytest.mark.parametrize("terms", OFF_THE_PERIOD)
+def test_compose_equals_evaluation_at_the_points_of_g2(terms):
+    """compose reads g1 through g2's kept stencil, bit for bit what
+    g1.eval at g2's points gives, for caches of two lengths (1x and 4x)."""
+    g2 = CircleDiffeo.from_fourier(terms, 64)
+    assert g2.samples.min() < 0.0 or g2.samples.max() >= TWO_PI
+    band_limited = CircleDiffeo.from_fourier([(1, 0.05, 0.1)], 64)
+    oversampled = CircleDiffeo.from_fourier([(8, 0.0, 1e-4)], 64)
+    for g1 in (band_limited, oversampled, band_limited):
+        expected = g2.periodic_part.samples + g1.periodic_part.eval(g2.samples)
+        assert np.array_equal(compose(g1, g2).periodic_part.samples, expected)
+    assert sorted(g2._stencils) == [64, 4 * 64]
 
 
 @pytest.mark.parametrize("n", [1024, 4096])

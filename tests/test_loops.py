@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm, logm
 
 from circlekit import loops
-from circlekit.diffeo import CoverConfig, IntervalArc
+from circlekit.diffeo import CircleDiffeo, CoverConfig, IntervalArc
 from circlekit.errors import BranchError
 from circlekit.loops import (
     LoopAlgebraElement,
@@ -117,6 +117,21 @@ def test_omega_antisymmetry_jacobi_invariance():
     assert abs(jac) < 1e-9
     f = random_diffeo(rng, 0.05, N)
     assert abs(omega(precompose(xi, f), precompose(eta, f)) - omega(xi, eta)) < 1e-8
+
+
+@pytest.mark.parametrize("terms", [[(0, -0.4, 0.0), (1, 0.0, 0.3)], [(0, 0.4, 0.0), (2, 0.1, 0.0)]])
+def test_precompose_equals_evaluation_at_the_points_of_the_diffeo(terms):
+    """precompose reads the loop through f's kept stencils, bit for bit what
+    evaluation at f's points gives, on sample points that leave [0, 2pi)
+    (below 0, above 2pi) and on complex caches of two lengths (8x and 2x)."""
+    f = CircleDiffeo.from_fourier(terms, 64)
+    t = grid(64)
+    zero = np.zeros(64)
+    fine = LoopAlgebraElement.from_components(1e-3 * np.cos(20 * t), 1e-3 * np.sin(3 * t), zero)
+    smooth = exp_loop(LoopAlgebraElement.from_components(0.3 * np.cos(t), 0.1 * np.sin(t), zero))
+    for el in (fine, smooth, fine):
+        assert np.array_equal(precompose(el, f).samples, el.pf.eval(f.samples))
+    assert sorted(f._stencils) == [2 * 64, 8 * 64]
 
 
 def test_fragment_loop_identity():
