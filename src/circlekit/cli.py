@@ -19,12 +19,12 @@ Budget, checked before any import or work (exit 2 otherwise):
 
 - --grid a power of two, 16..65536, on every command (fragment-diff at 65536:
   0.9-1.3 s, 74 MB);
-- verify: --trials at least 0, --threads 1..32, --trials x --grid at most
-  1000 x 1024, and min(--threads, --trials) x --grid at most 2 x 65536.
-  Trials run one at a time whatever --threads says; the flag and its bounds
-  stay so that existing command lines keep their meaning.  Worst admitted
-  `verify all` (Python 3.11, Intel Xeon): 21 s, 42 MB at --trials 1000;
-  15 s, 164 MB at --trials 15 --grid 65536;
+- verify: --trials at least 0, --threads 1..32 and --trials x --grid at most
+  1000 x 1024.  Trials run one at a time: --threads is accepted so that
+  existing command lines keep their meaning, and changes nothing.  Worst
+  admitted `verify all` (Python 3.11, Intel Xeon): 21 s, 42 MB at --trials
+  1000; 12-15 s, 159 MB at --trials 15 --grid 65536, at --threads 1 and 15
+  alike;
 - verma: --level 0..12, --c/--h fractions of at most 16 characters, no
   exponent, numerator and denominator below 2^16 in absolute value (level
   12 with 16-bit operands: 1.6-3.5 s, 39 MB, most of it the determinant);
@@ -73,7 +73,6 @@ EXIT_CONVERGENCE = 5
 MAX_GRID = 65536
 MAX_THREADS = 32
 VERIFY_MAX_POINTS = 1000 * 1024  # --trials x --grid
-VERIFY_MAX_PARALLEL_POINTS = 2 * 65536  # min(--threads, --trials) x --grid
 VERMA_MAX_LEVEL = 12
 VERMA_MAX_CHARS = 16
 VERMA_MAX_BITS = 16
@@ -213,12 +212,6 @@ def check_budget(args) -> None:
             raise OperandError(f"--threads {args.threads}: must lie in 1..{MAX_THREADS}")
         if args.trials * args.grid > VERIFY_MAX_POINTS:
             raise OperandError(f"--trials x --grid = {args.trials * args.grid}: at most {VERIFY_MAX_POINTS}")
-        parallel = min(args.threads, args.trials) * args.grid
-        if parallel > VERIFY_MAX_PARALLEL_POINTS:
-            raise OperandError(
-                f"--threads {args.threads} --trials {args.trials} --grid {args.grid}: "
-                f"min(--threads, --trials) x --grid = {parallel}, at most {VERIFY_MAX_PARALLEL_POINTS}"
-            )
     if args.command == "verma" and not 0 <= args.level <= VERMA_MAX_LEVEL:
         raise OperandError(f"--level {args.level}: must lie in 0..{VERMA_MAX_LEVEL}")
 
@@ -235,11 +228,10 @@ def load_cover(path: str | None) -> CoverConfig:
     return CoverConfig.from_json(text)
 
 
-def _emit(report: RunReport, as_json: bool) -> None:
-    if as_json:
-        sys.stdout.write(report.to_json() + "\n")
-    else:
-        sys.stdout.write(report.format_text() + "\n")
+def _emit(report: RunReport, as_json: bool) -> int:
+    """Print the report as JSON or text; the command's exit code."""
+    sys.stdout.write((report.to_json() if as_json else report.format_text()) + "\n")
+    return 0 if report.passed else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -247,38 +239,40 @@ def _emit(report: RunReport, as_json: bool) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _fragment_report(args, factors, checks, start: float, **inputs) -> RunReport:
+    """Write gamma, xi1, xi2 and xi3 as CSVs under --out; return the command's
+    report of the (name, residual, tol) checks, timed from start."""
+    from .periodic import _write_csv
+    from .report import CheckResult, RunReport, digest_inputs
+
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, el in zip(("gamma", "xi1", "xi2", "xi3"), factors):
+        _write_csv(el.samples, out / f"{name}.csv")
+    report = RunReport(command=args.command)
+    report.inputs_digest = digest_inputs(spec=args.spec, grid=args.grid, **inputs)
+    report.checks = [CheckResult(*check) for check in checks]
+    report.wall_time = time.perf_counter() - start
+    return report
+
+
 def cmd_fragment_diff(args) -> int:
     from . import frag_diff
     from .diffeo import support
-    from .periodic import _write_csv
-    from .report import CheckResult, RunReport, digest_inputs
 
     start = time.perf_counter()
     cover = load_cover(args.config)
     g = parse_diffeo(args.spec, args.grid)
     result = frag_diff.fragment(g, cover, eps=args.eps)
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, el in [
-        ("gamma", g),
-        ("xi1", result.xi1),
-        ("xi2", result.xi2),
-        ("xi3", result.xi3),
-    ]:
-        _write_csv(el.samples, out / f"{name}.csv")
-
     outside, alpha_ratio, beta_ratio, deriv_gap = frag_diff.fragment_residuals(result, cover, args.eps)
-    report = RunReport(command="fragment-diff")
-    report.inputs_digest = digest_inputs(spec=args.spec, grid=args.grid, eps=args.eps)
-    report.checks = [
-        CheckResult("reconstruction_error", result.reconstruction_error, 1e-7),
-        CheckResult("supports_inside_cover", outside, 1e-9),
-        CheckResult("alpha1_bound_ratio", alpha_ratio, 1.0),
-        CheckResult("beta1_bound_ratio", beta_ratio, 1.0),
-        CheckResult("derivative_positive", deriv_gap, 0.0),
+    checks = [
+        ("reconstruction_error", result.reconstruction_error, 1e-7),
+        ("supports_inside_cover", outside, 1e-9),
+        ("alpha1_bound_ratio", alpha_ratio, 1.0),
+        ("beta1_bound_ratio", beta_ratio, 1.0),
+        ("derivative_positive", deriv_gap, 0.0),
     ]
-    report.wall_time = time.perf_counter() - start
+    report = _fragment_report(args, (g, result.xi1, result.xi2, result.xi3), checks, start, eps=args.eps)
     if not args.json:
         sys.stdout.write(
             f"alpha1 = {result.alpha1:.17g}\nbeta1  = {result.beta1:.17g}\n"
@@ -288,34 +282,19 @@ def cmd_fragment_diff(args) -> int:
             arc = support(xi, tol=1e-9)
             desc = arc if isinstance(arc, str) else f"({arc.a:.6f}, {arc.b:.6f})"
             sys.stdout.write(f"support {name}: {desc}\n")
-    _emit(report, args.json)
-    return 0 if report.passed else EXIT_FAIL
+    return _emit(report, args.json)
 
 
 def cmd_fragment_loop(args) -> int:
     from . import loops
-    from .report import CheckResult, RunReport, digest_inputs
 
     start = time.perf_counter()
     cover = load_cover(args.config)
     g = parse_loop(args.spec, args.grid)
-    xi1, xi2, xi3 = parts = loops.fragment_loop(g, cover)
+    parts = loops.fragment_loop(g, cover)
     rec_err, outside = loops.fragment_loop_residuals(g, parts, cover)
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, el in [("gamma", g), ("xi1", xi1), ("xi2", xi2), ("xi3", xi3)]:
-        loops.loop_to_csv(el, out / f"{name}.csv")
-
-    report = RunReport(command="fragment-loop")
-    report.inputs_digest = digest_inputs(spec=args.spec, grid=args.grid)
-    report.checks = [
-        CheckResult("reconstruction_error", rec_err, 1e-9),
-        CheckResult("supports_inside_cover", outside, 1e-10),
-    ]
-    report.wall_time = time.perf_counter() - start
-    _emit(report, args.json)
-    return 0 if report.passed else EXIT_FAIL
+    checks = [("reconstruction_error", rec_err, 1e-9), ("supports_inside_cover", outside, 1e-10)]
+    return _emit(_fragment_report(args, (g, *parts), checks, start), args.json)
 
 
 def cmd_cocycle(args) -> int:
@@ -347,8 +326,7 @@ def cmd_verma(args) -> int:
 
     c = parse_verma_operand(args.c, "--c")
     h = parse_verma_operand(args.h, "--h")
-    max_level = max(args.max_level, args.level)
-    matrix = verma.gram_matrix(args.level, c, h, max_level)
+    matrix = verma.gram_matrix(args.level, c, h, args.max_level)
     det = verma.exact_determinant(matrix)
     payload = {
         "command": "verma",
@@ -363,22 +341,16 @@ def cmd_verma(args) -> int:
     return 0
 
 
-def run_suites(*args, **kwargs):
-    """verify.run_suites, imported only when the verify command runs."""
+def cmd_verify(args) -> int:
     from . import verify
 
-    return verify.run_suites(*args, **kwargs)
-
-
-def cmd_verify(args) -> int:
     start = time.perf_counter()
-    report = run_suites(args.suite, args.seed, args.trials, n=args.grid, threads=args.threads)
+    report = verify.run_suites(args.suite, args.seed, args.trials, n=args.grid, threads=args.threads)
     report.wall_time = time.perf_counter() - start
     if args.out:
         Path(args.out).mkdir(parents=True, exist_ok=True)
         (Path(args.out) / "report.json").write_text(report.to_json() + "\n")
-    _emit(report, args.json)
-    return 0 if report.passed else EXIT_FAIL
+    return _emit(report, args.json)
 
 
 # ---------------------------------------------------------------------------

@@ -188,6 +188,11 @@ class CircleDiffeo:
         return f"CircleDiffeo(n={self.n}, |gamma-id|={self.displacement():.3e})"
 
 
+def _c1_distance(p: np.ndarray, dp: np.ndarray) -> float:
+    """max(|p|, |p'|) over the samples of p and its derivative dp: the C^1 distance of t + p from the identity."""
+    return float(max(np.abs(p).max(), np.abs(dp).max()))
+
+
 def compose(g1: CircleDiffeo, g2: CircleDiffeo) -> CircleDiffeo:
     """Composition gamma1 o gamma2, resampled onto the grid of gamma2."""
     p = g2.periodic_part.samples + g2._pull_back(g1.periodic_part)

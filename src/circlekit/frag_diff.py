@@ -35,12 +35,13 @@ from .diffeo import (
     CircleDiffeo,
     CoverConfig,
     IntervalArc,
+    _c1_distance,
     make_bump,
     make_normalized_bump,
     solve_monotone,
 )
 from .errors import GeometryError, NeighbourhoodError
-from .periodic import DEFAULT_TAIL_TOL, TWO_PI, PeriodicFunction, _check_tail, grid
+from .periodic import DEFAULT_TAIL_TOL, TWO_PI, PeriodicFunction, _check_tail, _nodes, grid
 
 __all__ = [
     "EpsilonNeighbourhood",
@@ -72,8 +73,7 @@ class EpsilonNeighbourhood:
             raise ValueError("epsilon must be positive")
 
     def distance(self, g: CircleDiffeo) -> float:
-        p = g.periodic_part
-        return max(float(np.abs(p.samples).max()), float(np.abs(g.deriv.samples).max()))
+        return _c1_distance(g.periodic_part.samples, g.deriv.samples)
 
     def contains(self, g: CircleDiffeo) -> bool:
         return self.distance(g) < self.epsilon
@@ -212,11 +212,6 @@ class _Stage:
         one (K/B x B) @ (B x 4) product, then a sum over its K/B rows."""
         inner = coeffs[1:].reshape(len(self.phase_coarse), -1) @ self.phase_fine
         return np.einsum("qp,qp->p", inner, self.phase_coarse)
-
-
-def _nodes(indices: np.ndarray, m: int) -> np.ndarray:
-    """grid(m)[indices], bit for bit, without the rest of the grid."""
-    return TWO_PI * indices / m
 
 
 def _arc_window(arc: IntervalArc, m: int) -> np.ndarray:

@@ -62,21 +62,16 @@ def _as_matrix_pf(samples) -> PeriodicFunction:
     return PeriodicFunction(arr)
 
 
-class LoopAlgebraElement:
-    """Grid-sampled map from the circle into su(n)."""
+class _Loop:
+    """Grid samples of matrices, held as a PeriodicFunction; check=True runs
+    the subclass's _check on them."""
 
     __slots__ = ("pf",)
 
     def __init__(self, samples, check: bool = True) -> None:
         self.pf = samples if isinstance(samples, PeriodicFunction) else _as_matrix_pf(samples)
         if check:
-            x = self.pf.samples
-            herm = np.abs(x + np.conj(np.swapaxes(x, 1, 2))).max()
-            tr = np.abs(np.trace(x, axis1=1, axis2=2)).max()
-            if herm > 1e-12 or tr > 1e-12:
-                raise ValueError(
-                    f"samples not in su(n): anti-hermiticity {herm:.2e}, trace {tr:.2e}"
-                )
+            self._check(self.pf.samples)
 
     @property
     def samples(self) -> np.ndarray:
@@ -89,6 +84,21 @@ class LoopAlgebraElement:
     @property
     def dim(self) -> int:
         return self.pf.samples.shape[1]
+
+
+class LoopAlgebraElement(_Loop):
+    """Grid-sampled map from the circle into su(n)."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _check(x: np.ndarray) -> None:
+        herm = np.abs(x + np.conj(np.swapaxes(x, 1, 2))).max()
+        tr = np.abs(np.trace(x, axis1=1, axis2=2)).max()
+        if herm > 1e-12 or tr > 1e-12:
+            raise ValueError(
+                f"samples not in su(n): anti-hermiticity {herm:.2e}, trace {tr:.2e}"
+            )
 
     @classmethod
     def zero(cls, n: int = 1024, dim: int = 2) -> "LoopAlgebraElement":
@@ -127,34 +137,20 @@ class LoopAlgebraElement:
         return f"LoopAlgebraElement(n={self.n}, su({self.dim}), norm={self.norm():.3e})"
 
 
-class LoopElement:
+class LoopElement(_Loop):
     """Grid-sampled map from the circle into SU(n)."""
 
-    __slots__ = ("pf",)
+    __slots__ = ()
 
-    def __init__(self, samples, check: bool = True) -> None:
-        self.pf = samples if isinstance(samples, PeriodicFunction) else _as_matrix_pf(samples)
-        if check:
-            u = self.pf.samples
-            eye = np.eye(u.shape[1])
-            unit = np.abs(np.conj(np.swapaxes(u, 1, 2)) @ u - eye).max()
-            det = np.abs(np.linalg.det(u) - 1.0).max()
-            if unit > 1e-10 or det > 1e-10:
-                raise ValueError(
-                    f"samples not in SU(n): unitarity {unit:.2e}, determinant {det:.2e}"
-                )
-
-    @property
-    def samples(self) -> np.ndarray:
-        return self.pf.samples
-
-    @property
-    def n(self) -> int:
-        return self.pf.n
-
-    @property
-    def dim(self) -> int:
-        return self.pf.samples.shape[1]
+    @staticmethod
+    def _check(u: np.ndarray) -> None:
+        eye = np.eye(u.shape[1])
+        unit = np.abs(np.conj(np.swapaxes(u, 1, 2)) @ u - eye).max()
+        det = np.abs(np.linalg.det(u) - 1.0).max()
+        if unit > 1e-10 or det > 1e-10:
+            raise ValueError(
+                f"samples not in SU(n): unitarity {unit:.2e}, determinant {det:.2e}"
+            )
 
     @classmethod
     def identity(cls, n: int = 1024, dim: int = 2) -> "LoopElement":

@@ -96,7 +96,13 @@ _OWN_SAMPLES_TOL = 1e-12
 
 def grid(n: int) -> np.ndarray:
     """Sample points t_k = 2*pi*k/n."""
-    return TWO_PI * np.arange(n) / n
+    return _nodes(np.arange(n), n)
+
+
+def _nodes(indices: np.ndarray, m: int) -> np.ndarray:
+    """Nodes 2*pi*k/m of the m-point grid at the indices k: grid and the
+    construction grids of frag_diff read them here, so they agree bit for bit."""
+    return TWO_PI * indices / m
 
 
 def _check_grid_size(n: int) -> None:

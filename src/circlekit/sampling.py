@@ -11,7 +11,7 @@ import functools
 
 import numpy as np
 
-from .diffeo import CircleDiffeo, IntervalArc, make_bump
+from .diffeo import CircleDiffeo, IntervalArc, _c1_distance, make_bump
 from .loops import LoopAlgebraElement
 from .periodic import PeriodicFunction, grid
 
@@ -51,7 +51,7 @@ def _band_limited(rng: np.random.Generator, n: int, modes: int) -> np.ndarray:
 def _scaled_diffeo(p: np.ndarray, eps: float, fill: float) -> CircleDiffeo:
     """gamma = t + scale * p with C^1 distance fill * eps from the identity."""
     dp = PeriodicFunction(p).derivative().samples
-    scale = fill * eps / max(np.abs(p).max(), np.abs(dp).max(), 1e-300)
+    scale = fill * eps / max(_c1_distance(p, dp), 1e-300)
     return CircleDiffeo(PeriodicFunction(scale * p))
 
 

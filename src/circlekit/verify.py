@@ -6,9 +6,10 @@ each row is either a fixed CheckResult or a Family of seeded trials, and one
 runner, _run, emits the table's checks in row order.  Trial i of a family
 draws from the stream derived from (seed, family stream, i), and each
 residual column aggregates by max, so reports are byte-stable across runs.
-Trials run one after another whatever --threads says: they are short numpy
-calls that hold the GIL, so a thread pool only added overhead.  A new check
-is one row of a table (or one column of an existing family).
+Trials run one after another.  The verify command admits --trials x --grid
+up to 1000 x 1024; its --threads is accepted so that old command lines still
+run, and changes nothing.  A new check is one row of a table (or one column
+of an existing family).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import cocycles, frag_diff, loops, verma
-from .diffeo import CircleDiffeo, CoverConfig, IntervalArc, compose, inverse
+from .diffeo import CircleDiffeo, CoverConfig, IntervalArc, _c1_distance, compose, inverse
 from .errors import GeometryError
 from .periodic import TWO_PI, PeriodicFunction, grid
 from .report import CheckResult, RunReport, digest_inputs
@@ -170,10 +171,7 @@ def frag_suite(n: int) -> list:
         g = random_diffeo(rng, 0.009, n)
         wig = random_diffeo(wiggle_rng, 1e-4, n, fill=0.5)
         gt = CircleDiffeo(PeriodicFunction(g.periodic_part.samples + wig.periodic_part.samples))
-        d = max(
-            np.abs(gt.periodic_part.samples - g.periodic_part.samples).max(),
-            np.abs(gt.deriv.samples - g.deriv.samples).max(),
-        )
+        d = _c1_distance(gt.periodic_part.samples - g.periodic_part.samples, gt.deriv.samples - g.deriv.samples)
         r1 = fragmenter.fragment(g, eps=eps)
         r2 = fragmenter.fragment(gt, eps=eps)
         spread = max(

@@ -215,7 +215,7 @@ def test_fragment_loop_branch_cut(tmp_path):
 
 def test_failed_check_exits_1(monkeypatch, capsys):
     failing = RunReport(command="verify", checks=[CheckResult("residual", 1.0, 0.5)])
-    monkeypatch.setattr(cli, "run_suites", lambda *args, **kwargs: failing)
+    monkeypatch.setattr(verify, "run_suites", lambda *args, **kwargs: failing)
     assert cli.main(["verify", "diff", "--trials", "1"]) == 1
 
 
@@ -281,8 +281,6 @@ def _no_command_runs(monkeypatch):
         ["verify", "--trials", "1001"],
         ["verify", "--trials", "16", "--grid", "65536"],
         ["verify", "--trials", "126", "--grid", "8192"],
-        ["verify", "--threads", "15", "--trials", "15", "--grid", "65536"],
-        ["verify", "--threads", "3", "--trials", "3", "--grid", "65536"],
         ["verma", "--level", "13"],
         # --grid must be a power of two >= 16, as PeriodicFunction requires
         ["cocycle", "vect", "monomial:2", "monomial:1", "--grid", "3"],
@@ -301,19 +299,19 @@ def test_budget_rejected_before_any_work(argv, monkeypatch, capsys):
 
 def test_verify_budget_boundary_admitted(monkeypatch):
     calls = []
-    monkeypatch.setattr(cli, "run_suites", lambda *args, **kwargs: calls.append((args, kwargs)) or RunReport("verify"))
+    monkeypatch.setattr(verify, "run_suites", lambda *args, **kwargs: calls.append((args, kwargs)) or RunReport("verify"))
     for argv in (["--trials", "1000", "--threads", "32"], ["--trials", "125", "--grid", "8192", "--threads", "1"]):
         assert cli.main(["verify", *argv]) == 0
     assert [c[1]["threads"] for c in calls] == [32, 1]
 
 
-def test_verify_parallel_budget_boundary_admitted(monkeypatch):
-    # at most two --grid 65536 trials in flight, whatever the thread count
+def test_verify_threads_do_not_bound_the_grid(monkeypatch):
+    # trials run one at a time, so --threads buys nothing and is not budgeted
     calls = []
-    monkeypatch.setattr(cli, "run_suites", lambda *args, **kwargs: calls.append((args, kwargs)) or RunReport("verify"))
-    for threads, trials in (("2", "15"), ("32", "2")):
+    monkeypatch.setattr(verify, "run_suites", lambda *args, **kwargs: calls.append((args, kwargs)) or RunReport("verify"))
+    for threads, trials in (("2", "15"), ("32", "2"), ("15", "15"), ("3", "3")):
         assert cli.main(["verify", "--threads", threads, "--trials", trials, "--grid", "65536"]) == 0
-    assert [(c[1]["threads"], c[1]["n"]) for c in calls] == [(2, 65536), (32, 65536)]
+    assert [(c[1]["threads"], c[1]["n"]) for c in calls] == [(2, 65536), (32, 65536), (15, 65536), (3, 65536)]
 
 
 @pytest.mark.parametrize(
