@@ -8,7 +8,7 @@ Exit codes:
    to inf or NaN, outside the admissible neighbourhood, not
    orientation preserving (DerivativeError), outside the principal branch of
    the loop logarithm (BranchError) or above a module's truncation
-   (TruncationError)
+   (TruncationError); or an --out path that cannot be written (OSError)
 3  bad geometry or malformed configuration, including cutoffs that cannot
    carry their prescribed mass (MassError)
 4  spectral aliasing (AliasingError), including an operand wavenumber at or
@@ -19,12 +19,12 @@ Budget, checked before any import or work (exit 2 otherwise):
 
 - --grid a power of two, 16..65536, on every command (fragment-diff at 65536:
   0.9-1.3 s, 74 MB);
-- verify: --trials at least 0, --threads 1..32 and --trials x --grid at most
-  1000 x 1024.  Trials run one at a time: --threads is accepted so that
-  existing command lines keep their meaning, and changes nothing.  Worst
-  admitted `verify all` (Python 3.11, Intel Xeon): 21 s, 42 MB at --trials
-  1000; 12-15 s, 159 MB at --trials 15 --grid 65536, at --threads 1 and 15
-  alike;
+- verify: --seed and --trials at least 0, --threads 1..32 and --trials x
+  --grid at most 1000 x 1024.  Trials run one at a time: --threads is
+  accepted so that existing command lines keep their meaning, and changes
+  nothing.  Worst admitted `verify all` (Python 3.11, Intel Xeon): 21 s,
+  42 MB at --trials 1000; 12-17 s, 159 MB at --trials 15 --grid 65536, at
+  --threads 1 and 15 alike;
 - verma: --level 0..12, --c/--h fractions of at most 16 characters, no
   exponent, numerator and denominator below 2^16 in absolute value (level
   12 with 16-bit operands: 1.6-3.5 s, 39 MB, most of it the determinant);
@@ -88,7 +88,7 @@ class OperandError(ValueError):
 
 # exit code of every error a command can raise (all CirclekitError subclasses)
 _EXIT_CODES = (
-    ((ValueError, NeighbourhoodError, DerivativeError, BranchError, TruncationError), EXIT_OPERAND),
+    ((ValueError, OSError, NeighbourhoodError, DerivativeError, BranchError, TruncationError), EXIT_OPERAND),
     ((GeometryError, MassError), EXIT_GEOMETRY),
     ((AliasingError,), EXIT_ALIASING),
     ((ConvergenceError,), EXIT_CONVERGENCE),
@@ -181,7 +181,9 @@ def parse_loop(text: str, n: int) -> loops.LoopElement:
     """Loop operand "exp:[(axis,k,a,b),...]": pointwise exponential of an su(2) field."""
     from . import loops
 
-    return loops.exp_loop(parse_loop_algebra(text, n, prefix="exp"))
+    loop = loops.exp_loop(parse_loop_algebra(text, n, prefix="exp"))
+    _finite(loop.samples, text)
+    return loop
 
 
 def parse_verma_operand(text: str, flag: str) -> Fraction:
@@ -206,6 +208,8 @@ def check_budget(args) -> None:
     if grid < MIN_GRID or grid & (grid - 1):
         raise OperandError(f"--grid {grid}: must be a power of two >= {MIN_GRID}")
     if args.command == "verify":
+        if args.seed < 0:
+            raise OperandError(f"--seed {args.seed}: must be at least 0")
         if args.trials < 0:
             raise OperandError(f"--trials {args.trials}: must be at least 0")
         if not 1 <= args.threads <= MAX_THREADS:
@@ -413,7 +417,7 @@ def main(argv=None) -> int:
     try:
         check_budget(args)
         return args.fn(args)
-    except (CirclekitError, ValueError) as exc:
+    except (CirclekitError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return exit_code(exc)
 

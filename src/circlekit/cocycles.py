@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffeo import CircleDiffeo, compose
-from .periodic import DEFAULT_TAIL_TOL, TWO_PI, PeriodicFunction, _check_tail, _fourier_samples
+from .periodic import DEFAULT_TAIL_TOL, TWO_PI, PeriodicFunction, _check_tail, _fourier_samples, _same_grid
 
 __all__ = [
     "VectField",
@@ -74,8 +74,7 @@ def _as_pf(f) -> PeriodicFunction:
 def vect_bracket(f, g) -> VectField:
     """[f, g] = f'g - fg'."""
     fp, gp = _as_pf(f), _as_pf(g)
-    if fp.n != gp.n:
-        raise ValueError("grid size mismatch")
+    _same_grid(fp, gp)
     out = PeriodicFunction(
         fp.derivative().samples * gp.samples - fp.samples * gp.derivative().samples
     )
@@ -90,8 +89,7 @@ def vect_cocycle(f, g) -> complex:
     samples (e.g. Fourier monomials) are accepted.
     """
     fp, gp = _as_pf(f), _as_pf(g)
-    if fp.n != gp.n:
-        raise ValueError("grid size mismatch")
+    _same_grid(fp, gp)
     integrand = fp.samples * (gp.derivative().samples + gp.derivative(3).samples)
     integral = integrand.mean() * TWO_PI
     return complex(integral * (-1.0 / (2j * np.pi)))
@@ -99,8 +97,7 @@ def vect_cocycle(f, g) -> complex:
 
 def bott(g1: CircleDiffeo, g2: CircleDiffeo) -> float:
     """Group cocycle -1/(48 pi) * int log((g1 o g2)') d log g2'."""
-    if g1.n != g2.n:
-        raise ValueError("grid size mismatch")
+    _same_grid(g1, g2)
     d2 = g2.deriv_samples
     # (g1 o g2)'(t) = g1'(g2(t)) * g2'(t), evaluated pointwise for accuracy
     d1_at = 1.0 + g2._pull_back(g1.deriv)

@@ -19,12 +19,12 @@ from .periodic import (
     TWO_PI,
     PeriodicFunction,
     _cache_length,
-    _caches_on_one_stencil,
     _check_tail,
     _fourier_samples,
     _lagrange_apply,
     _lagrange_eval,
     _lagrange_weights,
+    _pad_fine,
     grid,
 )
 
@@ -209,12 +209,14 @@ def solve_monotone(g: CircleDiffeo, targets: np.ndarray) -> np.ndarray:
     NEWTON_TOL, which carries it to round-off, and then leaves the set, so
     its answer does not depend on which other targets share the call.  Steps
     are clamped to a bracket that the displacement bound provides, which
-    cannot fail while gamma' > 0.  The slope only scales the step, so it is
-    read on the stencil of p's evaluation cache, whatever resolution gamma'
-    alone would get.
+    cannot fail while gamma' > 0.  The slope only scales the step, so it has
+    one resolution rule: gamma' - 1 is upsampled to the factor of p's
+    evaluation cache and read through the same stencil, whatever resolution
+    its own cache would get.
     """
     p = g.periodic_part
-    fine_p, fine_dp = _caches_on_one_stencil(p, g.deriv)
+    fine_p = p._fine_values()
+    fine_dp = _pad_fine(g.deriv._upsample(_cache_length(fine_p) // p.n))
     y = np.asarray(targets, dtype=float)
     bound = min(g.displacement() * 1.5 + 1e-9, 1.5)
     u = y - p.eval(y)

@@ -206,6 +206,10 @@ class _Stage:
         self.phase_fine = np.exp(1j * np.outer(np.arange(1, block + 1), thetas))
         self.phase_coarse = np.exp(1j * np.outer(np.arange(0, k_max, block), thetas))
 
+    def integrand(self, g: CircleDiffeo) -> np.ndarray:
+        """The localized integrand (gamma' - 1) * Dc on the fine grid."""
+        return g.deriv._upsample(self.factor) * self.center_fine
+
     def boundary_sums(self, coeffs: np.ndarray) -> np.ndarray:
         """sum_k c_k e^{ik theta} over k = 1..K at the four boundary points,
         for coefficients c_0..c_K in the fine grid's rfft layout (c_0 ignored):
@@ -237,8 +241,7 @@ def _stage_coefficients(g: CircleDiffeo, stage: _Stage):
     """alpha, beta (boundary form), the beta used in the construction, and
     (gamma' - 1) * Dc on the fine grid."""
     a, ha, hb, b = stage.endpoints
-    integ = g.deriv._upsample(stage.factor) * stage.center_fine
-    fine = PeriodicFunction(integ)
+    fine = PeriodicFunction(stage.integrand(g))
     mean = fine.spectrum[0].real
     f_vals = 2.0 * stage.boundary_sums(fine._antiderivative_spectrum()).real
     g_ha, g_hb = g.eval(np.array([ha, hb]))
@@ -402,9 +405,8 @@ def beta1_integral_form(g: CircleDiffeo, cover: CoverConfig, alpha: float | None
     stage = _first_stage(cover, g.n)
     if alpha is None:
         alpha = alpha1(g, cover)
-    d_fine = g.deriv._upsample(stage.factor)
     step = TWO_PI / (g.n * stage.factor)
-    full = (d_fine * stage.center_fine).sum() * step + alpha * stage.left_mass
+    full = stage.integrand(g).sum() * step + alpha * stage.left_mass
     _, _, hb, b = stage.endpoints
     return -2.0 / (b - hb) * full
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .diffeo import CircleDiffeo, CoverConfig, IntervalArc, arc_of_moved_points, make_bump
 from .errors import BranchError
-from .periodic import DEFAULT_TAIL_TOL, PeriodicFunction, _check_tail, _write_csv, grid
+from .periodic import DEFAULT_TAIL_TOL, PeriodicFunction, _check_tail, _same_grid, _write_csv, grid
 
 __all__ = [
     "LoopElement",
@@ -122,10 +122,8 @@ class LoopAlgebraElement(_Loop):
         return LoopAlgebraElement(self.samples * f[:, None, None], check=False)
 
     def norm(self) -> float:
-        """Sup over the grid of the operator norm (for su(2), ||X||_F / sqrt 2)."""
-        if self.dim == 2:
-            return float(_frobenius_over_sqrt2(self.samples).max())
-        return float(np.linalg.norm(self.samples, ord=2, axis=(1, 2)).max())
+        """Sup over the grid of the operator norm."""
+        return float(_operator_norms(self.samples).max())
 
     def __add__(self, other):
         return LoopAlgebraElement(self.samples + other.samples, check=False)
@@ -157,11 +155,8 @@ class LoopElement(_Loop):
         return cls(np.broadcast_to(np.eye(dim, dtype=complex), (n, dim, dim)).copy(), check=False)
 
     def distance_to_identity(self) -> np.ndarray:
-        """Per-sample operator norm of U - I (for SU(2), ||U - I||_F / sqrt 2)."""
-        eye = np.eye(self.dim)
-        if self.dim == 2:
-            return _frobenius_over_sqrt2(self.samples - eye)
-        return np.linalg.norm(self.samples - eye, ord=2, axis=(1, 2))
+        """Per-sample operator norm of U - I."""
+        return _operator_norms(self.samples - np.eye(self.dim))
 
     def __repr__(self) -> str:
         return (
@@ -175,9 +170,12 @@ class LoopElement(_Loop):
 # ---------------------------------------------------------------------------
 
 
-def _frobenius_over_sqrt2(x: np.ndarray) -> np.ndarray:
-    """Per-sample ||x||_F / sqrt 2: the operator norm of a 2x2 matrix whose two
-    singular values are equal, such as U - I for U in SU(2) or X in su(2)."""
+def _operator_norms(x: np.ndarray) -> np.ndarray:
+    """Per-sample operator norm.  For 2x2 samples it is ||x||_F / sqrt 2, exact
+    when the two singular values are equal, as for U - I with U in SU(2) and
+    for X in su(2); larger samples take the SVD norm."""
+    if x.shape[1] != 2:
+        return np.linalg.norm(x, ord=2, axis=(1, 2))
     return np.sqrt(0.5 * (x.real**2 + x.imag**2).sum(axis=(1, 2)))
 
 
@@ -247,8 +245,7 @@ def _su2_exp(theta: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def multiply(g1: LoopElement, g2: LoopElement, tail_tol: float = DEFAULT_TAIL_TOL) -> LoopElement:
     """Pointwise matrix product."""
-    if g1.n != g2.n:
-        raise ValueError("grid size mismatch")
+    _same_grid(g1, g2)
     product = PeriodicFunction(_product(g1.samples, g2.samples))
     return LoopElement(_check_tail(product, tail_tol, "loop product"), check=False)
 
@@ -308,16 +305,14 @@ def killing_form(x: np.ndarray, y: np.ndarray):
 
 def bracket(xi: LoopAlgebraElement, eta: LoopAlgebraElement) -> LoopAlgebraElement:
     """Pointwise commutator [xi, eta](t) = xi(t) eta(t) - eta(t) xi(t)."""
-    if xi.n != eta.n:
-        raise ValueError("grid size mismatch")
+    _same_grid(xi, eta)
     a, b = xi.samples, eta.samples
     return LoopAlgebraElement(_product(a, b) - _product(b, a), check=False)
 
 
 def omega(xi: LoopAlgebraElement, eta: LoopAlgebraElement):
     """Central-extension cocycle (1/2pi) * int tr(xi(t) eta'(t)) dt."""
-    if xi.n != eta.n:
-        raise ValueError("grid size mismatch")
+    _same_grid(xi, eta)
     deta = eta.pf.derivative()
     integrand = np.einsum("tij,tji->t", xi.samples, deta.samples)
     return _real_if_roundoff(complex(integrand.mean()))

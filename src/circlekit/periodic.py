@@ -32,10 +32,11 @@ Each Fourier formula is written once, here: `_fourier_samples` turns
 (k, a_k, b_k) terms into samples, `PeriodicFunction._antiderivative_spectrum`
 is the spectral antiderivative (also behind fragmentation's localization
 stages), and `PeriodicFunction._upsample` is the zero-pad resampling behind
-the evaluation caches, `resample` and fragmentation's fine grids.  Two more
+the evaluation caches, `resample` and fragmentation's fine grids.  Three more
 helpers have one owner here: `_check_tail` is the spectral-tail gate of
 every nonlinear operation, at the one threshold `DEFAULT_TAIL_TOL` unless a
-caller switches it off, and `_write_csv` writes every sampled CSV file.
+caller switches it off, `_same_grid` refuses operands on two grids, and
+`_write_csv` writes every sampled CSV file.
 """
 
 from __future__ import annotations
@@ -108,6 +109,12 @@ def _nodes(indices: np.ndarray, m: int) -> np.ndarray:
 def _check_grid_size(n: int) -> None:
     if n < 16 or n & (n - 1):
         raise ValueError(f"grid size must be a power of two >= 16, got {n}")
+
+
+def _same_grid(a, b) -> None:
+    """ValueError unless the operands a and b, each with a grid size n, share one grid."""
+    if a.n != b.n:
+        raise ValueError("grid size mismatch")
 
 
 def _wavenumbers(n: int, is_real: bool) -> np.ndarray:
@@ -257,23 +264,10 @@ def _lagrange_eval(t: np.ndarray, *caches: np.ndarray) -> list:
     return _lagrange_apply(_lagrange_weights(t, _cache_length(caches[0])), *caches)
 
 
-def _caches_on_one_stencil(f: "PeriodicFunction", g: "PeriodicFunction"):
-    """f's evaluation cache and g resampled to the same resolution, for one
-    _lagrange_eval.  g's own cache is read when g certifies at f's factor
-    above 1x (it is built then if need be); otherwise g is upsampled once."""
-    fine_f = f._fine_values()
-    factor = _cache_length(fine_f) // f.n
-    own = factor > 1 and (g._fine is not None or g._certified_factor() == factor)
-    fine_g = g._fine_values() if own else None
-    if fine_g is None or len(fine_g) != len(fine_f):
-        fine_g = _pad_fine(g._upsample(factor))
-    return fine_f, fine_g
-
-
 class PeriodicFunction:
     """Samples of a smooth 2pi-periodic function with spectral interpolation."""
 
-    __slots__ = ("samples", "n", "is_real", "_spectrum", "_fine", "_antideriv")
+    __slots__ = ("samples", "n", "is_real", "_spectrum", "_fine")
 
     def __init__(self, samples) -> None:
         arr = np.asarray(samples)
@@ -291,7 +285,6 @@ class PeriodicFunction:
         self.n = arr.shape[0]
         self._spectrum = None
         self._fine = None
-        self._antideriv = None
 
     # -- constructors -------------------------------------------------
 
@@ -346,21 +339,15 @@ class PeriodicFunction:
         smallest power-of-two factor whose certified stencil error is within
         _OWN_SAMPLES_TOL (up to the cap); factor 1 is the samples themselves."""
         if self._fine is None:
-            factor = self._certified_factor()
+            cap = _EVAL_FACTOR_REAL if self.is_real and self.n <= 2048 else _EVAL_FACTOR_COMPLEX
+            factor = 1
+            while factor < cap and _stencil_error_bound(self.spectrum, self.n, self.is_real, factor) > _OWN_SAMPLES_TOL:
+                factor *= 2
             fine = self._upsample(factor)
             if factor > 1:
                 fine[::factor] = self.samples  # keep grid nodes bit-exact
             self._fine = _pad_fine(fine)
         return self._fine
-
-    def _certified_factor(self) -> int:
-        """The smallest power-of-two factor whose stencil error bound is within
-        _OWN_SAMPLES_TOL, or the cap if none below it is."""
-        cap = _EVAL_FACTOR_REAL if self.is_real and self.n <= 2048 else _EVAL_FACTOR_COMPLEX
-        factor = 1
-        while factor < cap and _stencil_error_bound(self.spectrum, self.n, self.is_real, factor) > _OWN_SAMPLES_TOL:
-            factor *= 2
-        return factor
 
     def _upsample(self, factor: int) -> np.ndarray:
         """Samples on the factor * n grid: the spectrum zero-padded, with the
@@ -414,10 +401,8 @@ class PeriodicFunction:
         The full antiderivative is theta -> mean * theta + F(theta), so
         partial integrals over [a, b] are mean*(b-a) + F(b) - F(a).
         """
-        if self._antideriv is None:
-            f = self._from_spectrum(self._antiderivative_spectrum())
-            self._antideriv = (PeriodicFunction(f - f[0]), self.mean)
-        return self._antideriv
+        f = self._from_spectrum(self._antiderivative_spectrum())
+        return PeriodicFunction(f - f[0]), self.mean
 
     def _antiderivative_spectrum(self) -> np.ndarray:
         """Coefficients of the zero-mean periodic antiderivative, in the
@@ -477,8 +462,7 @@ class PeriodicFunction:
 
     def _binary(self, other, op):
         if isinstance(other, PeriodicFunction):
-            if other.n != self.n:
-                raise ValueError("grid size mismatch")
+            _same_grid(self, other)
             other = other.samples
         return PeriodicFunction(op(self.samples, other))
 

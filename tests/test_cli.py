@@ -289,12 +289,39 @@ def _no_command_runs(monkeypatch):
         ["fragment-loop", "--spec", "exp:[]", "--grid", "1000"],
         ["verify", "--grid", "8", "--trials", "1"],
         ["verify", "all", "--trials", "-3", "--json"],
+        # a negative seed is refused by the budget for every suite, not by numpy
+        ["verify", "--seed", "-1"],
+        *(["verify", suite, "--seed", "-1", "--trials", "1"] for suite in cli.VERIFY_SUITES),
     ],
 )
 def test_budget_rejected_before_any_work(argv, monkeypatch, capsys):
     _no_command_runs(monkeypatch)
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith("error: --")
+
+
+FRAGMENT_SPECS = {"fragment-diff": "fourier:[(1,0,0.005)]", "fragment-loop": "exp:[(1,1,0,0.02)]"}
+
+
+@pytest.mark.parametrize("command", ["fragment-diff", "fragment-loop", "verify"])
+@pytest.mark.parametrize("below_a_file", [False, True], ids=["file", "below-file"])
+def test_unwritable_out_exits_2(command, below_a_file, capsys, tmp_path):
+    # --out names an existing file (FileExistsError) or a path beneath one
+    # (NotADirectoryError): an operand error, not a failed check
+    target = tmp_path / "taken"
+    target.write_text("")
+    out = target / "x" if below_a_file else target
+    argv = ["verify", "verma", "--trials", "1"] if command == "verify" else [command, "--spec", FRAGMENT_SPECS[command]]
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.startswith("error: ")
+    assert target.read_text() == ""
+
+
+def test_unreadable_config_still_exits_3(capsys, tmp_path):
+    argv = ["fragment-diff", "--spec", "fourier:[]", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path)]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err.startswith("error: cannot read cover configuration")
 
 
 def test_verify_budget_boundary_admitted(monkeypatch):
@@ -324,6 +351,8 @@ def test_verify_threads_do_not_bound_the_grid(monkeypatch):
         ["cocycle", "omega", "su2:[(1,1,1e308,0),(1,2,1e308,0)]", "su2:[]"],
         ["cocycle", "vect", "monomial:1" + "0" * 308, "monomial:1"],
         ["fragment-loop", "--spec", "exp:[(1,1,1e308,0),(1,2,1e308,0)]"],
+        # finite su(2) components whose exponential overflows
+        ["fragment-loop", "--spec", "exp:[(1,1,0,1e300)]"],
         ["fragment-diff", "--spec", "fourier:[(1,1e308,0),(2,1e308,0)]"],
     ],
 )

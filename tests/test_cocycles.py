@@ -13,7 +13,8 @@ from circlekit.cocycles import (
     vir_multiply,
 )
 from circlekit.diffeo import CircleDiffeo, IntervalArc, compose
-from circlekit.periodic import TWO_PI, PeriodicFunction, grid
+from circlekit.errors import AliasingError
+from circlekit.periodic import TWO_PI, PeriodicFunction, _fourier_samples, grid
 from circlekit.sampling import random_diffeo, random_supported_diffeo, random_vect_field, rng_for
 
 N = 1024
@@ -214,3 +215,16 @@ def test_bott_mixed_derivative_is_one_over_24_pi_int_f_g3():
         expected = integrand.mean() * TWO_PI / (24.0 * np.pi)
         scale = np.abs(integrand).mean() * TWO_PI / (24.0 * np.pi)
         assert abs(bott_mixed_derivative(f, g) - expected) < 1e-9 * scale
+
+
+def test_vect_field_constructors():
+    terms = [(1, 0.3, -0.2), (4, 0.0, 0.05)]
+    f = VectField.from_fourier(terms, 64)
+    assert f.n == 64 and np.array_equal(f.samples, _fourier_samples(terms, 64))
+    t = grid(64)
+    assert np.abs(f.samples - (0.3 * np.cos(t) - 0.2 * np.sin(t) + 0.05 * np.sin(4 * t))).max() < 1e-15
+    with pytest.raises(AliasingError):
+        VectField.from_fourier([(32, 1.0, 0.0)], 64)
+    g = VectField.from_callable(np.sin, 32)
+    assert g.n == 32 and np.array_equal(g.samples, np.sin(grid(32)))
+    assert VectField.from_callable(np.cos).n == 1024

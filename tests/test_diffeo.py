@@ -80,6 +80,22 @@ def test_solve_monotone_reads_both_caches_at_the_factor_of_p(monkeypatch):
     assert fresh.deriv._fine is None
 
 
+@pytest.mark.parametrize("terms, n, factor", [([(1, 0, 0.1)], 16, 4), ([(1, 0, 0.3), (2, 0.05, 0)], 64, 2)])
+def test_solve_monotone_upsamples_the_slope_even_when_it_certifies_alike(terms, n, factor):
+    # p and gamma' - 1 both certify above 1x at the same factor; the slope is
+    # still upsampled, its own cache is neither built nor read, and a cache
+    # built beforehand changes no byte of the answer
+    g = CircleDiffeo.from_fourier(terms, n)
+    y = grid(n) + 0.01
+    u = solve_monotone(g, y)
+    assert len(g.periodic_part._fine_values()) == factor * n + 9
+    assert g.deriv._fine is None
+    assert np.abs(g.eval(u) - y).max() < 1e-14
+    warm = CircleDiffeo.from_fourier(terms, n)
+    assert len(warm.deriv._fine_values()) == factor * n + 9
+    assert np.array_equal(solve_monotone(warm, y), u)
+
+
 # Right operands whose sample points leave [0, 2pi), below 0 and above 2pi
 OFF_THE_PERIOD = [[(0, -0.4, 0.0), (1, 0.0, 0.3)], [(0, 0.4, 0.0), (2, 0.1, 0.0)]]
 

@@ -302,6 +302,8 @@ def test_first_stage_coefficients_have_one_owner(n, monkeypatch):
     assert a == res.alpha1 and beta1(g, COVER) == res.beta1
     assert abs(beta1_integral_form(g, COVER, alpha=a) - res.beta1) <= 1e-12
     assert len(read) == 3 and all(stage is frag.stage1 for stage in read)
+    # without alpha, beta1_integral_form computes alpha1 itself
+    assert beta1_integral_form(g, COVER) == beta1_integral_form(g, COVER, alpha=a)
 
 
 def test_fine_factors_carry_their_construction(monkeypatch):

@@ -195,15 +195,18 @@ def test_invariant_validation():
         LoopElement(2.0 * np.broadcast_to(np.eye(2, dtype=complex), (N, 2, 2)).copy())
 
 
-def test_su3_generic_path():
-    n = 64
+def _su3_loop_algebra(n, scale=1.0):
     t = grid(n)
     x = np.zeros((n, 3, 3), dtype=complex)
-    x[:, 0, 1] = 0.3 * np.cos(t) + 0.2j * np.sin(t)
+    x[:, 0, 1] = scale * (0.3 * np.cos(t) + 0.2j * np.sin(t))
     x[:, 1, 0] = -np.conj(x[:, 0, 1])
-    x[:, 0, 0] = 0.25j * np.sin(2 * t)
+    x[:, 0, 0] = scale * 0.25j * np.sin(2 * t)
     x[:, 2, 2] = -x[:, 0, 0]
-    xi = LoopAlgebraElement(x)
+    return LoopAlgebraElement(x)
+
+
+def test_su3_generic_path():
+    xi = _su3_loop_algebra(64)
     g = exp_loop(xi)
     eye = np.eye(3)
     assert np.abs(np.conj(np.swapaxes(g.samples, 1, 2)) @ g.samples - eye).max() < 1e-10
@@ -211,6 +214,21 @@ def test_su3_generic_path():
     assert (log_loop(g) - xi).norm() < 1e-9
     coroot = np.diag([1.0, -1.0, 0.0]).astype(complex)
     assert killing_form(coroot, coroot) == pytest.approx(2.0)
+
+
+def test_fragment_loop_su3():
+    # SU(3) takes the logm/expm path: the factors still rebuild g, stay in
+    # their intervals and agree with the stage-by-stage variant
+    n = 64
+    g = exp_loop(_su3_loop_algebra(n, 0.2))
+    parts = fragment_loop(g, COVER)
+    assert [part.dim for part in parts] == [3, 3, 3]
+    rec = multiply(parts[0], multiply(parts[1], parts[2], None), None)
+    assert np.abs(rec.samples - g.samples).max() < 1e-12
+    for xi_j, arc in zip(parts, COVER.intervals):
+        assert xi_j.distance_to_identity()[~arc.contains(grid(n))].max() < 1e-12
+    seq = fragment_loop_sequential(g, COVER)
+    assert max(np.abs(a.samples - b.samples).max() for a, b in zip(parts, seq)) < 1e-12
 
 
 # ---------------------------------------------------------------------------

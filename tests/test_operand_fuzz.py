@@ -5,6 +5,7 @@ at least N/2."""
 
 import json
 
+import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from circlekit import cli
@@ -34,12 +35,14 @@ def operands(prefixes):
 
 
 def parses_or_maps(parse, *args, aliased=False):
+    """The parsed operand, or None when parse raised a mapped error."""
     try:
-        parse(*args)
+        parsed = parse(*args)
     except (CirclekitError, ValueError) as exc:
         assert cli.exit_code(exc) == 4 if aliased else cli.exit_code(exc) in (2, 3)
-    else:
-        assert not aliased
+        return None
+    assert not aliased
+    return parsed
 
 
 def aliased(text, prefix, types=(cli._wavenumber, float, float), k_at=0):
@@ -82,10 +85,13 @@ def test_field_operands(text):
 @example("su2:[(1,7,0,0),(3,8,1,0)]")
 @example("exp:[(2,-8,0,1)]")
 @example("exp:[(4,8,0,1)]")
+@example("exp:[(1,1,0,1e300)]")  # finite su(2) components whose exponential is not
 def test_loop_operands(text):
     types = (int, cli._wavenumber, float, float)
     parses_or_maps(cli.parse_loop_algebra, text, N, aliased=aliased(text, "su2", types, k_at=1))
-    parses_or_maps(cli.parse_loop, text, N, aliased=aliased(text, "exp", types, k_at=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        loop = parses_or_maps(cli.parse_loop, text, N, aliased=aliased(text, "exp", types, k_at=1))
+    assert loop is None or np.isfinite(loop.samples).all()
 
 
 @settings(max_examples=200)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from circlekit import cocycles, loops
 from circlekit.cocycles import vect_bracket
 from circlekit.diffeo import CircleDiffeo, IntervalArc
 from circlekit.errors import AliasingError
@@ -411,3 +412,50 @@ def test_tail_gate_raises(operation):
         call()
     if operation == "multiply":
         assert call(tail_tol=None).pf.tail > 1e-3
+
+
+def _mismatched_grid_calls():
+    """Every operation on two operands, on grids of 16 and 32 points."""
+    f16, f32 = PeriodicFunction.zero(16), PeriodicFunction.zero(32)
+    x16, x32 = LoopAlgebraElement.zero(16), LoopAlgebraElement.zero(32)
+    g16, g32 = loops.LoopElement.identity(16), loops.LoopElement.identity(32)
+    v16, v32 = cocycles.VectField(f16), cocycles.VectField(f32)
+    d16, d32 = CircleDiffeo.identity(16), CircleDiffeo.identity(32)
+    return {
+        "PeriodicFunction._binary": lambda: f16 * f32,
+        "multiply": lambda: loops.multiply(g16, g32),
+        "bracket": lambda: loops.bracket(x16, x32),
+        "omega": lambda: loops.omega(x16, x32),
+        "vect_bracket": lambda: cocycles.vect_bracket(v16, v32),
+        "vect_cocycle": lambda: cocycles.vect_cocycle(f16, f32),
+        "bott": lambda: cocycles.bott(d16, d32),
+    }
+
+
+@pytest.mark.parametrize("operation", sorted(_mismatched_grid_calls()))
+def test_operands_on_two_grids_are_refused_in_one_place(operation):
+    with pytest.raises(ValueError, match="^grid size mismatch$") as info:
+        _mismatched_grid_calls()[operation]()
+    assert info.traceback[-1].name == "_same_grid"
+
+
+def test_arithmetic_is_sample_arithmetic():
+    t = grid(32)
+    for a, b in (
+        (np.sin(t), np.cos(3 * t) + 0.5),
+        (np.exp(1j * t), np.exp(-2j * t)),
+        (np.full((32, 2, 2), 0.25) + 1j * np.cos(t)[:, None, None], np.ones((32, 2, 2)) * np.sin(t)[:, None, None]),
+    ):
+        f, g = PeriodicFunction(a), PeriodicFunction(b)
+        for got, expected in (
+            (f + g, a + b),
+            (f - g, a - b),
+            (f * g, a * b),
+            (f + 1.5, a + 1.5),
+            (f - 1.5, a - 1.5),
+            (f * 1.5, a * 1.5),
+            (1.5 * f, 1.5 * a),
+            (-f, -a),
+        ):
+            assert np.array_equal(got.samples, expected)
+            assert got.is_real == np.isrealobj(expected)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -27,8 +28,9 @@ def kac_determinant(level, c, h):
         prod_{rs <= L} ((2r)^s s!)^{p(L-rs) - p(L-r(s+1))} (h - h_{r,s})^{p(L-rs)},
         h_{r,s} = (r^2 - 1) t/4 + (s^2 - 1)/(4t) - (rs - 1)/2,  t + 1/t = (13 - c)/6.
 
-    h_{r,s} and h_{s,r} enter only through their sum and product, and h_{r,r}
-    only through t + 1/t, so the formula stays rational for every rational c.
+    h_{r,s} and h_{s,r} enter only through their sum and product, paired in
+    one quadratic factor, and h_{r,r} = (r^2 - 1)(1 - c)/24, so the formula
+    stays rational for every rational c.
     """
     p = [1] + [0] * level
     for part in range(1, level + 1):
@@ -45,7 +47,7 @@ def kac_determinant(level, c, h):
             det *= Fraction((2 * r) ** s * factorial(s)) ** (count(level - r * s) - count(level - r * (s + 1)))
             a, b, d = Fraction(r * r - 1, 4), Fraction(s * s - 1, 4), Fraction(r * s - 1, 2)
             if r == s:
-                det *= (h - a * (t_sum - 2)) ** count(level - r * r)
+                det *= (h - Fraction(r * r - 1, 24) * (1 - c)) ** count(level - r * r)
             elif r < s:  # (h - h_{r,s}) (h - h_{s,r})
                 total = (a + b) * t_sum - 2 * d
                 product = a * b * (t_sum**2 - 2) + a * a + b * b - d * (a + b) * t_sum + d * d
@@ -324,9 +326,22 @@ def test_full_sweep_small_truncation():
 
 @pytest.mark.parametrize("c, h", VERMA_PARAMETERS)
 def test_kac_determinant_every_level(c, h):
-    module = VermaModule(c, h, max_level=8)
-    for level in range(1, 9):
-        assert exact_determinant(module.gram_matrix(level)) == kac_determinant(level, c, h)
+    # every level the verma command admits, 0..12
+    for level in range(13):
+        assert exact_determinant(gram_matrix(level, c, h, 12)) == kac_determinant(level, c, h)
+
+
+def test_kac_determinant_seeded_rationals():
+    # 16-bit fractions, as the verma command admits, at levels 0..9
+    rng = random.Random(20260810)
+
+    def fraction():
+        return Fraction(rng.randrange(-(2**16) + 1, 2**16), rng.randrange(1, 2**16))
+
+    for _ in range(4):
+        c, h = fraction(), fraction()
+        for level in range(10):
+            assert exact_determinant(gram_matrix(level, c, h, 9)) == kac_determinant(level, c, h)
 
 
 @given(small_rationals, small_rationals)
@@ -498,9 +513,9 @@ def test_gram_matches_fraction_reference(c, h):
 
 
 def test_kac_determinant_worst_operands():
+    # the worst admitted request: level 12 with 16-bit operands
     c, h = Fraction(-65519, 65521), Fraction(-65479, 65497)
-    gram = VermaModule(c, h, max_level=10).gram_matrix(10)
-    assert exact_determinant(gram) == kac_determinant(10, c, h) != 0
+    assert exact_determinant(gram_matrix(12, c, h, 12)) == kac_determinant(12, c, h) != 0
 
 
 def test_gram_matches_fraction_reference_worst_operands():
