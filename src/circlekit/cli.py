@@ -36,8 +36,10 @@ from __future__ import annotations
 import argparse
 import ast
 import cmath
+import importlib
 import json
 import math
+import operator
 import sys
 import time
 from fractions import Fraction
@@ -106,22 +108,31 @@ def exit_code(exc: Exception) -> int:
 
 
 def _wavenumber(value) -> int:
-    """Integer mode number k; k * 2 pi must be a finite float, since samples take k * t."""
-    k = int(value)
+    """Integer mode number k (operator.index refuses a float); k * 2 pi must be finite, since samples take k * t."""
+    k = operator.index(value)
     if not math.isfinite(2.0 * math.pi * float(k)):  # float(k) raises OverflowError first
         raise OverflowError(f"wavenumber {k} times 2 pi overflows")
     return k
 
 
 def parse_fourier_terms(text: str, prefix: str, types=(_wavenumber, float, float)) -> list[tuple]:
-    """Term tuples from "prefix:[(...),...]", each entry converted by types in turn."""
+    """Term tuples from "prefix:[(...),...]" of int or float literals, each entry converted by types in turn."""
     if not text.startswith(prefix + ":"):
         raise OperandError(f"expected '{prefix}:[...]', got {text!r}")
     try:
         terms = ast.literal_eval(text[len(prefix) + 1 :])
+        if any(type(x) not in (int, float) for term in terms for x in term):
+            raise TypeError("entries must be int or float literals")
         return [tuple(conv(x) for conv, x in zip(types, term, strict=True)) for term in terms]
     except (ValueError, SyntaxError, TypeError, OverflowError) as exc:
         raise OperandError(f"cannot parse {text!r}: {exc}") from exc
+
+
+def _quiet():
+    """numpy's errstate in which overflow makes inf or NaN silently: the operand checks report it."""
+    import numpy as np
+
+    return np.errstate(over="ignore", invalid="ignore")
 
 
 def _finite(samples: np.ndarray, text: str) -> np.ndarray:
@@ -133,11 +144,12 @@ def _finite(samples: np.ndarray, text: str) -> np.ndarray:
     return samples
 
 
-def _operand_samples(text: str, n: int) -> np.ndarray:
-    """Finite samples of "fourier:[(k,a,b),...]" on the n-point grid."""
+def _operand_samples(terms: list, n: int, text: str) -> np.ndarray:
+    """Finite samples on the n-point grid of the (k, a, b) terms of the operand text."""
     from .periodic import _fourier_samples
 
-    return _finite(_fourier_samples(parse_fourier_terms(text, "fourier"), n), text)
+    with _quiet():
+        return _finite(_fourier_samples(terms, n), text)
 
 
 def parse_diffeo(text: str, n: int) -> CircleDiffeo:
@@ -145,7 +157,8 @@ def parse_diffeo(text: str, n: int) -> CircleDiffeo:
     from .diffeo import CircleDiffeo
     from .periodic import PeriodicFunction
 
-    return CircleDiffeo(PeriodicFunction(_operand_samples(text, n)))
+    with _quiet():  # also over gamma's derivative, whose transform can overflow
+        return CircleDiffeo(PeriodicFunction(_operand_samples(parse_fourier_terms(text, "fourier"), n, text)))
 
 
 def parse_field(text: str, n: int) -> PeriodicFunction:
@@ -156,32 +169,32 @@ def parse_field(text: str, n: int) -> PeriodicFunction:
 
     if text.startswith("monomial:"):
         try:
-            k = _wavenumber(text.split(":", 1)[1])
+            k = _wavenumber(int(text.split(":", 1)[1]))
         except (ValueError, OverflowError) as exc:
             raise OperandError(f"cannot parse {text!r}") from exc
         _require_resolved(k, n)
         return PeriodicFunction(_finite(np.exp(1j * k * grid(n)), text))
-    return PeriodicFunction(_operand_samples(text, n))
+    return PeriodicFunction(_operand_samples(parse_fourier_terms(text, "fourier"), n, text))
 
 
 def parse_loop_algebra(text: str, n: int, prefix: str = "su2") -> loops.LoopAlgebraElement:
     """su(2) operand "su2:[(axis,k,a,b),...]": component on i*sigma_axis.  Errors
     quote the text as given, also under the "exp" prefix of parse_loop."""
     from . import loops
-    from .periodic import _fourier_samples
 
-    terms = parse_fourier_terms(text, prefix, (int, _wavenumber, float, float))
+    terms = parse_fourier_terms(text, prefix, (operator.index, _wavenumber, float, float))
     if any(term[0] not in (1, 2, 3) for term in terms):
         raise OperandError("axis must be 1, 2 or 3")
-    components = [_fourier_samples([term[1:] for term in terms if term[0] == axis], n) for axis in (1, 2, 3)]
-    return loops.LoopAlgebraElement.from_components(*(_finite(x, text) for x in components))
+    components = [_operand_samples([term[1:] for term in terms if term[0] == axis], n, text) for axis in (1, 2, 3)]
+    return loops.LoopAlgebraElement.from_components(*components)
 
 
 def parse_loop(text: str, n: int) -> loops.LoopElement:
     """Loop operand "exp:[(axis,k,a,b),...]": pointwise exponential of an su(2) field."""
     from . import loops
 
-    loop = loops.exp_loop(parse_loop_algebra(text, n, prefix="exp"))
+    with _quiet():
+        loop = loops.exp_loop(parse_loop_algebra(text, n, prefix="exp"))
     _finite(loop.samples, text)
     return loop
 
@@ -302,18 +315,14 @@ def cmd_fragment_loop(args) -> int:
 
 
 def cmd_cocycle(args) -> int:
-    n = args.grid
-    if args.kind == "omega":
-        from . import loops
-
-        value = loops.omega(parse_loop_algebra(args.operands[0], n), parse_loop_algebra(args.operands[1], n))
-    else:
-        from . import cocycles
-
-        if args.kind == "bott":
-            value = cocycles.bott(parse_diffeo(args.operands[0], n), parse_diffeo(args.operands[1], n))
-        else:
-            value = cocycles.vect_cocycle(parse_field(args.operands[0], n), parse_field(args.operands[1], n))
+    module, name, parse = {
+        "bott": ("cocycles", "bott", parse_diffeo),
+        "vect": ("cocycles", "vect_cocycle", parse_field),
+        "omega": ("loops", "omega", parse_loop_algebra),
+    }[args.kind]
+    cocycle = getattr(importlib.import_module(f".{module}", __package__), name)
+    with _quiet():
+        value = cocycle(*(parse(text, args.grid) for text in args.operands))
     if not cmath.isfinite(value):  # finite samples whose derivatives or sums overflow
         raise OperandError(f"{args.kind} cocycle of {args.operands[0]!r}, {args.operands[1]!r} overflows to {value}")
     if args.kind != "vect":

@@ -95,17 +95,17 @@ class IntervalArc:
 class CircleDiffeo:
     """Lift gamma(t) = t + p(t) of an orientation-preserving circle diffeomorphism."""
 
-    __slots__ = ("periodic_part", "n", "_deriv", "_stencils", "_log_slope")
+    __slots__ = ("periodic_part", "n", "deriv", "_stencils", "_log_slope")
 
     def __init__(self, periodic_part: PeriodicFunction) -> None:
         if not periodic_part.is_real or periodic_part.samples.ndim != 1:
             raise ValueError("periodic part must be a real scalar function")
-        self._set_parts(periodic_part, None)
+        self._set_parts(periodic_part, periodic_part.derivative())
 
-    def _set_parts(self, periodic_part: PeriodicFunction, deriv: PeriodicFunction | None) -> None:
+    def _set_parts(self, periodic_part: PeriodicFunction, deriv: PeriodicFunction) -> None:
         self.periodic_part = periodic_part
         self.n = periodic_part.n
-        self._deriv = deriv
+        self.deriv = deriv  # gamma' - 1
         self._stencils = {}
         self._log_slope = None
         if not np.all(self.deriv_samples > 0.0):  # NaN fails too
@@ -136,13 +136,6 @@ class CircleDiffeo:
         return cls(PeriodicFunction(_fourier_samples(terms, n)))
 
     # -- basic data -----------------------------------------------------
-
-    @property
-    def deriv(self) -> PeriodicFunction:
-        """gamma' - 1 as a periodic function."""
-        if self._deriv is None:
-            self._deriv = self.periodic_part.derivative()
-        return self._deriv
 
     @property
     def deriv_samples(self) -> np.ndarray:

@@ -8,10 +8,11 @@ is X / sinc(theta / pi) with theta = arccos w, the exponential is the
 axis-angle factor cos(theta) I + sinc(theta / pi) X with theta = |X|, the
 products are written out entry by entry, and the operator norms of U - I
 and of X are Frobenius norms over sqrt 2, exact because the two eigenvalues
-have equal modulus.  SU(n) with n > 2 takes the dense linear-algebra path
-(scipy's expm/logm, batched matmul, SVD norms).  The invariant bilinear form
-is tr(XY) in the defining representation, normalized so the standard coroot
-diag(1, -1, 0, ...) has square length 2.
+have equal modulus.  SU(n) with n > 2 takes one batched numpy eigensolve
+per operation (eigh of the hermitian -i X, eig of the unitary U), batched
+matmul and SVD norms.  The invariant bilinear form is tr(XY) in the defining
+representation, normalized so the standard coroot diag(1, -1, 0, ...) has
+square length 2.
 """
 
 from __future__ import annotations
@@ -55,13 +56,6 @@ def su2_generators() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return 1j * s1, 1j * s2, 1j * s3
 
 
-def _as_matrix_pf(samples) -> PeriodicFunction:
-    arr = np.asarray(samples, dtype=complex)
-    if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
-        raise ValueError("loop samples must have shape (N, n, n)")
-    return PeriodicFunction(arr)
-
-
 class _Loop:
     """Grid samples of matrices, held as a PeriodicFunction; check=True runs
     the subclass's _check on them."""
@@ -69,7 +63,12 @@ class _Loop:
     __slots__ = ("pf",)
 
     def __init__(self, samples, check: bool = True) -> None:
-        self.pf = samples if isinstance(samples, PeriodicFunction) else _as_matrix_pf(samples)
+        if not isinstance(samples, PeriodicFunction):
+            samples = np.asarray(samples, dtype=complex)
+            if samples.ndim != 3 or samples.shape[1] != samples.shape[2]:
+                raise ValueError("loop samples must have shape (N, n, n)")
+            samples = PeriodicFunction(samples)
+        self.pf = samples
         if check:
             self._check(self.pf.samples)
 
@@ -255,19 +254,24 @@ def inverse_loop(g: LoopElement) -> LoopElement:
     return LoopElement(np.conj(np.swapaxes(g.samples, 1, 2)), check=False)
 
 
-def exp_loop(xi: LoopAlgebraElement) -> LoopElement:
-    """Pointwise exponential.  SU(2) uses the closed axis-angle form."""
-    x = xi.samples
-    if xi.dim == 2:
-        p, q = _su2_parts(x)
-        return LoopElement(_su2_exp(_su2_angle(p, q), p, q), check=False)
-    from scipy.linalg import expm
+def _unitary(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Samples v diag(e^{i w}) v^H: the exponential of the skew-hermitian
+    v diag(i w) v^H, for real w and unitary v as eigh returns them."""
+    return (v * np.exp(1j * w)[:, None, :]) @ np.conj(np.swapaxes(v, 1, 2))
 
-    return LoopElement(expm(x), check=False)
+
+def exp_loop(xi: LoopAlgebraElement) -> LoopElement:
+    """Pointwise exponential.  SU(2) uses the closed axis-angle form, SU(n)
+    the eigenbasis of the hermitian -i X: v diag(e^{i w}) v^H."""
+    if xi.dim == 2:
+        p, q = _su2_parts(xi.samples)
+        return LoopElement(_su2_exp(_su2_angle(p, q), p, q), check=False)
+    return LoopElement(_unitary(*np.linalg.eigh(-1j * xi.samples)), check=False)
 
 
 def log_loop(g: LoopElement) -> LoopAlgebraElement:
-    """Pointwise principal logarithm.
+    """Pointwise principal logarithm.  SU(n) takes it in U's eigenbasis,
+    v diag(i phi) v^-1 with phi the eigenvalue angles, projected onto su(n).
 
     Raises BranchError when any sample has an eigenvalue within BRANCH_TOL (in
     angle) of -1, where the principal branch breaks down.
@@ -276,16 +280,14 @@ def log_loop(g: LoopElement) -> LoopAlgebraElement:
     if g.dim == 2:
         p, q = _su2_log(u)
         return LoopAlgebraElement(_su2_samples(0.0, p, q), check=False)
-    phases = np.angle(np.linalg.eigvals(u))
+    eigenvalues, v = np.linalg.eig(u)
+    phases = np.angle(eigenvalues)
     if np.abs(phases).max() >= np.pi - BRANCH_TOL:
         raise BranchError("sample with an eigenvalue at the branch cut")
-    from scipy.linalg import logm
-
-    x = np.stack([logm(m) for m in u])
+    x = (v * (1j * phases)[:, None, :]) @ np.linalg.inv(v)
     # project exactly onto su(n) to absorb roundoff
     x = 0.5 * (x - np.conj(np.swapaxes(x, 1, 2)))
-    tr = np.trace(x, axis1=1, axis2=2) / g.dim
-    x = x - tr[:, None, None] * np.eye(g.dim)
+    x = x - (np.trace(x, axis1=1, axis2=2) / g.dim)[:, None, None] * np.eye(g.dim)
     return LoopAlgebraElement(x, check=False)
 
 
@@ -370,7 +372,8 @@ def fragment_loop(
     Uses the commuting closed form: all three exponents are pointwise
     multiples c eta of the same logarithm eta, so the product telescopes
     exactly.  For SU(2) eta and its norm theta are read once and each factor
-    is the axis-angle factor of c eta, of angle c theta, built from its entries.
+    is the axis-angle factor of c eta, of angle c theta, built from its entries;
+    for SU(n) one eigh of -i eta gives every factor as v diag(e^{i c w}) v^H.
     """
     cover = cover or CoverConfig.default()
     weights = _cutoff_weights(cover, g.n)[2]
@@ -378,8 +381,8 @@ def fragment_loop(
         p, q = _su2_log(g.samples)
         theta = _su2_angle(p, q)
         return tuple(LoopElement(_su2_exp(c * theta, c * p, c * q), check=False) for c in weights)
-    eta = log_loop(g)
-    return tuple(exp_loop(eta.scaled(c)) for c in weights)
+    w, v = np.linalg.eigh(-1j * log_loop(g).samples)
+    return tuple(LoopElement(_unitary(c[:, None] * w, v), check=False) for c in weights)
 
 
 def fragment_loop_sequential(

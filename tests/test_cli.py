@@ -5,7 +5,6 @@ import subprocess
 import sys
 import textwrap
 
-import numpy as np
 import pytest
 
 from circlekit import cli, errors, frag_diff, verify, verma
@@ -356,13 +355,74 @@ def test_verify_threads_do_not_bound_the_grid(monkeypatch):
         ["fragment-diff", "--spec", "fourier:[(1,1e308,0),(2,1e308,0)]"],
     ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_operands_exit_2(argv, capsys, tmp_path):
+    # overflow is reported by the operand checks alone, never as a numpy warning
     if argv[0].startswith("fragment"):
         argv = argv + ["--out", str(tmp_path)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert cli.main(argv) == 2
+    assert cli.main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fragment-loop", "--spec", "exp:[(1,1,0,1e300)]"], "'exp:[(1,1,0,1e300)]': samples are not finite"),
+        (
+            ["fragment-loop", "--spec", "exp:[(1,1,1e308,0),(1,2,1e308,0)]"],
+            "'exp:[(1,1,1e308,0),(1,2,1e308,0)]': samples are not finite",
+        ),
+        (["cocycle", "bott", "fourier:[(1,1e308,1e308)]", "fourier:[]"], "gamma' must be positive at every grid point"),
+        (
+            ["cocycle", "omega", "su2:[(1,1,1e200,0)]", "su2:[(1,1,0,1e200)]"],
+            "omega cocycle of 'su2:[(1,1,1e200,0)]', 'su2:[(1,1,0,1e200)]' overflows to (nan+nanj)",
+        ),
+    ],
+    ids=["exp-overflows", "exp-samples-overflow", "bott-transform-overflows", "omega-sum-overflows"],
+)
+def test_overflowing_operands_print_no_warning(argv, message, tmp_path):
+    """The installed command's stderr is the one error line: numpy prints no
+    RuntimeWarning (and no library source line) before it."""
+    if argv[0].startswith("fragment"):
+        argv = argv + ["--out", str(tmp_path)]
+    r = run(*argv)
+    assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: {message}\n")
+    assert "Warning" not in r.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # mode numbers and axes are int literals, amplitudes int or float
+        # literals: a float, a bool or a string is refused, never truncated
+        ["cocycle", "bott", "fourier:[(1.5,0,0.004)]", "fourier:[(2,0.003,0)]"],
+        ["cocycle", "bott", "fourier:[(True,0,0.004)]", "fourier:[(2,0.003,0)]"],
+        ["cocycle", "bott", "fourier:[(1,'0.003',0)]", "fourier:[]"],
+        ["cocycle", "bott", "fourier:[(1,False,0.004)]", "fourier:[]"],
+        ["cocycle", "vect", "fourier:[(2.0,1,0)]", "monomial:2"],
+        ["cocycle", "vect", "monomial:2.7", "monomial:1"],
+        ["cocycle", "vect", "monomial:True", "monomial:1"],
+        ["cocycle", "omega", "su2:[(1.9,1,1,0)]", "su2:[(1,1,0,1)]"],
+        ["cocycle", "omega", "su2:[(True,1,1,0)]", "su2:[(1,1,0,1)]"],
+        ["cocycle", "omega", "su2:[(1,1.0,1,0)]", "su2:[(1,1,0,1)]"],
+        ["fragment-diff", "--spec", "fourier:[(1.0,0,0.005)]"],
+        ["fragment-loop", "--spec", "exp:[(1,1,0,'0.02')]"],
+    ],
+)
+def test_non_integer_mode_numbers_and_axes_exit_2(argv, capsys, tmp_path):
+    if argv[0].startswith("fragment"):
+        argv = argv + ["--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: cannot parse")
+
+
+def test_int_amplitudes_read_as_floats(capsys):
+    assert cli.main(["cocycle", "vect", "fourier:[(2,1,0)]", "fourier:[(2,0,1)]"]) == 0
+    assert cli.main(["cocycle", "vect", "fourier:[(2,1.0,0.0)]", "fourier:[(2,0.0,1.0)]"]) == 0
+    first, second = capsys.readouterr().out.splitlines()
+    assert first == second
 
 
 @pytest.mark.parametrize("k, code", [(511, 0), (512, 4), (513, 4)])

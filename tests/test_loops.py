@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -374,3 +378,136 @@ def test_cutoff_weight_memo_is_bounded_and_read_only():
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.5
+
+
+# ---------------------------------------------------------------------------
+# SU(3) and SU(4) eigendecompositions against scipy's expm and logm
+# ---------------------------------------------------------------------------
+
+
+def _random_unitaries(rng, count, dim):
+    """Haar-random unitaries: QR of complex Gaussians with the phases of R's diagonal."""
+    q, r = np.linalg.qr(rng.normal(size=(count, dim, dim)) + 1j * rng.normal(size=(count, dim, dim)))
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, None, :]
+
+
+def _su(q, w):
+    """Samples q diag(i w) q^H of su(n) for traceless real w, projected exactly."""
+    x = (q * (1j * w)[:, None, :]) @ np.conj(np.swapaxes(q, 1, 2))
+    x = 0.5 * (x - np.conj(np.swapaxes(x, 1, 2)))
+    return x - (np.trace(x, axis1=1, axis2=2) / x.shape[1])[:, None, None] * np.eye(x.shape[1])
+
+
+@st.composite
+def sun_algebra(draw):
+    """su(3) or su(4) samples q diag(i w) q^H with eigenvalue angles w up to
+    2 in size, some with a repeated eigenvalue and some exactly zero."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.sampled_from([3, 4]))
+    scale = draw(st.sampled_from([0.0, 1e-8, 1e-3, 0.5, 2.0]))
+    w = rng.uniform(-1.0, 1.0, (M, dim))
+    if draw(st.booleans()):
+        w[:, 1] = w[:, 0]  # a repeated eigenvalue
+    w -= w.mean(axis=1, keepdims=True)
+    w *= scale / np.abs(w).max(axis=1, keepdims=True)
+    x = _su(_random_unitaries(rng, M, dim), w)
+    x[rng.random(M) < 0.2] = 0.0
+    return LoopAlgebraElement(x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sun_algebra())
+def test_sun_exp_log_and_fragment_match_expm_and_logm(xi):
+    x = xi.samples
+    eye = np.eye(xi.dim)
+    zero = ~x.any(axis=(1, 2))
+    g = exp_loop(xi)
+    u = g.samples
+    assert np.abs(u - np.stack([expm(m) for m in x])).max() <= 1e-13
+    assert np.abs(u[zero] - eye).max(initial=0.0) <= 1e-15
+    eta = log_loop(g).samples
+    assert np.abs(eta - np.stack([logm(m) for m in u])).max() <= 1e-13
+    assert np.abs(eta - x).max() <= 1e-13
+    assert not log_loop(LoopElement(np.where(zero[:, None, None], eye, u))).samples[zero].any()
+    weights = loops._cutoff_weights(COVER, M)[2]
+    logs = np.stack([logm(m) for m in u])
+    for part, c in zip(fragment_loop(g, COVER), weights):
+        reference = np.stack([expm(ck * lk) for ck, lk in zip(c, logs)])
+        assert np.abs(part.samples - reference).max() <= 1e-13
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([3, 4]),
+    st.sampled_from([4.0, 1.5, 1.01, 0.99, 0.5, 0.0]),
+)
+def test_sun_branch_error_at_branch_tol(seed, dim, gap):
+    """An eigenvalue gap * BRANCH_TOL short of angle pi: log_loop and
+    fragment_loop raise BranchError exactly when gap <= 1, as the angles of
+    numpy's eigvals place it."""
+    rng = np.random.default_rng(seed)
+    theta = np.pi - gap * loops.BRANCH_TOL
+    w = np.zeros((M, dim))
+    w[:, 0] = rng.uniform(-1.0, 1.0, M)
+    w[:, 1] = -w[:, 0]
+    w[0, :2] = theta, -theta
+    u = np.stack([expm(m) for m in _su(_random_unitaries(rng, M, dim), w)])
+    g = LoopElement(u)
+    at_cut = np.abs(np.angle(np.linalg.eigvals(u))).max() >= np.pi - loops.BRANCH_TOL
+    assert at_cut == (gap <= 1.0)
+    if at_cut:
+        with pytest.raises(BranchError):
+            log_loop(g)
+        with pytest.raises(BranchError):
+            fragment_loop(g, COVER)
+    else:
+        log_loop(g)
+        fragment_loop(g, COVER)
+
+
+def test_fragment_loop_su4_agrees_with_sequential():
+    n = 64
+    t = grid(n)
+    x = np.zeros((n, 4, 4), dtype=complex)
+    x[:, 0, 3] = 0.05 * np.cos(t) + 0.03j * np.sin(2 * t)
+    x[:, 1, 2] = 0.04 * np.sin(t)
+    x[:, 3, 0] = -np.conj(x[:, 0, 3])
+    x[:, 2, 1] = -np.conj(x[:, 1, 2])
+    x[:, 0, 0] = 0.02j * np.cos(3 * t)
+    x[:, 3, 3] = -x[:, 0, 0]
+    g = exp_loop(LoopAlgebraElement(x))
+    parts = fragment_loop(g, COVER)
+    rec = multiply(parts[0], multiply(parts[1], parts[2], None), None)
+    assert np.abs(rec.samples - g.samples).max() < 1e-13
+    for xi_j, arc in zip(parts, COVER.intervals):
+        assert xi_j.distance_to_identity()[~arc.contains(t)].max() < 1e-13
+    seq = fragment_loop_sequential(g, COVER)
+    assert max(np.abs(a.samples - b.samples).max() for a, b in zip(parts, seq)) < 1e-13
+
+
+SCIPY_PROBE = """
+import sys
+import numpy as np
+from circlekit import loops
+from circlekit.periodic import grid
+t = grid(64)
+x = np.zeros((64, 3, 3), dtype=complex)
+x[:, 0, 1] = 0.3 * np.cos(t) + 0.2j * np.sin(t)
+x[:, 1, 0] = -np.conj(x[:, 0, 1])
+g = loops.exp_loop(loops.LoopAlgebraElement(x))
+loops.log_loop(g)
+loops.fragment_loop(g)
+loops.fragment_loop_sequential(g)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_sun_path_loads_no_scipy():
+    """SU(3) exp_loop, log_loop, fragment_loop and fragment_loop_sequential in a
+    fresh interpreter: scipy is a test dependency only."""
+    env = {**os.environ, "PYTHONPATH": str(Path(loops.__file__).parents[1])}
+    r = subprocess.run([sys.executable, "-c", SCIPY_PROBE], capture_output=True, text=True, env=env, timeout=600)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "[]\n"

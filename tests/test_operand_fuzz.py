@@ -1,11 +1,14 @@
 """Fuzzing of the CLI operand parsers: every input either parses or raises an
 error that cli.exit_code maps to a documented exit code.  Exit 4 (aliasing)
 is the answer exactly when the operand parses and one of its wavenumbers is
-at least N/2."""
+at least N/2.  The parsers run with RuntimeWarning as an error: overflow must
+reach the caller as an operand error, not as a numpy warning."""
 
 import json
+import operator
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from circlekit import cli
@@ -13,6 +16,9 @@ from circlekit.diffeo import CoverConfig
 from circlekit.errors import CirclekitError
 
 N = 16
+LOOP_TYPES = (operator.index, cli._wavenumber, float, float)  # parse_loop_algebra's axis, k, a, b
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 # number-like tokens, including ones past the float and int conversion limits
 tokens = st.one_of(
@@ -58,7 +64,7 @@ def aliased(text, prefix, types=(cli._wavenumber, float, float), k_at=0):
 
 def monomial_aliased(text):
     try:
-        return 2 * abs(cli._wavenumber(text.split(":", 1)[1])) >= N
+        return 2 * abs(cli._wavenumber(int(text.split(":", 1)[1]))) >= N
     except (ValueError, OverflowError):
         return False
 
@@ -66,6 +72,11 @@ def monomial_aliased(text):
 @settings(max_examples=200)
 @given(operands(["fourier", "four", ""]))
 @example("fourier:[(7,1,0),(-8,0,1)]")
+@example("fourier:[(1,1e308,0),(2,1e308,0)]")  # samples that overflow
+@example("fourier:[(1,1e308,1e308)]")  # finite samples whose derivative's transform overflows
+@example("fourier:[(1.5,0,0.004)]")  # entries that int() or float() would have taken
+@example("fourier:[(True,0,0.004)]")
+@example("fourier:[(1,'0.003',0)]")
 def test_fourier_operands(text):
     parses_or_maps(cli.parse_fourier_terms, text, "fourier")
     parses_or_maps(cli.parse_diffeo, text, N, aliased=aliased(text, "fourier"))
@@ -75,6 +86,8 @@ def test_fourier_operands(text):
 @given(st.one_of(operands(["fourier"]), st.tuples(st.just("monomial"), tokens).map(":".join)))
 @example("monomial:-8")
 @example("monomial:7")
+@example("monomial:2.7")
+@example("monomial:True")
 def test_field_operands(text):
     alias = monomial_aliased(text) if text.startswith("monomial:") else aliased(text, "fourier")
     parses_or_maps(cli.parse_field, text, N, aliased=alias)
@@ -86,11 +99,12 @@ def test_field_operands(text):
 @example("exp:[(2,-8,0,1)]")
 @example("exp:[(4,8,0,1)]")
 @example("exp:[(1,1,0,1e300)]")  # finite su(2) components whose exponential is not
+@example("exp:[(1,1,1e308,0),(1,2,1e308,0)]")
+@example("su2:[(1.9,1,1,0)]")
+@example("su2:[(True,1,1,0)]")
 def test_loop_operands(text):
-    types = (int, cli._wavenumber, float, float)
-    parses_or_maps(cli.parse_loop_algebra, text, N, aliased=aliased(text, "su2", types, k_at=1))
-    with np.errstate(over="ignore", invalid="ignore"):
-        loop = parses_or_maps(cli.parse_loop, text, N, aliased=aliased(text, "exp", types, k_at=1))
+    parses_or_maps(cli.parse_loop_algebra, text, N, aliased=aliased(text, "su2", LOOP_TYPES, k_at=1))
+    loop = parses_or_maps(cli.parse_loop, text, N, aliased=aliased(text, "exp", LOOP_TYPES, k_at=1))
     assert loop is None or np.isfinite(loop.samples).all()
 
 
