@@ -109,6 +109,8 @@ class CircleDiffeo:
         self._stencils = {}
         self._log_slope = None
         if not np.all(self.deriv_samples > 0.0):  # NaN fails too
+            if not np.all(np.isfinite(self.deriv_samples)):
+                raise DerivativeError("gamma' is not finite at every grid point: the derivative overflows")
             raise DerivativeError("gamma' must be positive at every grid point")
 
     # -- constructors ---------------------------------------------------

@@ -274,7 +274,9 @@ def log_loop(g: LoopElement) -> LoopAlgebraElement:
     v diag(i phi) v^-1 with phi the eigenvalue angles, projected onto su(n).
 
     Raises BranchError when any sample has an eigenvalue within BRANCH_TOL (in
-    angle) of -1, where the principal branch breaks down.
+    angle) of -1, where the principal branch breaks down, and for n > 2 when
+    a sample's angles sum to 2 pi m with m != 0: its principal logarithm then
+    has trace 2 pi i m, and its projection onto su(n) is no logarithm of U.
     """
     u = g.samples
     if g.dim == 2:
@@ -284,6 +286,8 @@ def log_loop(g: LoopElement) -> LoopAlgebraElement:
     phases = np.angle(eigenvalues)
     if np.abs(phases).max() >= np.pi - BRANCH_TOL:
         raise BranchError("sample with an eigenvalue at the branch cut")
+    if np.rint(phases.sum(axis=1) / (2 * np.pi)).any():
+        raise BranchError("sample whose eigenvalue angles sum to a nonzero multiple of 2 pi")
     x = (v * (1j * phases)[:, None, :]) @ np.linalg.inv(v)
     # project exactly onto su(n) to absorb roundoff
     x = 0.5 * (x - np.conj(np.swapaxes(x, 1, 2)))

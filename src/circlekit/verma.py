@@ -10,19 +10,23 @@ m > 0.  All coefficients are exact rationals; states above the truncation
 level are rejected rather than silently dropped.
 
 Inside a module the arithmetic runs on Python ints over one denominator,
-D = lcm(2 den c, den h).  With e(m) = max(m, 1) for m >= 0 and e(m) = 0 for
-m < 0, the memo of L_m on basis words holds L_m e_nu times D^e(m): e is
-nondecreasing, so the (m + n1) L_{m-n1} term of a commutator move rescales by
-the int D^(e(m) - e(m-n1)), and the central term (m^3 - m)/12 c D^m is the
-int (m^3 - m)/6 (c D/2) D^(m-1).  Every sum of scaled word actions (normal
-ordering, `act`, the bracket check's L_m L_n v - L_n L_m v - (m - n) L_{m+n} v
-- central * v at the scale D^(e(m) + e(n))) accumulates into one
-partition -> int dict through `_add_scaled`, the check passing when every
-entry is zero.  Gram matrices recurse on mu's first part over memoized lower
-levels, the level-L one held times D^L; the Shapovalov form is symmetric, so
-only the entries from the diagonal rightwards are computed and the rest are
-mirrored.  Fractions are built only where values leave the module (`act`,
-`gram_matrix`, one object per mirrored pair).  Determinants run Bareiss
+D = lcm(2 den c, den h), and on basis indices: the module numbers each
+partition when it first meets one and records the index of its rest (the
+partition minus its first part), so memo, accumulators and Gram rows key on
+small ints.  With e(m) = max(m, 1) for m >= 0 and e(m) = 0 for m < 0, the
+memo of L_m on basis words holds L_m e_nu times D^e(m): e is nondecreasing,
+so the (m + n1) L_{m-n1} term of a commutator move rescales by the int
+D^(e(m) - e(m-n1)), and the central term (m^3 - m)/12 c D^m is the int
+(m^3 - m)/6 (c D/2) D^(m-1).  A state enters in one pass that numbers, grades
+and clears it.  Every sum of scaled word actions (normal ordering, `act`, the
+bracket check's L_m L_n v - L_n L_m v - (m - n) L_{m+n} v - central * v at
+the scale D^(e(m) + e(n))) accumulates into one index -> int dict through
+`_add_scaled`, the check passing when every entry is zero.  Gram matrices
+recurse on mu's first part over memoized lower levels, the level-L one held
+times D^L; the Shapovalov form is symmetric, so only the entries from the
+diagonal rightwards are computed and the rest are mirrored.  Partitions come
+back, and Fractions are built, only where values leave the module (`act`,
+`gram_matrix`, one Fraction per mirrored pair).  Determinants run Bareiss
 elimination on rows cleared by the LCM of their own denominators; on
 symmetric input it updates only the upper triangle of the active block,
 reading each lower entry back through the row scales, until a zero diagonal
@@ -73,9 +77,9 @@ def _clean(coeffs: dict) -> dict:
 
 
 def _add_scaled(acc: dict, factor, coeffs: Mapping) -> None:
-    """acc += factor * coeffs in place; a partition's first term creates its key."""
-    for p, v in coeffs.items():
-        acc[p] = acc[p] + factor * v if p in acc else factor * v
+    """acc += factor * coeffs in place, over basis indices or partitions; a key's first term creates it."""
+    for k, v in coeffs.items():
+        acc[k] = acc[k] + factor * v if k in acc else factor * v
 
 
 @dataclass(frozen=True)
@@ -135,8 +139,12 @@ class VermaModule:
         self.h = Fraction(h)
         self.max_level = int(max_level)
         self._D = math.lcm(2 * self.c.denominator, self.h.denominator)
+        # basis words by index, () first; _rest[i] is the index of _parts[i][1:]
+        self._index: dict = {(): 0}
+        self._parts: list = [()]
+        self._rest: list = [None]
         self._memo: dict = {}
-        self._grams: dict = {0: {(): {(): 1}}}
+        self._grams: dict = {0: {0: {0: 1}}}
 
     def lowest_weight_state(self) -> VermaState:
         return VermaState({(): Fraction(1)}, self.c, self.h)
@@ -150,23 +158,34 @@ class VermaModule:
 
     # -- normal ordering -------------------------------------------------
 
-    def _act_basis(self, m: int, part: Partition) -> dict:
-        """L_m applied to a basis word times D^e(m), as a partition -> int dict.
+    def _intern(self, part: Partition) -> int:
+        """The index of a basis word, numbered (after its rest) on first sight."""
+        i = self._index.get(part)
+        if i is None:
+            rest = self._intern(part[1:])
+            i = self._index[part] = len(self._parts)
+            self._parts.append(part)
+            self._rest.append(rest)
+        return i
+
+    def _act_basis(self, m: int, i: int) -> dict:
+        """L_m applied to basis word number i times D^e(m), as an index -> int dict.
 
         Words are reordered by commutator moves; each move either shortens
         the word or prepends a legal head, so the recursion terminates.  e is
         nondecreasing, so every term rescales up to D^e(m) by an int.
         """
-        key = (m, part)
+        key = (m, i)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
+        part = self._parts[i]
         if m < 0 and (not part or -m >= part[0]):
-            out = {(-m,) + part: 1}
+            out = {self._intern((-m,) + part): 1}
         elif not part:
-            out = {(): self.h.numerator * (self._D // self.h.denominator)} if m == 0 else {}
+            out = {0: self.h.numerator * (self._D // self.h.denominator)} if m == 0 else {}
         else:
-            n1, rest = part[0], part[1:]
+            n1, rest = part[0], self._rest[i]
             out = {}
             # L_m L_{-n1} = L_{-n1} L_m + (m + n1) L_{m-n1} + central; L_{-n1} carries D^0
             for mu, co in self._act_basis(m, rest).items():
@@ -184,22 +203,35 @@ class VermaModule:
         half_cd = self.c.numerator * (self._D // (2 * self.c.denominator))
         return (m**3 - m) // 6 * half_cd * self._D ** (scale - 1)
 
+    def _indexed(self, state: VermaState) -> tuple[int, int, dict]:
+        """(level, q, {index: q * coefficient}) in one pass, q the LCM of the
+        state's denominators: entries met before a new denominator are rescaled."""
+        level, q, ints = 0, 1, {}
+        for part, x in state.coeffs.items():
+            d = x.denominator
+            if q % d:
+                grow = d // math.gcd(q, d)
+                q *= grow
+                for i in ints:
+                    ints[i] *= grow
+            ints[self._intern(part)] = x.numerator * (q // d)
+            level = max(level, sum(part))
+        return level, q, ints
+
     # -- public operations -------------------------------------------------
 
     def act(self, m: int, state: VermaState) -> VermaState:
         """Apply the generator L_m; exact, rejecting levels above truncation."""
         if abs(m) > self.max_level:
             raise TruncationError(f"generator index {m} exceeds truncation {self.max_level}")
-        if state.level - min(m, 0) > self.max_level:
-            raise TruncationError(
-                f"L_{m} on a level-{state.level} state reaches above truncation {self.max_level}"
-            )
-        q, ints = _cleared(state)
+        level, q, ints = self._indexed(state)
+        if level - min(m, 0) > self.max_level:
+            raise TruncationError(f"L_{m} on a level-{level} state reaches above truncation {self.max_level}")
         out: dict = {}
-        for part, co in ints.items():
-            _add_scaled(out, co, self._act_basis(m, part))
+        for i, co in ints.items():
+            _add_scaled(out, co, self._act_basis(m, i))
         scale = q * self._D ** _exponent(m)
-        return VermaState({p: Fraction(v, scale) for p, v in out.items()}, self.c, self.h)
+        return VermaState({self._parts[i]: Fraction(v, scale) for i, v in out.items()}, self.c, self.h)
 
     def commutator_check(self, m: int, n: int, state: VermaState) -> bool:
         """Exact test of [L_m, L_n] = (m - n) L_{m+n} + central on the state.
@@ -207,33 +239,34 @@ class VermaModule:
         Every term is summed at the common scale D^(e(m) + e(n)) times the
         state's cleared denominator; a positive scale keeps the zero entries.
         """
-        if state.level + abs(m) + abs(n) > self.max_level:
+        level, _, ints = self._indexed(state)
+        if level + abs(m) + abs(n) > self.max_level:
             raise TruncationError("commutator check would exceed the truncation level")
         top = _exponent(m) + _exponent(n)
         shift = (n - m) * self._D ** (top - _exponent(m + n))
-        _, ints = _cleared(state)
         acc: dict = {}
-        for part, co in ints.items():
+        for i, co in ints.items():
             for outer, inner, weight in ((m, n, co), (n, m, -co)):
-                for mu, x in self._act_basis(inner, part).items():
+                for mu, x in self._act_basis(inner, i).items():
                     _add_scaled(acc, weight * x, self._act_basis(outer, mu))
-            _add_scaled(acc, shift * co, self._act_basis(m + n, part))
+            _add_scaled(acc, shift * co, self._act_basis(m + n, i))
         if m == -n:  # reads self.c now, not the c the memo was built with
             _add_scaled(acc, -self._central(m, top), ints)
         return not any(acc.values())
 
     def _gram(self, level: int) -> dict:
-        """D^L G_L as {mu: {nu: int}} in basis order: sum_rho (L_{mu_1} e_nu)[rho] G_{L-mu_1}[mu_2...][rho].
+        """D^L G_L as {mu: {nu: int}} by index in basis order: sum_rho (L_{mu_1} e_nu)[rho] G_{L-mu_1}[mu_2...][rho].
 
         Only the entries from the diagonal rightwards are computed; the form
         is symmetric, so G[mu][nu] left of the diagonal is G[nu][mu].
         """
         if level not in self._grams:
-            basis, gram = list(partitions(level)), {}
-            for i, mu in enumerate(basis):
-                below = self._gram(level - mu[0])[mu[1:]]
+            basis, gram = [self._intern(p) for p in partitions(level)], {}
+            for k, mu in enumerate(basis):
+                head = self._parts[mu][0]
+                below = self._gram(level - head)[self._rest[mu]]
                 gram[mu] = {
-                    nu: gram[nu][mu] if j < i else sum(x * below[r] for r, x in self._act_basis(mu[0], nu).items())
+                    nu: gram[nu][mu] if j < k else sum(x * below[r] for r, x in self._act_basis(head, nu).items())
                     for j, nu in enumerate(basis)
                 }
             self._grams[level] = gram
@@ -257,12 +290,6 @@ class VermaModule:
 def _exponent(m: int) -> int:
     """e(m): the memo holds L_m e_nu times D^e(m)."""
     return max(m, 1) if m >= 0 else 0
-
-
-def _cleared(state: VermaState) -> tuple[int, dict]:
-    """(q, {part: q * coefficient}) with q the LCM of the state's denominators."""
-    q = math.lcm(*(x.denominator for x in state.coeffs.values()))
-    return q, {p: x.numerator * (q // x.denominator) for p, x in state.coeffs.items()}
 
 
 # -- convenience wrappers with a per-(c, h, level) module cache --------------

@@ -373,7 +373,10 @@ def test_non_finite_operands_exit_2(argv, capsys, tmp_path):
             ["fragment-loop", "--spec", "exp:[(1,1,1e308,0),(1,2,1e308,0)]"],
             "'exp:[(1,1,1e308,0),(1,2,1e308,0)]': samples are not finite",
         ),
-        (["cocycle", "bott", "fourier:[(1,1e308,1e308)]", "fourier:[]"], "gamma' must be positive at every grid point"),
+        (
+            ["cocycle", "bott", "fourier:[(1,1e308,1e308)]", "fourier:[]"],
+            "gamma' is not finite at every grid point: the derivative overflows",
+        ),
         (
             ["cocycle", "omega", "su2:[(1,1,1e200,0)]", "su2:[(1,1,0,1e200)]"],
             "omega cocycle of 'su2:[(1,1,1e200,0)]', 'su2:[(1,1,0,1e200)]' overflows to (nan+nanj)",
@@ -389,6 +392,21 @@ def test_overflowing_operands_print_no_warning(argv, message, tmp_path):
     r = run(*argv)
     assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: {message}\n")
     assert "Warning" not in r.stderr
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        # finite samples whose derivative's transform overflows to NaN
+        ("fourier:[(3,1e307,0)]", "error: gamma' is not finite at every grid point: the derivative overflows\n"),
+        # a finite derivative that changes sign is still named as such
+        ("fourier:[(1,2,0)]", "error: gamma' must be positive at every grid point\n"),
+    ],
+    ids=["overflow-k3", "not-monotone"],
+)
+def test_diffeo_operand_names_an_overflowing_derivative(spec, message, capsys):
+    assert cli.main(["cocycle", "bott", spec, "fourier:[]"]) == 2
+    assert capsys.readouterr() == ("", message)
 
 
 @pytest.mark.parametrize(

@@ -467,6 +467,59 @@ def test_sun_branch_error_at_branch_tol(seed, dim, gap):
         fragment_loop(g, COVER)
 
 
+def _angles_summing_to(rng, count, dim, winding, margin=0.05):
+    """count rows of dim eigenvalue angles, each inside (-pi + margin, pi - margin),
+    summing to 2 pi winding: the last angle closes the sum, and rows where it
+    falls outside are drawn again."""
+    rows = np.empty((0, dim))
+    while len(rows) < count:
+        w = rng.uniform(-np.pi + margin, np.pi - margin, (8 * count, dim))
+        w[:, -1] = 2 * np.pi * winding - w[:, :-1].sum(axis=1)
+        rows = np.vstack([rows, w[np.abs(w[:, -1]) < np.pi - margin]])
+    return rows[:count]
+
+
+def _sun_with_angles(rng, w):
+    """Samples q diag(e^{i w}) q^H for Haar-random q: in SU(n) when each row of w sums to 2 pi m."""
+    q = _random_unitaries(rng, len(w), w.shape[1])
+    return (q * np.exp(1j * w)[:, None, :]) @ np.conj(np.swapaxes(q, 1, 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([3, 4]), st.sampled_from([1, -1]), st.integers(1, M))
+def test_sun_log_refuses_angles_off_the_principal_branch(seed, dim, winding, off_branch):
+    """An SU(n) sample whose principal angles sum to 2 pi m, m = +-1, has a
+    principal logarithm with trace 2 pi i m: log_loop, fragment_loop and
+    fragment_loop_sequential raise BranchError when any sample is one.  The
+    same loop with those samples' angles summing to 0 passes, and
+    exp_loop(log_loop(g)) gives g back."""
+    rng = np.random.default_rng(seed)
+    w = _angles_summing_to(rng, M, dim, 0)
+    moved = rng.permutation(M)[:off_branch]
+    w[moved] = _angles_summing_to(rng, off_branch, dim, winding)
+    u = _sun_with_angles(rng, w)
+    assert np.abs(np.linalg.det(u) - 1).max() < 1e-12
+    g = LoopElement(u)
+    for call in (log_loop, lambda g: fragment_loop(g, COVER), lambda g: fragment_loop_sequential(g, COVER)):
+        with pytest.raises(BranchError, match="sum to a nonzero multiple"):
+            call(g)
+    w[moved] = _angles_summing_to(rng, off_branch, dim, 0)
+    g = LoopElement(_sun_with_angles(rng, w))
+    assert np.abs(exp_loop(log_loop(g)).samples - g.samples).max() < 1e-12
+    fragment_loop(g, COVER)
+    fragment_loop_sequential(g, COVER)
+
+
+def test_sun_log_refuses_constant_loop_off_the_principal_branch():
+    # angles (2.5, 2.5, 2 pi - 5): each inside (-pi, pi), summing to 2 pi;
+    # the projected principal logarithm lands 1.69 from g
+    u = _sun_with_angles(np.random.default_rng(2601), np.array([[2.5, 2.5, 2 * np.pi - 5]]))
+    g = LoopElement(np.repeat(u, 16, axis=0))
+    for call in (log_loop, fragment_loop, fragment_loop_sequential):
+        with pytest.raises(BranchError):
+            call(g)
+
+
 def test_fragment_loop_su4_agrees_with_sequential():
     n = 64
     t = grid(n)

@@ -89,9 +89,16 @@ def gaussian_determinant(matrix):
     return det
 
 
+def accumulate(acc, factor, coeffs):
+    """acc += factor * coeffs, written apart from the module's accumulator."""
+    for part, value in coeffs.items():
+        acc[part] = acc.get(part, 0) + factor * value
+
+
 class FractionReference:
     """The Fraction recursion the module used before its integer memo: L_m on
-    basis words, states and Gram matrices, every value a Fraction."""
+    partition-keyed basis words, states and Gram matrices, every value a
+    Fraction.  It shares no code with the module it checks."""
 
     def __init__(self, c, h):
         self.c, self.h = Fraction(c), Fraction(h)
@@ -109,10 +116,10 @@ class FractionReference:
                 n1, rest = part[0], part[1:]
                 out = {}
                 for mu, co in self.act_basis(m, rest).items():
-                    verma._add_scaled(out, co, self.act_basis(-n1, mu))
-                verma._add_scaled(out, m + n1, self.act_basis(m - n1, rest))
+                    accumulate(out, co, self.act_basis(-n1, mu))
+                accumulate(out, m + n1, self.act_basis(m - n1, rest))
                 if m == n1:
-                    verma._add_scaled(out, Fraction(m**3 - m, 12) * self.c, {rest: 1})
+                    accumulate(out, Fraction(m**3 - m, 12) * self.c, {rest: 1})
                 out = {p: v for p, v in out.items() if v != 0}
             self.memo[key] = out
         return self.memo[key]
@@ -120,7 +127,7 @@ class FractionReference:
     def act(self, m, coeffs):
         out = {}
         for part, co in coeffs.items():
-            verma._add_scaled(out, co, self.act_basis(m, part))
+            accumulate(out, co, self.act_basis(m, part))
         return {p: v for p, v in out.items() if v != 0}
 
     def gram_rows(self, level):
@@ -225,9 +232,12 @@ def test_commutator_check_matches_composed_acts(params, coeffs, data):
     m = data.draw(st.integers(-top, top))
     n = data.draw(st.integers(abs(m) - top, top - abs(m)))
     assert module.commutator_check(m, n, state) is composed_check(module, m, n, state) is True
-    # a corrupted memo entry gives both the same answer
-    key = data.draw(st.sampled_from(sorted(module._memo, key=repr)))
-    module._memo[key] = {**module._memo[key], (1,) * 3: Fraction(1, 7)}
+    # a corrupted memo entry gives both the same answer; entries are addressed
+    # by (m, partition) through the module's index
+    index, parts = module._index, module._parts
+    key = data.draw(st.sampled_from(sorted(((k, parts[i]) for k, i in module._memo), key=repr)))
+    entry = (key[0], index[key[1]])
+    module._memo[entry] = {**module._memo[entry], module._intern((1,) * 3): Fraction(1, 7)}
     assert module.commutator_check(m, n, state) is composed_check(module, m, n, state)
 
 
@@ -237,9 +247,10 @@ def test_commutator_check_can_fail():
     v = module.lowest_weight_state()
     assert module.commutator_check(2, -2, v)
     # L_2 L_{-2} |h> = (4h + c/2) |h>, held times D^2; one unit off on that scale must show
-    (stored,) = module._memo[(2, (2,))].values()
+    entry = (2, module._index[(2,)])
+    (stored,) = module._memo[entry].values()
     assert Fraction(stored, module._D**2) == 4 * h + c / 2
-    module._memo[(2, (2,))] = {(): stored + 1}
+    module._memo[entry] = {module._index[()]: stored + 1}
     assert not module.commutator_check(2, -2, v)
     assert not composed_check(module, 2, -2, v)
 
@@ -537,3 +548,34 @@ def test_act_matches_fraction_reference(params, coeffs, m):
     got = module.act(m, VermaState(coeffs, module.c, module.h))
     assert got.coeffs == FractionReference(c, h).act(m, coeffs)
     assert all(type(x) is Fraction for x in got.coeffs.values())
+
+
+@given(module_parameters, st.data())
+def test_results_do_not_depend_on_fill_order(params, data):
+    # basis indices are handed out in the order words are first met, so three
+    # modules filled first by a bracket check, a Gram matrix and an action
+    # number their words differently and must still agree on every result
+    c, h = params
+    top = 6
+    m = data.draw(st.integers(-3, 3), label="m")
+    n = data.draw(st.integers(abs(m) - 3, 3 - abs(m)), label="n")
+    coeffs = data.draw(
+        st.dictionaries(st.sampled_from(low_partitions[:7]), small_rationals.filter(bool), min_size=1, max_size=4),
+        label="coeffs",
+    )
+    first_level = data.draw(st.integers(0, top), label="first Gram level")
+    by_check, by_gram, by_act = (VermaModule(c, h, max_level=top) for _ in range(3))
+    state = VermaState(coeffs, by_check.c, by_check.h)
+    by_check.commutator_check(m, n, state)
+    by_gram.gram_matrix(first_level)
+    by_act.act(m, state)
+    modules = (by_check, by_gram, by_act)
+    for level in range(top + 1):
+        grams = [module.gram_matrix(level) for module in modules]
+        assert grams[0] == grams[1] == grams[2]
+        assert len({exact_determinant(gram) for gram in grams}) == 1
+    for index in range(-3, 4):
+        acts = [module.act(index, state) for module in modules]
+        # equal states, with their words in the same order
+        assert [list(acted.coeffs.items()) for acted in acts[1:]] == [list(acts[0].coeffs.items())] * 2
+    assert [module.commutator_check(m, n, state) for module in modules] == [True] * 3
