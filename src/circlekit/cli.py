@@ -21,10 +21,10 @@ Budget, checked before any import or work (exit 2 otherwise):
   0.9-1.3 s, 74 MB);
 - verify: --seed and --trials at least 0, --threads 1..32 and --trials x
   --grid at most 1000 x 1024.  Trials run one at a time: --threads is
-  accepted so that existing command lines keep their meaning, and changes
-  nothing.  Worst admitted `verify all` (Python 3.11, Intel Xeon): 21 s,
-  42 MB at --trials 1000; 12-17 s, 159 MB at --trials 15 --grid 65536, at
-  --threads 1 and 15 alike;
+  validated so that existing command lines keep their meaning, and ends
+  here; the suites never see it.  Worst admitted `verify all` (Python 3.11,
+  Intel Xeon): 21 s, 42 MB at --trials 1000; 12-17 s, 159 MB at --trials 15
+  --grid 65536, at --threads 1 and 15 alike;
 - verma: --level 0..12, --c/--h fractions of at most 16 characters, no
   exponent, numerator and denominator below 2^16 in absolute value (level
   12 with 16-bit operands: 1.6-3.5 s, 39 MB, most of it the determinant);
@@ -358,7 +358,7 @@ def cmd_verify(args) -> int:
     from . import verify
 
     start = time.perf_counter()
-    report = verify.run_suites(args.suite, args.seed, args.trials, n=args.grid, threads=args.threads)
+    report = verify.run_suites(args.suite, args.seed, args.trials, n=args.grid)
     report.wall_time = time.perf_counter() - start
     if args.out:
         Path(args.out).mkdir(parents=True, exist_ok=True)

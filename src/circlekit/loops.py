@@ -1,18 +1,18 @@
 """Loops into SU(n) (default SU(2)): pointwise group and algebra arithmetic.
 
 Loops are grids of matrices; the group operations act sample by sample.  For
-SU(2) every operation is a closed form on the matrix entries: a sample is
-U = w I + X with w = Re tr U / 2 and X = [[i p, q], [-conj q, -i p]] in
-su(2), the projection of U onto su(2) read from its entries.  The logarithm
-is X / sinc(theta / pi) with theta = arccos w, the exponential is the
-axis-angle factor cos(theta) I + sinc(theta / pi) X with theta = |X|, the
-products are written out entry by entry, and the operator norms of U - I
-and of X are Frobenius norms over sqrt 2, exact because the two eigenvalues
-have equal modulus.  SU(n) with n > 2 takes one batched numpy eigensolve
-per operation (eigh of the hermitian -i X, eig of the unitary U), batched
-matmul and SVD norms.  The invariant bilinear form is tr(XY) in the defining
-representation, normalized so the standard coroot diag(1, -1, 0, ...) has
-square length 2.
+SU(2) every operation is a closed form on the entries of a sample a I + X,
+a = Re tr / 2 and X = [[i p, q], [-conj q, -i p]] in su(2): _su2_parts reads
+(a, p, q), _su2_samples writes them and _su2_norm measures them.  log U is
+X / sinc(theta / pi) with theta = arccos a, exp X is the axis-angle factor
+cos(theta) I + sinc(theta / pi) X with theta = |X| = sqrt(p^2 + |q|^2), and
+products are written out entry by entry.  a I + X is normal with eigenvalues
+a +- i |X|, so both its singular values equal sqrt(a^2 + |X|^2): the
+operator norm of X and of U - I.  SU(n) with n > 2 takes batched numpy
+eigensolves (exp: eigh of the hermitian -i X; log: eig of U; fragment_loop:
+the log's eig plus one eigh), batched matmul and SVD norms.  The invariant
+bilinear form is tr(XY) in the defining representation, normalized so the
+standard coroot diag(1, -1, 0, ...) has square length 2.
 """
 
 from __future__ import annotations
@@ -105,15 +105,9 @@ class LoopAlgebraElement(_Loop):
 
     @classmethod
     def from_components(cls, cx, cy, cz) -> "LoopAlgebraElement":
-        """su(2) element c_x * i sigma_1 + c_y * i sigma_2 + c_z * i sigma_3."""
-        g1, g2, g3 = su2_generators()
-        comps = [np.asarray(c, dtype=float) for c in (cx, cy, cz)]
-        x = (
-            comps[0][:, None, None] * g1
-            + comps[1][:, None, None] * g2
-            + comps[2][:, None, None] * g3
-        )
-        return cls(x, check=False)
+        """su(2) element c_x i sigma_1 + c_y i sigma_2 + c_z i sigma_3: p = c_z, q = c_y + i c_x."""
+        cx, cy, cz = (np.asarray(c, dtype=float) for c in (cx, cy, cz))
+        return cls(_su2_samples(0.0, cz, cy + 1j * cx), check=False)
 
     def scaled(self, factors) -> "LoopAlgebraElement":
         """Pointwise multiplication by a real scalar function (cutoff)."""
@@ -121,7 +115,8 @@ class LoopAlgebraElement(_Loop):
         return LoopAlgebraElement(self.samples * f[:, None, None], check=False)
 
     def norm(self) -> float:
-        """Sup over the grid of the operator norm."""
+        """Sup over the grid of the operator norm; for su(2), exact on su(2)
+        samples and blind to any part outside a I + su(2) (see _su2_parts)."""
         return float(_operator_norms(self.samples).max())
 
     def __add__(self, other):
@@ -154,7 +149,7 @@ class LoopElement(_Loop):
         return cls(np.broadcast_to(np.eye(dim, dtype=complex), (n, dim, dim)).copy(), check=False)
 
     def distance_to_identity(self) -> np.ndarray:
-        """Per-sample operator norm of U - I."""
+        """Per-sample operator norm of U - I; for SU(2), blind as norm() is."""
         return _operator_norms(self.samples - np.eye(self.dim))
 
     def __repr__(self) -> str:
@@ -170,12 +165,12 @@ class LoopElement(_Loop):
 
 
 def _operator_norms(x: np.ndarray) -> np.ndarray:
-    """Per-sample operator norm.  For 2x2 samples it is ||x||_F / sqrt 2, exact
-    when the two singular values are equal, as for U - I with U in SU(2) and
-    for X in su(2); larger samples take the SVD norm."""
+    """Per-sample operator norm: _su2_norm for 2x2 samples, which every caller
+    passes as a I + X with X in su(2) (X itself, or U - I with U in SU(2));
+    the SVD norm for larger samples."""
     if x.shape[1] != 2:
         return np.linalg.norm(x, ord=2, axis=(1, 2))
-    return np.sqrt(0.5 * (x.real**2 + x.imag**2).sum(axis=(1, 2)))
+    return _su2_norm(*_su2_parts(x))
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -189,12 +184,13 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _su2_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(p, q) of the projection [[i p, q], [-conj q, -i p]] of 2x2 samples onto su(2):
-    the traceless anti-hermitian part, read from the entries."""
+def _su2_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a, p, q) of 2x2 samples: a = Re tr x / 2 and the traceless anti-hermitian
+    part [[i p, q], [-conj q, -i p]], the projection onto su(2), from the entries."""
+    a = 0.5 * (x[:, 0, 0].real + x[:, 1, 1].real)
     p = 0.5 * (x[:, 0, 0].imag - x[:, 1, 1].imag)
     q = 0.5 * (x[:, 0, 1] - np.conj(x[:, 1, 0]))
-    return p, q
+    return a, p, q
 
 
 def _su2_samples(w: np.ndarray | float, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -214,20 +210,19 @@ def _su2_log(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """su(2) parts (p, q) of the principal logarithm X / sinc(theta / pi) of SU(2)
     samples, theta = arccos(Re tr U / 2); BranchError when theta comes within
     BRANCH_TOL of pi."""
-    w = np.clip((u[:, 0, 0].real + u[:, 1, 1].real) / 2.0, -1.0, 1.0)
-    theta = np.arccos(w)
+    w, p, q = _su2_parts(u)
+    theta = np.arccos(np.clip(w, -1.0, 1.0))
     if theta.max() >= np.pi - BRANCH_TOL:
         raise BranchError(
             f"sample with rotation angle {theta.max():.6f} is at the branch cut"
         )
-    p, q = _su2_parts(u)
     factor = 1.0 / np.sinc(theta / np.pi)
     return factor * p, factor * q
 
 
-def _su2_angle(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Operator norm of the su(2) samples [[i p, q], [-conj q, -i p]]."""
-    return np.sqrt(p**2 + q.real**2 + q.imag**2)
+def _su2_norm(a: np.ndarray | float, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Operator norm sqrt(p^2 + |q|^2 + a^2) of the samples a I + [[i p, q], [-conj q, -i p]]."""
+    return np.sqrt(p**2 + q.real**2 + q.imag**2 + a**2)
 
 
 def _su2_exp(theta: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -264,8 +259,8 @@ def exp_loop(xi: LoopAlgebraElement) -> LoopElement:
     """Pointwise exponential.  SU(2) uses the closed axis-angle form, SU(n)
     the eigenbasis of the hermitian -i X: v diag(e^{i w}) v^H."""
     if xi.dim == 2:
-        p, q = _su2_parts(xi.samples)
-        return LoopElement(_su2_exp(_su2_angle(p, q), p, q), check=False)
+        _, p, q = _su2_parts(xi.samples)
+        return LoopElement(_su2_exp(_su2_norm(0.0, p, q), p, q), check=False)
     return LoopElement(_unitary(*np.linalg.eigh(-1j * xi.samples)), check=False)
 
 
@@ -383,7 +378,7 @@ def fragment_loop(
     weights = _cutoff_weights(cover, g.n)[2]
     if g.dim == 2:
         p, q = _su2_log(g.samples)
-        theta = _su2_angle(p, q)
+        theta = _su2_norm(0.0, p, q)
         return tuple(LoopElement(_su2_exp(c * theta, c * p, c * q), check=False) for c in weights)
     w, v = np.linalg.eigh(-1j * log_loop(g).samples)
     return tuple(LoopElement(_unitary(c[:, None] * w, v), check=False) for c in weights)

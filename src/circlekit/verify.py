@@ -7,9 +7,9 @@ runner, _run, emits the table's checks in row order.  Trial i of a family
 draws from the stream derived from (seed, family stream, i), and each
 residual column aggregates by max, so reports are byte-stable across runs.
 Trials run one after another.  The verify command admits --trials x --grid
-up to 1000 x 1024; its --threads is accepted so that old command lines still
-run, and changes nothing.  A new check is one row of a table (or one column
-of an existing family).
+up to 1000 x 1024; its --threads is validated and ends at the CLI, so old
+command lines still run.  A new check is one row of
+a table (or one column of an existing family).
 """
 
 from __future__ import annotations
@@ -468,9 +468,9 @@ SUITES = {
 
 
 def run_suites(selector: str, seed: int, trials: int, n: int = 1024, threads: int = 1) -> RunReport:
-    """Run the selected property suites and collect a report.  threads is
-    accepted for the CLI's --threads and does not change the work or the
-    report: every family runs its trials in order."""
+    """Run the selected property suites and collect a report; every family runs
+    its trials in order.  threads changes nothing and stays only for callers
+    that pass it, such as perfbench's traced cli_session round."""
     report = RunReport(command=f"verify {selector}")
     report.inputs_digest = digest_inputs(selector=selector, seed=seed, trials=trials, n=n)
     if trials <= 0:

@@ -84,13 +84,16 @@ def _add_scaled(acc: dict, factor, coeffs: Mapping) -> None:
 
 @dataclass(frozen=True)
 class VermaState:
-    """Finitely supported rational combination of partition basis vectors."""
+    """Finitely supported rational combination of basis words: tuples of ints >= 1."""
 
     coeffs: Mapping[Partition, Fraction]
     c: Fraction
     h: Fraction
 
     def __post_init__(self):
+        for part in self.coeffs:
+            if type(part) is not tuple or not all(type(n) is int and n >= 1 for n in part):
+                raise ValueError(f"basis word {part!r}: its parts must be ints >= 1")
         cleaned = _clean({p: v if type(v) is Fraction else Fraction(v) for p, v in self.coeffs.items()})
         object.__setattr__(self, "coeffs", cleaned)
 

@@ -328,7 +328,8 @@ def test_verify_budget_boundary_admitted(monkeypatch):
     monkeypatch.setattr(verify, "run_suites", lambda *args, **kwargs: calls.append((args, kwargs)) or RunReport("verify"))
     for argv in (["--trials", "1000", "--threads", "32"], ["--trials", "125", "--grid", "8192", "--threads", "1"]):
         assert cli.main(["verify", *argv]) == 0
-    assert [c[1]["threads"] for c in calls] == [32, 1]
+    # --threads is validated and ends at the CLI
+    assert [kwargs for _, kwargs in calls] == [{"n": 1024}, {"n": 8192}]
 
 
 def test_verify_threads_do_not_bound_the_grid(monkeypatch):
@@ -337,7 +338,7 @@ def test_verify_threads_do_not_bound_the_grid(monkeypatch):
     monkeypatch.setattr(verify, "run_suites", lambda *args, **kwargs: calls.append((args, kwargs)) or RunReport("verify"))
     for threads, trials in (("2", "15"), ("32", "2"), ("15", "15"), ("3", "3")):
         assert cli.main(["verify", "--threads", threads, "--trials", trials, "--grid", "65536"]) == 0
-    assert [(c[1]["threads"], c[1]["n"]) for c in calls] == [(2, 65536), (32, 65536), (15, 65536), (3, 65536)]
+    assert [kwargs for _, kwargs in calls] == [{"n": 65536}] * 4
 
 
 @pytest.mark.parametrize(

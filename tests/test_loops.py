@@ -190,6 +190,31 @@ def test_loop_csv_roundtrip(tmp_path):
     assert np.abs(back.samples - g.samples).max() < 1e-15
 
 
+def test_su2_samples_carry_no_negative_zero(tmp_path):
+    """from_components writes its samples as _su2_samples does, so a zero
+    entry is +0 and the algebra loop's CSV has no "-0" field."""
+    xi = random_loop_algebra(rng_for(27, 0), 0.5, N)
+    entries = xi.samples.view(float)
+    assert not np.signbit(entries[entries == 0.0]).any()
+    path = tmp_path / "xi.csv"
+    loop_to_csv(xi, path)
+    fields = path.read_text().replace("\n", ",").split(",")
+    assert [f for f in fields if f.startswith("-") and float(f) == 0.0] == []
+
+
+def test_su2_norm_reads_only_real_trace_and_su2_part():
+    """The 2x2 operator norm is exact on a I + su(2): X reads |X| and U - I
+    reads 2 sin(t / 2) for U = exp(t X / |X|).  By design it reads 0 in the
+    parts a sample admitted with check=False has outside a I + su(2)."""
+    x = np.array([[0.3j, 0.4 - 1.2j], [-0.4 - 1.2j, -0.3j]])
+    xi = LoopAlgebraElement(np.broadcast_to(x, (N, 2, 2)).copy())
+    assert xi.norm() == pytest.approx(1.3, abs=1e-15)
+    assert np.abs(exp_loop(xi).distance_to_identity() - 2.0 * np.sin(0.65)).max() <= 1e-15
+    for outside in (1j * np.eye(2), np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])):
+        samples = np.broadcast_to(outside.astype(complex), (N, 2, 2)).copy()
+        assert LoopAlgebraElement(samples, check=False).norm() == 0.0
+
+
 def test_invariant_validation():
     bad = np.zeros((N, 2, 2), dtype=complex)
     bad[:, 0, 0] = 1.0  # hermitian with trace, not in su(2)

@@ -1,11 +1,13 @@
-from circlekit import verify
+from circlekit import cli, verify
 from circlekit.sampling import rng_for
 from circlekit.verify import CheckResult, Family
 
 
-def test_report_bytes_do_not_depend_on_threads():
-    reports = [verify.run_suites("all", 5, 2, 1024, threads=t).to_json() for t in (1, 2, 3)]
-    assert reports[0] == reports[1] == reports[2]
+def test_report_bytes_do_not_depend_on_threads(capsys):
+    # --threads ends at the CLI, and run_suites ignores the thread count that
+    # old in-process callers still pass by position
+    assert cli.main(["verify", "all", "--seed", "5", "--trials", "2", "--threads", "3", "--json"]) == 0
+    assert capsys.readouterr().out == verify.run_suites("all", 5, 2, 1024, 2).to_json() + "\n"
 
 
 def test_runner_emits_rows_in_order_and_takes_column_maxima():

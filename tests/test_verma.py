@@ -184,6 +184,20 @@ def test_bracket_on_lowest_weight():
     assert got == v.scaled(6 * h + 2 * c)
 
 
+def test_state_refuses_words_with_parts_below_one():
+    # L_{-n} with n <= 0 is no creation operator: (-1,) would read L_1 |h> = 0
+    # as a word of level -1
+    for word in ((-1,), (0,), (2, 0), (1.5,), (True,), 2):
+        with pytest.raises(ValueError, match="basis word"):
+            VermaState({word: 1}, HALF, SIXTEENTH)
+    # an unsorted word of positive parts is normal-ordered when acted on:
+    # L_{-1} L_{-2} = L_{-2} L_{-1} + L_{-3}
+    state = VermaState({(1, 2): 1}, HALF, SIXTEENTH)
+    assert state.level == 3
+    want = VermaState({(2, 1): 1, (3,): 1}, HALF, SIXTEENTH)
+    assert verma.act(0, state) == want.scaled(SIXTEENTH + 3)
+
+
 def test_commutator_check_examples():
     m = VermaModule(HALF, SIXTEENTH)
     v = m.lowest_weight_state()
