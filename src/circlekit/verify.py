@@ -422,12 +422,15 @@ def verma_suite(n: int) -> list:
     failures = gram_bad = central_bad = 0
     for c, h in VERMA_PARAMETERS:
         module = verma.VermaModule(c, h, max_level)
+        # unit basis states by level, built once and shared by the 81 (m, n) pairs
+        units = [
+            [verma.VermaState({part: Fraction(1)}, c, h) for part in verma.partitions(level)]
+            for level in range(max_level + 1)
+        ]
         for m in range(-4, 5):
             for nn in range(-4, 5):
-                top = max_level - abs(m) - abs(nn)
-                for level in range(top + 1):
-                    for part in verma.partitions(level):
-                        state = verma.VermaState({part: Fraction(1)}, c, h)
+                for level in range(max_level - abs(m) - abs(nn) + 1):
+                    for state in units[level]:
                         if not module.commutator_check(m, nn, state):
                             failures += 1
         if module.gram_matrix(1)[0][0] != 2 * h:

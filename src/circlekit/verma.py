@@ -18,10 +18,14 @@ memo of L_m on basis words holds L_m e_nu times D^e(m): e is nondecreasing,
 so the (m + n1) L_{m-n1} term of a commutator move rescales by the int
 D^(e(m) - e(m-n1)), and the central term (m^3 - m)/12 c D^m is the int
 (m^3 - m)/6 (c D/2) D^(m-1).  A state enters in one pass that numbers, grades
-and clears it.  Every sum of scaled word actions (normal ordering, `act`, the
-bracket check's L_m L_n v - L_n L_m v - (m - n) L_{m+n} v - central * v at
-the scale D^(e(m) + e(n))) accumulates into one index -> int dict through
-`_add_scaled`, the check passing when every entry is zero.  Gram matrices
+and clears it, except that the bracket check, being homogeneous, takes a
+single word with coefficient 1.  Normal ordering, `act`, and the check's
+shift and central terms add scaled word actions into one index -> int dict
+through `_add_scaled`; the check's L_m L_n v - L_n L_m v adds into the same
+dict in one fused loop over the memo, all at the scale D^(e(m) + e(n)), and
+the check passes when every entry is zero.  On the diagonal m == n the two
+compositions are the same memo rows and the shift and central terms vanish,
+so the check passes once the truncation guard has.  Gram matrices
 recurse on mu's first part over memoized lower levels, the level-L one held
 times D^L; the Shapovalov form is symmetric, so only the entries from the
 diagonal rightwards are computed and the rest are mirrored.  Partitions come
@@ -241,18 +245,36 @@ class VermaModule:
 
         Every term is summed at the common scale D^(e(m) + e(n)) times the
         state's cleared denominator; a positive scale keeps the zero entries.
+        The test is linear and homogeneous, so a single word is checked with
+        coefficient 1 (VermaState holds no zero coefficients).  For m == n
+        both compositions are the same memo rows and (m - n) and the central
+        term vanish, so the diagonal passes once the truncation guard has.
+        The L_m L_n double loop reads the memo, normal-orders only on a
+        miss, and adds each composed row into the accumulator in place.
         """
-        level, _, ints = self._indexed(state)
+        if len(state.coeffs) == 1:
+            (part,) = state.coeffs
+            level, ints = sum(part), {self._intern(part): 1}
+        else:
+            level, _, ints = self._indexed(state)
         if level + abs(m) + abs(n) > self.max_level:
             raise TruncationError("commutator check would exceed the truncation level")
+        if m == n:
+            return True
         top = _exponent(m) + _exponent(n)
         shift = (n - m) * self._D ** (top - _exponent(m + n))
+        memo, act_basis = self._memo, self._act_basis
         acc: dict = {}
         for i, co in ints.items():
             for outer, inner, weight in ((m, n, co), (n, m, -co)):
-                for mu, x in self._act_basis(inner, i).items():
-                    _add_scaled(acc, weight * x, self._act_basis(outer, mu))
-            _add_scaled(acc, shift * co, self._act_basis(m + n, i))
+                for mu, x in act_basis(inner, i).items():
+                    row = memo.get((outer, mu))
+                    if row is None:
+                        row = act_basis(outer, mu)
+                    scale = weight * x
+                    for k, v in row.items():
+                        acc[k] = acc[k] + scale * v if k in acc else scale * v
+            _add_scaled(acc, shift * co, act_basis(m + n, i))
         if m == -n:  # reads self.c now, not the c the memo was built with
             _add_scaled(acc, -self._central(m, top), ints)
         return not any(acc.values())

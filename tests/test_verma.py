@@ -299,11 +299,18 @@ def test_truncation_errors():
     with pytest.raises(TruncationError):
         m.commutator_check(1, -2, mixed)
     assert m.commutator_check(1, -1, mixed)
+    # the diagonal passes without arithmetic, but only below the truncation
+    for n, state in ((1, v), (-1, v), (2, mixed), (3, m.lowest_weight_state())):
+        with pytest.raises(TruncationError):
+            m.commutator_check(n, n, state)
+    assert m.commutator_check(2, 2, m.lowest_weight_state())
     # a state already above the truncation is rejected whatever m is
     above = VermaState({(5,): Fraction(1)}, m.c, m.h)
     for index in (0, 2, -1):
         with pytest.raises(TruncationError):
             m.act(index, above)
+        with pytest.raises(TruncationError):
+            m.commutator_check(index, index, above)
 
 
 def test_gram_level_one():
