@@ -18,13 +18,8 @@ from .periodic import (
     DEFAULT_TAIL_TOL,
     TWO_PI,
     PeriodicFunction,
-    _cache_length,
     _check_tail,
     _fourier_samples,
-    _lagrange_apply,
-    _lagrange_eval,
-    _lagrange_weights,
-    _pad_fine,
     grid,
 )
 
@@ -95,7 +90,7 @@ class IntervalArc:
 class CircleDiffeo:
     """Lift gamma(t) = t + p(t) of an orientation-preserving circle diffeomorphism."""
 
-    __slots__ = ("periodic_part", "n", "deriv", "_stencils", "_log_slope")
+    __slots__ = ("periodic_part", "n", "deriv", "_points", "_stencils", "_log_slope")
 
     def __init__(self, periodic_part: PeriodicFunction) -> None:
         if not periodic_part.is_real or periodic_part.samples.ndim != 1:
@@ -106,6 +101,7 @@ class CircleDiffeo:
         self.periodic_part = periodic_part
         self.n = periodic_part.n
         self.deriv = deriv  # gamma' - 1
+        self._points = None
         self._stencils = {}
         self._log_slope = None
         if not np.all(self.deriv_samples > 0.0):  # NaN fails too
@@ -154,17 +150,12 @@ class CircleDiffeo:
     __call__ = eval
 
     def _pull_back(self, f: PeriodicFunction) -> np.ndarray:
-        """Samples of f o gamma: f.eval(self.samples), read through the
-        stencil of gamma's sample points on f's evaluation cache.  The stencil
-        depends only on those points and the cache's length, so it is built
-        once per length and kept with gamma (88 KB at n = 1024)."""
-        fine = f._fine_values()
-        m = _cache_length(fine)
-        stencil = self._stencils.get(m)
-        if stencil is None:
-            stencil = self._stencils[m] = _lagrange_weights(self.samples, m)
-        [out] = _lagrange_apply(stencil, fine)
-        return out
+        """Samples of f o gamma, f.eval(self.samples), by f._read.  gamma keeps its
+        points and the dict of their stencils that _read fills, one per length of
+        f's cache (88 KB at n = 1024), so a warm read adds no array op."""
+        if self._points is None:
+            self._points = self.samples
+        return f._read(self._points, self._stencils)[0]
 
     def _log_deriv_slope(self) -> np.ndarray:
         """(log gamma')' = p'' / gamma' at the grid points, computed once."""
@@ -205,20 +196,18 @@ def solve_monotone(g: CircleDiffeo, targets: np.ndarray) -> np.ndarray:
     its answer does not depend on which other targets share the call.  Steps
     are clamped to a bracket that the displacement bound provides, which
     cannot fail while gamma' > 0.  The slope only scales the step, so it has
-    one resolution rule: gamma' - 1 is upsampled to the factor of p's
-    evaluation cache and read through the same stencil, whatever resolution
-    its own cache would get.
+    one resolution rule: gamma' - 1 gets a `_cache` at p's `_cache_factor`,
+    however its own would certify, and each step `_read`s it with p's stencil.
     """
     p = g.periodic_part
-    fine_p = p._fine_values()
-    fine_dp = _pad_fine(g.deriv._upsample(_cache_length(fine_p) // p.n))
+    slope = g.deriv._cache(p._cache_factor())
     y = np.asarray(targets, dtype=float)
     bound = min(g.displacement() * 1.5 + 1e-9, 1.5)
     u = y - p.eval(y)
     live = np.arange(len(y))
     for _ in range(NEWTON_MAX_ITER):
         ul, yl = u[live], y[live]
-        pu, dpu = _lagrange_eval(ul, fine_p, fine_dp)
+        pu, dpu = p._read(ul, {}, slope)
         r = ul + pu - yl
         u[live] = np.clip(ul - r / (1.0 + dpu), yl - bound, yl + bound)
         live = live[~(np.abs(r) < NEWTON_TOL)]  # NaN stays live and fails below

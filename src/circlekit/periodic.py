@@ -36,7 +36,9 @@ the evaluation caches, `resample` and fragmentation's fine grids.  Three more
 helpers have one owner here: `_check_tail` is the spectral-tail gate of
 every nonlinear operation, at the one threshold `DEFAULT_TAIL_TOL` unless a
 caller switches it off, `_same_grid` refuses operands on two grids, and
-`_write_csv` writes every sampled CSV file.
+`_write_csv` writes every sampled CSV file.  Evaluation caches have one owner
+too: `PeriodicFunction._cache` builds and pads each, `_cache_factor` gives a
+cache's factor and `_read` reads through a stencil the caller may keep.
 """
 
 from __future__ import annotations
@@ -216,11 +218,6 @@ def _write_csv(samples: np.ndarray, path) -> None:
         fh.writelines(fmt.format(*row) for row in np.column_stack([grid(n), cols]).tolist())
 
 
-def _pad_fine(fine: np.ndarray) -> np.ndarray:
-    """Wrap 4 samples on the left and 5 on the right so gathers skip the mod."""
-    return np.concatenate([fine[-4:], fine, fine[:5]], axis=0)
-
-
 def _lagrange_weights(t: np.ndarray, m: int):
     """Stencil base indices into a padded cache and the 10 Lagrange weights,
     as the powers of the cell offset u times _MONOMIAL.
@@ -245,23 +242,12 @@ def _lagrange_weights(t: np.ndarray, m: int):
     return j0, powers.T @ _MONOMIAL
 
 
-def _cache_length(fine: np.ndarray) -> int:
-    """Points of the grid behind a padded cache."""
-    return fine.shape[0] - _STENCIL + 1
-
-
 def _lagrange_apply(stencil, *caches: np.ndarray) -> list:
     """Interpolate padded caches of one length through a stencil that
     _lagrange_weights built for that length: one value array per cache."""
     j0, w = stencil
     idx = j0[:, None] + np.arange(_STENCIL)[None, :]
     return [np.einsum("ps,ps->p" if c.ndim == 1 else "ps,ps...->p...", w, c[idx]) for c in caches]
-
-
-def _lagrange_eval(t: np.ndarray, *caches: np.ndarray) -> list:
-    """Interpolate padded, equally oversampled periodic data at angles t: one
-    value array per cache, all read through one stencil."""
-    return _lagrange_apply(_lagrange_weights(t, _cache_length(caches[0])), *caches)
 
 
 class PeriodicFunction:
@@ -335,19 +321,37 @@ class PeriodicFunction:
     # -- evaluation ---------------------------------------------------
 
     def _fine_values(self) -> np.ndarray:
-        """Padded cache backing arbitrary-point evaluation, on the grid of the
-        smallest power-of-two factor whose certified stencil error is within
-        _OWN_SAMPLES_TOL (up to the cap); factor 1 is the samples themselves."""
+        """The function's evaluation cache: `_cache` at the smallest power-of-two
+        factor whose certified stencil error is within _OWN_SAMPLES_TOL, or the cap."""
         if self._fine is None:
             cap = _EVAL_FACTOR_REAL if self.is_real and self.n <= 2048 else _EVAL_FACTOR_COMPLEX
             factor = 1
             while factor < cap and _stencil_error_bound(self.spectrum, self.n, self.is_real, factor) > _OWN_SAMPLES_TOL:
                 factor *= 2
-            fine = self._upsample(factor)
-            if factor > 1:
-                fine[::factor] = self.samples  # keep grid nodes bit-exact
-            self._fine = _pad_fine(fine)
+            self._fine = self._cache(factor)
         return self._fine
+
+    def _cache(self, factor: int) -> np.ndarray:
+        """Evaluation cache on the factor * n grid, grid nodes restored bit-exact,
+        wrapped 4 entries on the left and 5 on the right so gathers skip the mod."""
+        fine = self._upsample(factor)
+        if factor > 1:
+            fine[::factor] = self.samples
+        return np.concatenate([fine[-4:], fine, fine[:5]], axis=0)
+
+    def _cache_factor(self) -> int:
+        """The factor that the function's evaluation cache took."""
+        return (len(self._fine_values()) - _STENCIL + 1) // self.n
+
+    def _read(self, t: np.ndarray, stencils: dict, *also: np.ndarray) -> list:
+        """Values at the angles t of the function and of the caches `also` that
+        `_cache` built at its factor, one array each, through the stencil of t
+        for the cache length: taken from `stencils`, or built into it."""
+        fine = self._fine_values()
+        m = len(fine) - _STENCIL + 1
+        if m not in stencils:
+            stencils[m] = _lagrange_weights(t, m)
+        return _lagrange_apply(stencils[m], fine, *also)
 
     def _upsample(self, factor: int) -> np.ndarray:
         """Samples on the factor * n grid: the spectrum zero-padded, with the
@@ -365,11 +369,8 @@ class PeriodicFunction:
 
     def eval(self, t):
         """Trigonometric interpolant at angle(s) t; exact at grid points."""
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        [out] = _lagrange_eval(t_arr, self._fine_values())
-        if np.isscalar(t) or np.ndim(t) == 0:
-            return out[0]
-        return out
+        [out] = self._read(np.atleast_1d(np.asarray(t, dtype=float)), {})
+        return out[0] if np.isscalar(t) or np.ndim(t) == 0 else out
 
     __call__ = eval
 

@@ -142,8 +142,8 @@ class VermaModule:
     on ints over the module's one denominator D (see the module docstring)."""
 
     def __init__(self, c, h, max_level: int = DEFAULT_MAX_LEVEL):
-        self.c = Fraction(c)
-        self.h = Fraction(h)
+        self.c = c if type(c) is Fraction else Fraction(c)
+        self.h = h if type(h) is Fraction else Fraction(h)
         self.max_level = int(max_level)
         self._D = math.lcm(2 * self.c.denominator, self.h.denominator)
         # basis words by index, () first; _rest[i] is the index of _parts[i][1:]
@@ -225,12 +225,19 @@ class VermaModule:
             level = max(level, sum(part))
         return level, q, ints
 
+    def _require_own(self, state: VermaState) -> None:
+        """ValueError unless the state's (c, h) equals the module's; callers skip it when both are its own objects."""
+        if (state.c, state.h) != (self.c, self.h):
+            raise ValueError(f"a state of M({state.c}, {state.h}) given to M({self.c}, {self.h})")
+
     # -- public operations -------------------------------------------------
 
     def act(self, m: int, state: VermaState) -> VermaState:
-        """Apply the generator L_m; exact, rejecting levels above truncation."""
+        """Apply the generator L_m; exact, rejecting levels above truncation and other modules' states."""
         if abs(m) > self.max_level:
             raise TruncationError(f"generator index {m} exceeds truncation {self.max_level}")
+        if state.c is not self.c or state.h is not self.h:
+            self._require_own(state)
         level, q, ints = self._indexed(state)
         if level - min(m, 0) > self.max_level:
             raise TruncationError(f"L_{m} on a level-{level} state reaches above truncation {self.max_level}")
@@ -252,6 +259,8 @@ class VermaModule:
         The L_m L_n double loop reads the memo, normal-orders only on a
         miss, and adds each composed row into the accumulator in place.
         """
+        if state.c is not self.c or state.h is not self.h:
+            self._require_own(state)
         if len(state.coeffs) == 1:
             (part,) = state.coeffs
             level, ints = sum(part), {self._intern(part): 1}

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from circlekit import diffeo, periodic
+from circlekit import periodic
 from circlekit.cocycles import (
     VectField,
     VirasoroElement,
@@ -181,7 +181,6 @@ def test_group_triples_build_one_stencil_per_right_operand(monkeypatch):
         return real_derivative(self, order)
 
     monkeypatch.setattr(periodic, "_lagrange_weights", weights)
-    monkeypatch.setattr(diffeo, "_lagrange_weights", weights)
     monkeypatch.setattr(PeriodicFunction, "derivative", derivative)
     cocycle_identity_residual(bott, g1, g2, g3)
     assert counts == {"stencils": 3, "second_derivatives": 3}

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from circlekit import diffeo
+from circlekit import diffeo, periodic
 from circlekit.diffeo import (
     BumpFunction,
     CircleDiffeo,
@@ -62,13 +62,13 @@ def test_solve_monotone_reads_both_caches_at_the_factor_of_p(monkeypatch):
     p = g.periodic_part
     assert (len(p._fine_values()), len(g.deriv._fine_values())) == (8 * 64 + 9, 16 * 64 + 9)
     lengths = []
-    real_eval = diffeo._lagrange_eval
+    real_apply = periodic._lagrange_apply
 
-    def spy(t, *caches):
+    def spy(stencil, *caches):
         lengths.append({len(c) for c in caches})
-        return real_eval(t, *caches)
+        return real_apply(stencil, *caches)
 
-    monkeypatch.setattr(diffeo, "_lagrange_eval", spy)
+    monkeypatch.setattr(periodic, "_lagrange_apply", spy)
     y = grid(64) + 0.01
     u = solve_monotone(g, y)
     assert lengths and all(s == {8 * 64 + 9} for s in lengths)
@@ -78,6 +78,32 @@ def test_solve_monotone_reads_both_caches_at_the_factor_of_p(monkeypatch):
     fresh = CircleDiffeo.from_fourier([(20, 0.0, 1e-3)], 64)
     assert np.array_equal(solve_monotone(fresh, y), u)
     assert fresh.deriv._fine is None
+
+
+def test_solve_monotone_reads_the_slope_exactly_at_the_nodes(monkeypatch):
+    # the slope's cache at p's 8x factor holds gamma' - 1 bit for bit at the
+    # grid nodes, which the upsampling alone rounds
+    g = CircleDiffeo.from_fourier([(20, 0.0, 1e-3)], 64)
+    slopes = []
+    real_apply = periodic._lagrange_apply
+
+    def spy(stencil, *caches):
+        slopes.extend(caches[1:])
+        return real_apply(stencil, *caches)
+
+    monkeypatch.setattr(periodic, "_lagrange_apply", spy)
+    solve_monotone(g, grid(64) + 0.01)
+    assert not np.array_equal(g.deriv._upsample(8)[::8], g.deriv.samples)
+    assert slopes and all(np.array_equal(s[4 : 4 + 8 * 64 : 8], g.deriv.samples) for s in slopes)
+
+
+def test_diffeo_holds_no_interpolation_helper():
+    """Evaluation caches and their stencils belong to PeriodicFunction: diffeo
+    reads through its _cache, _cache_factor and _read, and the helpers that
+    padded and measured caches outside it are gone."""
+    helpers = {"_lagrange_weights", "_lagrange_apply", "_lagrange_eval", "_pad_fine", "_cache_length"}
+    assert not helpers & set(vars(diffeo))
+    assert not {"_lagrange_eval", "_pad_fine", "_cache_length"} & set(vars(periodic))
 
 
 @pytest.mark.parametrize("terms, n, factor", [([(1, 0, 0.1)], 16, 4), ([(1, 0, 0.3), (2, 0.05, 0)], 64, 2)])

@@ -17,10 +17,9 @@ from circlekit.periodic import (
     _SNAP,
     TWO_PI,
     PeriodicFunction,
-    _lagrange_eval,
+    _lagrange_apply,
     _lagrange_weights,
     _mode_factors,
-    _pad_fine,
     _stencil_error_bound,
     _stencil_mode_errors,
     grid,
@@ -56,10 +55,11 @@ def test_stencil_sample_exact_at_and_near_nodes(m):
     below 2*pi, whose snap moves the last cell onto cell 0, read the samples
     bit for bit."""
     samples = np.random.default_rng(m).normal(size=m)
-    cache = _pad_fine(samples)
+    cache = PeriodicFunction(samples)._cache(1)
     nodes = np.arange(m)
     for shift in (0.0, 0.5 * _SNAP, -0.5 * _SNAP):
-        [out] = _lagrange_eval(TWO_PI * (nodes + shift) / m, cache)
+        t = TWO_PI * (nodes + shift) / m
+        [out] = _lagrange_apply(_lagrange_weights(t, m), cache)
         assert np.array_equal(out, samples)
     # 2*pi - 1e-13 lies within the snap distance of 2*pi for m = 16 only, so
     # finer grids take half the snap distance below 2*pi; and one ulp below
@@ -67,7 +67,7 @@ def test_stencil_sample_exact_at_and_near_nodes(m):
     assert np.all(np.floor(t_end * (m / TWO_PI)) == m - 1)
     j0, _ = _lagrange_weights(t_end, m)
     assert np.array_equal(j0, [0, 0])
-    [out] = _lagrange_eval(t_end, cache)
+    [out] = _lagrange_apply(_lagrange_weights(t_end, m), cache)
     assert np.array_equal(out, [samples[0], samples[0]])
 
 
@@ -330,9 +330,27 @@ def test_band_limited_cache_is_own_samples():
     g = random_diffeo(rng_for(20260810, 1, 0), 0.01, 1024)
     p = g.periodic_part
     assert _stencil_error_bound(p.spectrum, p.n) <= 1e-12
-    assert np.array_equal(p._fine_values(), _pad_fine(p.samples))
+    assert np.array_equal(p._fine_values(), np.concatenate([p.samples[-4:], p.samples, p.samples[:5]]))
     x = np.random.default_rng(1).uniform(0, 2 * np.pi, 500)
     assert np.abs(p.eval(x) - direct_sum(p.samples, x)).max() < 1e-12
+
+
+@pytest.mark.parametrize("factor", [1, 2, 8])
+@pytest.mark.parametrize("kind", ["real", "complex", "matrix"])
+def test_cache_holds_the_samples_at_its_nodes_and_wraps_4_left_and_5_right(kind, factor):
+    """_cache(F) is the F * n grid with every F-th entry the sample bit for
+    bit, where the upsampling alone rounds them, padded by the grid's last 4
+    entries on the left and its first 5 on the right."""
+    rng = np.random.default_rng(factor)
+    shape = (32, 2, 2) if kind == "matrix" else (32,)
+    samples = rng.normal(size=shape) + (0.0 if kind == "real" else 1j * rng.normal(size=shape))
+    f = PeriodicFunction(samples)
+    cache, m = f._cache(factor), factor * f.n
+    assert cache.shape == (m + 9,) + shape[1:]
+    assert np.array_equal(cache[4 : 4 + m : factor], samples)
+    assert factor == 1 or not np.array_equal(f._upsample(factor)[::factor], samples)
+    assert np.array_equal(cache[:4], cache[m : m + 4])
+    assert np.array_equal(cache[m + 4 :], cache[4:9])
 
 
 def test_near_nyquist_content_is_oversampled():

@@ -209,6 +209,32 @@ def test_commutator_check_examples():
     assert lhs == basis_state((3,), HALF, SIXTEENTH)
 
 
+def test_module_refuses_a_state_of_another_module():
+    """A state of M(1, 1) is not relabelled into M(1/2, 0), where L_0 L_{-1}|h>
+    would read 1*[1] instead of M(1, 1)'s 2*[1]; the module-level wrappers
+    pick the state's own module, and equal values given as ints pass."""
+    foreign = VermaState({(1,): 1}, 1, 1)
+    module = VermaModule(HALF, Fraction(0))
+    with pytest.raises(ValueError, match="M\\(1, 1\\) given to M\\(1/2, 0\\)"):
+        module.act(0, foreign)
+    with pytest.raises(ValueError, match="M\\(1, 1\\) given to M\\(1/2, 0\\)"):
+        module.commutator_check(1, -1, foreign)
+    with pytest.raises(ValueError, match="M\\(1/2, 1\\) given"):
+        module.act(0, VermaState({(1,): 1}, HALF, 1))
+    assert verma.act(0, foreign) == VermaState({(1,): 2}, 1, 1)
+    assert verma.commutator_check(1, -1, foreign)
+    own = VermaModule(Fraction(1), Fraction(1))
+    assert own.c is not foreign.c and own.act(0, foreign) == VermaState({(1,): 2}, 1, 1)
+    assert own.commutator_check(1, -1, foreign)
+
+
+def test_module_keeps_a_fraction_argument_as_the_same_object():
+    c, h = Fraction(7, 10), Fraction(3, 8)
+    module = VermaModule(c, h)
+    assert module.c is c and module.h is h
+    assert VermaModule(1, "3/8").h == h
+
+
 @given(
     st.integers(min_value=-3, max_value=3),
     st.integers(min_value=-3, max_value=3),
@@ -273,8 +299,10 @@ def test_commutator_check_needs_its_central_term():
     module = VermaModule(HALF, SIXTEENTH)
     v = module.act(-1, module.lowest_weight_state())
     assert all(module.commutator_check(m, -m, v) for m in (1, 2, 3))
-    # the memo keeps c = 1/2; with c read as 0 the check drops its own central term
+    # the memo keeps c = 1/2; with c read as 0 the check drops its own central
+    # term (v is rebuilt with that c, or the module refuses it as foreign)
     module.c = Fraction(0)
+    v = VermaState(v.coeffs, module.c, module.h)
     assert not module.commutator_check(3, -3, v)
     assert not module.commutator_check(2, -2, v)
     assert module.commutator_check(1, -1, v)  # (m^3 - m)/12 = 0 for m = 1
