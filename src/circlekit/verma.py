@@ -17,20 +17,27 @@ small ints.  With e(m) = max(m, 1) for m >= 0 and e(m) = 0 for m < 0, the
 memo of L_m on basis words holds L_m e_nu times D^e(m): e is nondecreasing,
 so the (m + n1) L_{m-n1} term of a commutator move rescales by the int
 D^(e(m) - e(m-n1)), and the central term (m^3 - m)/12 c D^m is the int
-(m^3 - m)/6 (c D/2) D^(m-1).  A state enters in one pass that numbers, grades
-and clears it, except that the bracket check, being homogeneous, takes a
-single word with coefficient 1.  Normal ordering, `act`, and the check's
-shift and central terms add scaled word actions into one index -> int dict
-through `_add_scaled`; the check's L_m L_n v - L_n L_m v adds into the same
-dict in one fused loop over the memo, all at the scale D^(e(m) + e(n)), and
-the check passes when every entry is zero.  On the diagonal m == n the two
-compositions are the same memo rows and the shift and central terms vanish,
-so the check passes once the truncation guard has.  Gram matrices
-recurse on mu's first part over memoized lower levels, the level-L one held
-times D^L; the Shapovalov form is symmetric, so only the entries from the
-diagonal rightwards are computed and the rest are mirrored.  Partitions come
-back, and Fractions are built, only where values leave the module (`act`,
-`gram_matrix`, one Fraction per mirrored pair).  Determinants run Bareiss
+(m^3 - m)/6 (c D/2) D^(m-1).  The fill is one flat loop per memo entry: it
+reads memo hits directly and recurses only on a miss, adds rows into its
+index -> int dict in place, takes the rescale from the module's table of
+powers of D (grown to the largest first part filled, never to the
+truncation, which is unbounded) and drops zero entries only when there are
+any.  A state enters in one pass that numbers, grades and clears it, except
+that the bracket check, being homogeneous, takes a single word with
+coefficient 1.  `act` and the check's shift and central terms add scaled
+word actions into one index -> int dict through `_add_scaled`; the check's
+L_m L_n v - L_n L_m v adds into the same dict in one fused loop over the
+memo, all at the scale D^(e(m) + e(n)), and the check passes when every
+entry is zero.  On the diagonal m == n the two compositions are the same
+memo rows and the shift and central terms vanish, so the check passes once
+the truncation guard has.  Gram matrices recurse on mu's first part over
+memoized lower levels, the level-L one held times D^L; each entry is a plain
+loop over one memo row against one lower Gram row.  The Shapovalov form is
+symmetric, so only the entries from the diagonal rightwards are computed and
+the rest are mirrored.  `basis` and `gram_matrix` share one level check.
+Partitions come back, and Fractions are built, only where values leave the
+module (`act`, `gram_matrix`, one Fraction per mirrored pair).  Determinants
+return 0 at once when a cleared row is zero, and otherwise run Bareiss
 elimination on rows cleared by the LCM of their own denominators; on
 symmetric input it updates only the upper triangle of the active block,
 reading each lower entry back through the row scales, until a zero diagonal
@@ -152,15 +159,20 @@ class VermaModule:
         self._rest: list = [None]
         self._memo: dict = {}
         self._grams: dict = {0: {0: {0: 1}}}
+        # D^0, D^1, ..., grown by the fill up to the largest first part it meets
+        self._powers: list = [1]
 
     def lowest_weight_state(self) -> VermaState:
         return VermaState({(): Fraction(1)}, self.c, self.h)
 
-    def basis(self, level: int) -> list[Partition]:
+    def _check_level(self, level: int) -> None:
         if level < 0:
             raise ValueError(f"level {level} is negative")
         if level > self.max_level:
             raise TruncationError(f"level {level} exceeds truncation {self.max_level}")
+
+    def basis(self, level: int) -> list[Partition]:
+        self._check_level(level)
         return list(partitions(level))
 
     # -- normal ordering -------------------------------------------------
@@ -180,10 +192,12 @@ class VermaModule:
 
         Words are reordered by commutator moves; each move either shortens
         the word or prepends a legal head, so the recursion terminates.  e is
-        nondecreasing, so every term rescales up to D^e(m) by an int.
+        nondecreasing, so every term rescales up to D^e(m) by an int, read
+        from the module's table of powers of D.  The fill reads memo hits
+        itself and recurses only on a miss.
         """
-        key = (m, i)
-        hit = self._memo.get(key)
+        memo = self._memo
+        hit = memo.get((m, i))
         if hit is not None:
             return hit
         part = self._parts[i]
@@ -193,16 +207,40 @@ class VermaModule:
             out = {0: self.h.numerator * (self._D // self.h.denominator)} if m == 0 else {}
         else:
             n1, rest = part[0], self._rest[i]
+            powers = self._powers
+            while len(powers) <= n1:
+                powers.append(powers[-1] * self._D)
             out = {}
             # L_m L_{-n1} = L_{-n1} L_m + (m + n1) L_{m-n1} + central; L_{-n1} carries D^0
-            for mu, co in self._act_basis(m, rest).items():
-                _add_scaled(out, co, self._act_basis(-n1, mu))
-            rescale = self._D ** (_exponent(m) - _exponent(m - n1))
-            _add_scaled(out, (m + n1) * rescale, self._act_basis(m - n1, rest))
+            inner = memo.get((m, rest))
+            if inner is None:
+                inner = self._act_basis(m, rest)
+            for mu, co in inner.items():
+                row = memo.get((-n1, mu))
+                if row is None:
+                    row = self._act_basis(-n1, mu)
+                for k, v in row.items():
+                    out[k] = out[k] + co * v if k in out else co * v
+            # (m + n1) D^(e(m) - e(m - n1)), with m + n1 > 0 since m <= -n1 prepends above
+            if m < 0:
+                weight = m + n1
+            elif m < n1:
+                weight = (m + n1) * powers[m or 1]
+            elif m == n1:
+                weight = 2 * m * powers[m - 1]
+            else:
+                weight = (m + n1) * powers[n1]
+            lower = memo.get((m - n1, rest))
+            if lower is None:
+                lower = self._act_basis(m - n1, rest)
+            for k, v in lower.items():
+                out[k] = out[k] + weight * v if k in out else weight * v
             if m == n1:
-                _add_scaled(out, self._central(m, m), {rest: 1})
-            out = _clean(out)
-        self._memo[key] = out
+                central = self._central(m, m)
+                out[rest] = out[rest] + central if rest in out else central
+            if not all(out.values()):
+                out = {k: v for k, v in out.items() if v}
+        memo[(m, i)] = out
         return out
 
     def _central(self, m: int, scale: int) -> int:
@@ -294,30 +332,35 @@ class VermaModule:
         Only the entries from the diagonal rightwards are computed; the form
         is symmetric, so G[mu][nu] left of the diagonal is G[nu][mu].
         """
-        if level not in self._grams:
+        gram = self._grams.get(level)
+        if gram is None:
+            memo, parts, rests = self._memo, self._parts, self._rest
             basis, gram = [self._intern(p) for p in partitions(level)], {}
             for k, mu in enumerate(basis):
-                head = self._parts[mu][0]
-                below = self._gram(level - head)[self._rest[mu]]
-                gram[mu] = {
-                    nu: gram[nu][mu] if j < k else sum(x * below[r] for r, x in self._act_basis(head, nu).items())
-                    for j, nu in enumerate(basis)
-                }
+                head = parts[mu][0]
+                below = self._gram(level - head)[rests[mu]]
+                row = gram[mu] = {nu: gram[nu][mu] for nu in basis[:k]}
+                for nu in basis[k:]:
+                    acted = memo.get((head, nu))
+                    if acted is None:
+                        acted = self._act_basis(head, nu)
+                    total = 0
+                    for r, x in acted.items():
+                        total += x * below[r]
+                    row[nu] = total
             self._grams[level] = gram
-        return self._grams[level]
+        return gram
 
     def gram_matrix(self, level: int) -> list[list[Fraction]]:
         """Pairings <L_{-mu} h, L_{-nu} h> under the adjoint L_m* = L_{-m}, as new row lists.
 
         Each Fraction is built once and the same object sits at [i][j] and [j][i].
         """
-        self.basis(level)  # raises ValueError below 0 and TruncationError above the truncation
+        self._check_level(level)
         scale = self._D**level
-        gram = self._gram(level)
-        out = [[None] * len(gram) for _ in gram]
-        for i, row in enumerate(gram.values()):
-            for j, x in enumerate(islice(row.values(), i, None), i):
-                out[i][j] = out[j][i] = Fraction(x, scale)
+        out: list = []
+        for i, row in enumerate(self._gram(level).values()):
+            out.append([above[i] for above in out] + [Fraction(x, scale) for x in islice(row.values(), i, None)])
         return out
 
 
@@ -330,8 +373,11 @@ def _exponent(m: int) -> int:
 
 
 def _module(c, h, max_level: int = DEFAULT_MAX_LEVEL) -> VermaModule:
-    # equal (c, h) given as int, float, str or Fraction share one cache entry
-    return _cached_module(Fraction(c), Fraction(h), max_level)
+    # equal (c, h) given as int, float, str or Fraction share one cache entry;
+    # Fractions pass as given, so a state's own objects key (and fill) its module
+    return _cached_module(
+        c if type(c) is Fraction else Fraction(c), h if type(h) is Fraction else Fraction(h), max_level
+    )
 
 
 @functools.lru_cache(maxsize=16)
@@ -354,6 +400,7 @@ def gram_matrix(level: int, c, h, max_level: int = DEFAULT_MAX_LEVEL) -> list[li
 def exact_determinant(matrix: list[list[Fraction]]) -> Fraction:
     """Each row cleared by the LCM of its own denominators, then Bareiss elimination on integers.
 
+    A zero row gives 0 before any elimination or symmetry test.
     With row scales s_i the cleared rows are M = S A.  When A is symmetric
     (M_ij s_j == M_ji s_i, settled by an `is` test for mirrored entries) every
     Bareiss intermediate is a bordered minor of S A, so the active block stays
@@ -370,6 +417,8 @@ def exact_determinant(matrix: list[list[Fraction]]) -> Fraction:
         raise ValueError(f"not a square matrix: {n} rows of lengths {[len(row) for row in matrix]}")
     scales = [math.lcm(*(x.denominator for x in row)) for row in matrix]
     rows = [[x.numerator * (d // x.denominator) for x in row] for row, d in zip(matrix, scales)]
+    if not all(map(any, rows)):
+        return Fraction(0)
     symmetric = all(
         matrix[i][j] is matrix[j][i] or rows[i][j] * scales[j] == rows[j][i] * scales[i]
         for i in range(n)

@@ -439,8 +439,17 @@ def test_gram_copy_is_independent_of_memo():
 
 
 def test_gram_above_truncation_raises():
-    with pytest.raises(TruncationError):
-        VermaModule(1, 0, max_level=4).gram_matrix(5)
+    module = VermaModule(1, 0, max_level=4)
+    for call in (lambda: module.gram_matrix(5), lambda: module.basis(5)):
+        with pytest.raises(TruncationError, match="level 5 exceeds truncation 4"):
+            call()
+
+
+def test_powers_of_d_grow_with_the_levels_filled_not_the_truncation():
+    # the truncation is not bounded, so the module's table of D^k must not be sized by it
+    module = VermaModule(Fraction(7, 10), Fraction(3, 8), max_level=10**9)
+    assert module.gram_matrix(3) == VermaModule(Fraction(7, 10), Fraction(3, 8)).gram_matrix(3)
+    assert module._powers == [module._D**k for k in range(4)]
 
 
 def test_negative_level_raises():
@@ -550,6 +559,39 @@ def test_exact_determinant_edge_cases():
     exact_determinant(swap_first)
     assert swap_first == before
     assert type(exact_determinant([[F(2), F(1)], [F(1), F(2)]])) is Fraction
+
+
+def test_exact_determinant_zero_rows_columns_and_entries():
+    F = Fraction
+    full = [[F(i * j + i + 1, j + 2) + (i == j) for j in range(5)] for i in range(5)]
+    # a zero row first, in the middle or last gives an exact zero
+    for where in (0, 2, 4):
+        matrix = [row[:] for row in full]
+        matrix[where] = [F(0)] * 5
+        det = exact_determinant(matrix)
+        assert det == 0 == gaussian_determinant(matrix) and type(det) is Fraction
+    # as does a zero column with no zero row, through the elimination
+    column = [[F(0)] + row[1:] for row in full]
+    assert all(any(row) for row in column)
+    assert exact_determinant(column) == 0 == gaussian_determinant(column)
+    # zero entries alone leave the determinant alone, symmetric or not
+    sparse = [[F(0), F(2), F(0)], [F(3), F(0), F(0)], [F(0), F(0), F(-5, 4)]]
+    symmetric = [[F(2), F(0), F(1)], [F(0), F(3), F(0)], [F(1), F(0), F(4)]]
+    assert exact_determinant(sparse) == gaussian_determinant(sparse) == F(15, 2)
+    assert exact_determinant(symmetric) == gaussian_determinant(symmetric) == 21
+
+
+def test_module_wrappers_keep_the_state_s_fraction_objects():
+    # a fresh (c, h) key: the wrappers' module holds the state's own objects,
+    # so repeated calls on the state pass the foreign-state check by identity
+    verma._cached_module.cache_clear()
+    state = VermaState({(1,): 1}, Fraction(5, 11), Fraction(2, 13))
+    module = verma._module(state.c, state.h)
+    assert module.c is state.c and module.h is state.h
+    assert verma.act(0, state) == VermaModule(5 / Fraction(11), "2/13").act(0, state)
+    assert verma.act(0, state) == VermaState({(1,): Fraction(15, 13)}, state.c, state.h)
+    assert verma.commutator_check(2, -1, state) and verma.commutator_check(1, -1, state)
+    assert verma._module(state.c, state.h) is module
 
 
 def test_module_cache_is_bounded():
