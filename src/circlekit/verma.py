@@ -1,47 +1,17 @@
 """Exact level-truncated lowest-weight modules for the Virasoro algebra.
 
-Generators L_m with m in Z and a central element acting as the scalar c obey
+[L_m, L_n] = (m - n) L_{m+n} + (m^3 - m)/12 delta_{m,-n} c.  M(c, h) is spanned by
+the words L_{-n1} ... L_{-nk} |h> with n1 >= ... >= nk >= 1 (partitions), where
+L_0 |h> = h |h> and L_m |h> = 0 for m > 0; all coefficients are exact, and states
+above the truncation level are rejected.
 
-    [L_m, L_n] = (m - n) L_{m+n} + (m^3 - m)/12 * delta_{m,-n} * c.
-
-The module M(c, h) is spanned by ordered words L_{-n1} ... L_{-nk} |h> with
-n1 >= ... >= nk >= 1 (partitions), where L_0 |h> = h |h> and L_m |h> = 0 for
-m > 0.  All coefficients are exact rationals; states above the truncation
-level are rejected rather than silently dropped.
-
-Inside a module the arithmetic runs on Python ints over one denominator,
-D = lcm(2 den c, den h), and on basis indices: the module numbers each
-partition when it first meets one and records the index of its rest (the
-partition minus its first part), so memo, accumulators and Gram rows key on
-small ints.  With e(m) = max(m, 1) for m >= 0 and e(m) = 0 for m < 0, the
-memo of L_m on basis words holds L_m e_nu times D^e(m): e is nondecreasing,
-so the (m + n1) L_{m-n1} term of a commutator move rescales by the int
-D^(e(m) - e(m-n1)), and the central term (m^3 - m)/12 c D^m is the int
-(m^3 - m)/6 (c D/2) D^(m-1).  The fill is one flat loop per memo entry: it
-reads memo hits directly and recurses only on a miss, adds rows into its
-index -> int dict in place, takes the rescale from the module's table of
-powers of D (grown to the largest first part filled, never to the
-truncation, which is unbounded) and drops zero entries only when there are
-any.  A state enters in one pass that numbers, grades and clears it, except
-that the bracket check, being homogeneous, takes a single word with
-coefficient 1.  `act` and the check's shift and central terms add scaled
-word actions into one index -> int dict through `_add_scaled`; the check's
-L_m L_n v - L_n L_m v adds into the same dict in one fused loop over the
-memo, all at the scale D^(e(m) + e(n)), and the check passes when every
-entry is zero.  On the diagonal m == n the two compositions are the same
-memo rows and the shift and central terms vanish, so the check passes once
-the truncation guard has.  Gram matrices recurse on mu's first part over
-memoized lower levels, the level-L one held times D^L; each entry is a plain
-loop over one memo row against one lower Gram row.  The Shapovalov form is
-symmetric, so only the entries from the diagonal rightwards are computed and
-the rest are mirrored.  `basis` and `gram_matrix` share one level check.
-Partitions come back, and Fractions are built, only where values leave the
-module (`act`, `gram_matrix`, one Fraction per mirrored pair).  Determinants
-return 0 at once when a cleared row is zero, and otherwise run Bareiss
-elimination on rows cleared by the LCM of their own denominators; on
-symmetric input it updates only the upper triangle of the active block,
-reading each lower entry back through the row scales, until a zero diagonal
-pivot hands over to the general step with row swaps.
+A module computes on Python ints over one denominator D = lcm(2 den c, den h),
+keyed by basis indices it hands out on first sight.  With e(m) = max(m, 1) for
+m >= 0 and 0 for m < 0, the memo holds L_m e_nu times D^e(m); e is nondecreasing,
+so each commutator move rescales by an int power of D.  The level-L Gram matrix
+is held times D^L, and only its upper triangle is computed.  Determinants clear
+each row by the LCM of its own denominators; on symmetric input Bareiss updates
+only the upper triangle and reads each lower entry through the row scales.
 """
 
 from __future__ import annotations
@@ -83,10 +53,6 @@ def partitions(level: int, max_part: int | None = None) -> Iterator[Partition]:
             yield (head,) + rest
 
 
-def _clean(coeffs: dict) -> dict:
-    return {p: c for p, c in coeffs.items() if c != 0}
-
-
 def _add_scaled(acc: dict, factor, coeffs: Mapping) -> None:
     """acc += factor * coeffs in place, over basis indices or partitions; a key's first term creates it."""
     for k, v in coeffs.items():
@@ -105,8 +71,8 @@ class VermaState:
         for part in self.coeffs:
             if type(part) is not tuple or not all(type(n) is int and n >= 1 for n in part):
                 raise ValueError(f"basis word {part!r}: its parts must be ints >= 1")
-        cleaned = _clean({p: v if type(v) is Fraction else Fraction(v) for p, v in self.coeffs.items()})
-        object.__setattr__(self, "coeffs", cleaned)
+        coeffs = {p: v if type(v) is Fraction else Fraction(v) for p, v in self.coeffs.items()}
+        object.__setattr__(self, "coeffs", {p: v for p, v in coeffs.items() if v})
 
     @property
     def level(self) -> int:
@@ -129,13 +95,6 @@ class VermaState:
     def scaled(self, factor) -> "VermaState":
         f = Fraction(factor)
         return VermaState({p: f * v for p, v in self.coeffs.items()}, self.c, self.h)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, VermaState)
-            and (self.c, self.h) == (other.c, other.h)
-            and self.coeffs == other.coeffs
-        )
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -188,13 +147,10 @@ class VermaModule:
         return i
 
     def _act_basis(self, m: int, i: int) -> dict:
-        """L_m applied to basis word number i times D^e(m), as an index -> int dict.
+        """L_m applied to basis word number i times D^e(m), as a memoized index -> int dict.
 
-        Words are reordered by commutator moves; each move either shortens
-        the word or prepends a legal head, so the recursion terminates.  e is
-        nondecreasing, so every term rescales up to D^e(m) by an int, read
-        from the module's table of powers of D.  The fill reads memo hits
-        itself and recurses only on a miss.
+        Each commutator move shortens the word or prepends a legal head, so the
+        recursion ends.
         """
         memo = self._memo
         hit = memo.get((m, i))
@@ -249,19 +205,9 @@ class VermaModule:
         return (m**3 - m) // 6 * half_cd * self._D ** (scale - 1)
 
     def _indexed(self, state: VermaState) -> tuple[int, int, dict]:
-        """(level, q, {index: q * coefficient}) in one pass, q the LCM of the
-        state's denominators: entries met before a new denominator are rescaled."""
-        level, q, ints = 0, 1, {}
-        for part, x in state.coeffs.items():
-            d = x.denominator
-            if q % d:
-                grow = d // math.gcd(q, d)
-                q *= grow
-                for i in ints:
-                    ints[i] *= grow
-            ints[self._intern(part)] = x.numerator * (q // d)
-            level = max(level, sum(part))
-        return level, q, ints
+        """(level, q, {index: q * coefficient}), q the LCM of the state's denominators."""
+        q = math.lcm(*(x.denominator for x in state.coeffs.values()))
+        return state.level, q, {self._intern(p): x.numerator * (q // x.denominator) for p, x in state.coeffs.items()}
 
     def _require_own(self, state: VermaState) -> None:
         """ValueError unless the state's (c, h) equals the module's; callers skip it when both are its own objects."""
@@ -288,14 +234,10 @@ class VermaModule:
     def commutator_check(self, m: int, n: int, state: VermaState) -> bool:
         """Exact test of [L_m, L_n] = (m - n) L_{m+n} + central on the state.
 
-        Every term is summed at the common scale D^(e(m) + e(n)) times the
-        state's cleared denominator; a positive scale keeps the zero entries.
-        The test is linear and homogeneous, so a single word is checked with
-        coefficient 1 (VermaState holds no zero coefficients).  For m == n
-        both compositions are the same memo rows and (m - n) and the central
-        term vanish, so the diagonal passes once the truncation guard has.
-        The L_m L_n double loop reads the memo, normal-orders only on a
-        miss, and adds each composed row into the accumulator in place.
+        Every term is summed at the scale D^(e(m) + e(n)) times the state's
+        cleared denominator, and the test passes when every entry is zero.  It
+        is linear and homogeneous, so a single word is taken with coefficient 1;
+        for m == n both sides vanish once the truncation guard has passed.
         """
         if state.c is not self.c or state.h is not self.h:
             self._require_own(state)
@@ -398,19 +340,13 @@ def gram_matrix(level: int, c, h, max_level: int = DEFAULT_MAX_LEVEL) -> list[li
 
 
 def exact_determinant(matrix: list[list[Fraction]]) -> Fraction:
-    """Each row cleared by the LCM of its own denominators, then Bareiss elimination on integers.
+    """Each row cleared by the LCM s_i of its own denominators, then Bareiss elimination on integers.
 
-    A zero row gives 0 before any elimination or symmetry test.
-    With row scales s_i the cleared rows are M = S A.  When A is symmetric
-    (M_ij s_j == M_ji s_i, settled by an `is` test for mirrored entries) every
-    Bareiss intermediate is a bordered minor of S A, so the active block stays
-    S times a symmetric matrix: a step updates only the columns j >= i of each
-    row i below the pivot and reads the lower entry M_ik as the exact integer
-    M_ki s_i // s_k.  At the first zero diagonal pivot the active block's lower
-    triangle is filled by that formula and the general step, with row swaps,
-    runs to the end; non-symmetric input takes the general step throughout.
-
-    Raises ValueError unless the matrix is square (the empty matrix has determinant 1).
+    A zero row gives 0 at once.  On symmetric input (M_ij s_j == M_ji s_i) each
+    step updates only the upper triangle of the active block, reading the lower
+    entry M_ik as M_ki s_i // s_k, until a zero diagonal pivot hands over to the
+    general step with row swaps.  Raises ValueError unless the matrix is square
+    (the empty matrix has determinant 1).
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):

@@ -22,6 +22,17 @@ SIXTEENTH = Fraction(1, 16)
 small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=12)
 
 
+def partition_count(n):
+    """P(n), the number of partitions of n (0 for n < 0), by the coin-change recursion."""
+    if n < 0:
+        return 0
+    p = [1] + [0] * n
+    for part in range(1, n + 1):
+        for m in range(part, n + 1):
+            p[m] += p[m - part]
+    return p[n]
+
+
 def kac_determinant(level, c, h):
     """det of the level-L Gram matrix of M(c, h) by the Kac formula
 
@@ -32,26 +43,19 @@ def kac_determinant(level, c, h):
     one quadratic factor, and h_{r,r} = (r^2 - 1)(1 - c)/24, so the formula
     stays rational for every rational c.
     """
-    p = [1] + [0] * level
-    for part in range(1, level + 1):
-        for m in range(part, level + 1):
-            p[m] += p[m - part]
-
-    def count(m):
-        return p[m] if m >= 0 else 0
-
     t_sum = (Fraction(13) - c) / 6  # t + 1/t
     det = Fraction(1)
     for r in range(1, level + 1):
         for s in range(1, level // r + 1):
-            det *= Fraction((2 * r) ** s * factorial(s)) ** (count(level - r * s) - count(level - r * (s + 1)))
+            power = partition_count(level - r * s) - partition_count(level - r * (s + 1))
+            det *= Fraction((2 * r) ** s * factorial(s)) ** power
             a, b, d = Fraction(r * r - 1, 4), Fraction(s * s - 1, 4), Fraction(r * s - 1, 2)
             if r == s:
-                det *= (h - Fraction(r * r - 1, 24) * (1 - c)) ** count(level - r * r)
+                det *= (h - Fraction(r * r - 1, 24) * (1 - c)) ** partition_count(level - r * r)
             elif r < s:  # (h - h_{r,s}) (h - h_{s,r})
                 total = (a + b) * t_sum - 2 * d
                 product = a * b * (t_sum**2 - 2) + a * a + b * b - d * (a + b) * t_sum + d * d
-                det *= (h * h - total * h + product) ** count(level - r * s)
+                det *= (h * h - total * h + product) ** partition_count(level - r * s)
     return det
 
 
@@ -670,3 +674,151 @@ def test_results_do_not_depend_on_fill_order(params, data):
         # equal states, with their words in the same order
         assert [list(acted.coeffs.items()) for acted in acts[1:]] == [list(acts[0].coeffs.items())] * 2
     assert [module.commutator_check(m, n, state) for module in modules] == [True] * 3
+
+
+# -- positive energy: Gram rank and signature against closed forms ----------
+#
+# At a degenerate point the Kac determinant is 0 from the first null vector
+# up, so it says nothing about the Gram entries above it; the rank and the
+# inertia do.  Both are computed here over Fractions, apart from verma.py.
+
+
+def matrix_rank(matrix):
+    """Exact rank by Gaussian elimination over Fractions."""
+    rows = [list(row) for row in matrix]
+    rank = 0
+    for col in range(len(rows)):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col] / top[col]
+            rows[r] = [a - factor * b for a, b in zip(rows[r], top)]
+        rank += 1
+    return rank
+
+
+def inertia(matrix):
+    """(positive, negative) directions of a symmetric Fraction matrix, by exact
+    congruence: Sylvester's law of inertia keeps both counts."""
+    a = [list(row) for row in matrix]
+    positive = negative = 0
+    while a:
+        k = next((i for i in range(len(a)) if a[i][i]), None)
+        if k is None:
+            pair = next(((i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x), None)
+            if pair is None:
+                break
+            # a_ii = a_jj = 0: e_i -> e_i + e_j makes the diagonal entry 2 a_ij
+            i, j = pair
+            a[i] = [x + y for x, y in zip(a[i], a[j])]
+            for row in a:
+                row[i] += row[j]
+            k = i
+        pivot = a[k][k]
+        if pivot > 0:
+            positive += 1
+        else:
+            negative += 1
+        a = [
+            [x - row[k] * a[k][col] / pivot for col, x in enumerate(row) if col != k]
+            for r, row in enumerate(a)
+            if r != k
+        ]
+    return positive, negative
+
+
+def minimal_model(p, pp, r, s):
+    """(c, h_{r,s}) of the minimal model with coprime p < p'."""
+    c = 1 - Fraction(6 * (p - pp) ** 2, p * pp)
+    return c, Fraction((pp * r - p * s) ** 2 - (p - pp) ** 2, 4 * p * pp)
+
+
+def irreducible_character(p, pp, r, s, level):
+    """Level coefficient of the irreducible minimal-model character (Rocha-Caridi 1985):
+    sum_k P(L - k(pp'k + p'r - ps)) - P(L - (pk + r)(p'k + s)).  Every |k| > L
+    gives two negative arguments."""
+    return sum(
+        partition_count(level - k * (p * pp * k + pp * r - p * s))
+        - partition_count(level - (p * k + r) * (pp * k + s))
+        for k in range(-level, level + 1)
+    )
+
+
+MINIMAL_MODELS = [
+    (HALF, SIXTEENTH, 3, 4, 1, 2),
+    (HALF, HALF, 3, 4, 2, 1),
+    (HALF, Fraction(0), 3, 4, 1, 1),
+    (Fraction(4, 5), Fraction(1, 40), 5, 6, 2, 2),
+    (Fraction(7, 10), Fraction(1, 10), 4, 5, 1, 2),
+]
+TOP = 9
+
+
+def test_irreducible_character_reference_values():
+    assert [irreducible_character(3, 4, 1, 2, level) for level in range(TOP + 1)] == [1, 1, 1, 2, 2, 3, 4, 5, 6, 8]
+    # the Ising vacuum: 1 + q^2 + q^3 + 2q^4 + 2q^5 + 3q^6 + 3q^7 + 5q^8 + 5q^9
+    assert [irreducible_character(3, 4, 1, 1, level) for level in range(TOP + 1)] == [1, 0, 1, 1, 2, 2, 3, 3, 5, 5]
+
+
+@pytest.mark.parametrize("c, h, p, pp, r, s", MINIMAL_MODELS)
+def test_gram_rank_is_the_irreducible_character(c, h, p, pp, r, s):
+    assert minimal_model(p, pp, r, s) == (c, h)
+    module = VermaModule(c, h, max_level=TOP)
+    ranks = [matrix_rank(module.gram_matrix(level)) for level in range(TOP + 1)]
+    assert ranks == [irreducible_character(p, pp, r, s, level) for level in range(TOP + 1)]
+
+
+def test_gram_rank_at_c_one():
+    # c = 1, h = n^2/4 with n = 2: the rank is P(L) - P(L - n - 1)
+    module = VermaModule(1, 1, max_level=TOP)
+    ranks = [matrix_rank(module.gram_matrix(level)) for level in range(TOP + 1)]
+    assert ranks == [partition_count(level) - partition_count(level - 3) for level in range(TOP + 1)]
+
+
+UNITARY_POINTS = [(c, h) for c, h, *_ in MINIMAL_MODELS] + [
+    (Fraction(1), Fraction(1)),
+    (Fraction(2), Fraction(1, 3)),
+    (Fraction(26), Fraction(3, 2)),
+]
+
+
+@pytest.mark.parametrize("c, h", UNITARY_POINTS)
+def test_gram_has_no_negative_direction_on_the_unitary_points(c, h):
+    # Friedan, Qiu & Shenker (1984); Goddard, Kent & Olive (1986): positive
+    # semidefinite at every level on the discrete series and for c >= 1, h >= 0
+    module = VermaModule(c, h, max_level=TOP)
+    assert [inertia(module.gram_matrix(level))[1] for level in range(TOP + 1)] == [0] * (TOP + 1)
+
+
+@pytest.mark.parametrize(
+    "c, h, negatives",
+    [
+        (HALF, Fraction(1, 10), [0, 0, 1, 1, 2, 3, 4, 6, 9, 13]),
+        (Fraction(7, 10), Fraction(1, 20), [0, 0, 0, 0, 0, 0, 1, 1, 2, 4]),
+    ],
+)
+def test_gram_has_negative_directions_off_the_discrete_series(c, h, negatives):
+    module = VermaModule(c, h, max_level=TOP)
+    assert [inertia(module.gram_matrix(level))[1] for level in range(TOP + 1)] == negatives
+
+
+@pytest.mark.parametrize(
+    "c, h",
+    [
+        (Fraction(2), Fraction(1, 3)),
+        (Fraction(26), Fraction(3, 2)),
+        (HALF, Fraction(1, 10)),
+        (Fraction(7, 10), Fraction(1, 20)),
+        (Fraction(-3, 7), Fraction(-5, 11)),
+    ],
+)
+def test_negative_count_parity_is_the_sign_of_the_kac_determinant(c, h):
+    module = VermaModule(c, h, max_level=TOP)
+    for level in range(TOP + 1):
+        det = kac_determinant(level, c, h)
+        positive, negative = inertia(module.gram_matrix(level))
+        assert det != 0 and positive + negative == partition_count(level)
+        assert (det < 0) == (negative % 2 == 1)
