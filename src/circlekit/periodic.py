@@ -38,7 +38,9 @@ every nonlinear operation, at the one threshold `DEFAULT_TAIL_TOL` unless a
 caller switches it off, `_same_grid` refuses operands on two grids, and
 `_write_csv` writes every sampled CSV file.  Evaluation caches have one owner
 too: `PeriodicFunction._cache` builds and pads each, `_cache_factor` gives a
-cache's factor and `_read` reads through a stencil the caller may keep.
+cache's factor and `_read` reads through a stencil the caller may keep.  A
+read gathers whole 10-entry rows of a window view of the padded cache, whose
+item j is the stencil row at base index j, so it allocates no index array.
 """
 
 from __future__ import annotations
@@ -244,10 +246,21 @@ def _lagrange_weights(t: np.ndarray, m: int):
 
 def _lagrange_apply(stencil, *caches: np.ndarray) -> list:
     """Interpolate padded caches of one length through a stencil that
-    _lagrange_weights built for that length: one value array per cache."""
+    _lagrange_weights built for that length: one value array per cache.
+
+    Each cache, C-contiguous as `_cache` builds it, is read through a window
+    view that shares its buffer and whose item j is one whole stencil row,
+    the 10 entries c[j : j + 10].  A base index is an item index of that
+    view, so indexing it with j0 gathers the rows, one copy each, into the
+    C-contiguous (M, 10[, ...]) array that c[j0 + arange(10)] gives, with no
+    (M, 10) index array built."""
     j0, w = stencil
-    idx = j0[:, None] + np.arange(_STENCIL)[None, :]
-    return [np.einsum("ps,ps->p" if c.ndim == 1 else "ps,ps...->p...", w, c[idx]) for c in caches]
+    out = []
+    for c in caches:
+        rows = np.ndarray((len(c) - _STENCIL + 1,), (np.void, _STENCIL * c.strides[0]), c, 0, c.strides[:1])
+        gathered = rows[j0].view(c.dtype).reshape((len(j0), _STENCIL) + c.shape[1:])
+        out.append(np.einsum("ps,ps->p" if c.ndim == 1 else "ps,ps...->p...", w, gathered))
+    return out
 
 
 class PeriodicFunction:

@@ -18,7 +18,7 @@ from circlekit.diffeo import (
     solve_monotone,
     support,
 )
-from circlekit.errors import AliasingError, DerivativeError, GeometryError, MassError
+from circlekit.errors import AliasingError, ConvergenceError, DerivativeError, GeometryError, MassError
 from circlekit.loops import loop_cutoffs
 from circlekit.periodic import TWO_PI, PeriodicFunction, grid
 from circlekit.sampling import random_diffeo, random_supported_diffeo, rng_for
@@ -95,6 +95,16 @@ def test_solve_monotone_reads_the_slope_exactly_at_the_nodes(monkeypatch):
     solve_monotone(g, grid(64) + 0.01)
     assert not np.array_equal(g.deriv._upsample(8)[::8], g.deriv.samples)
     assert slopes and all(np.array_equal(s[4 : 4 + 8 * 64 : 8], g.deriv.samples) for s in slopes)
+
+
+@pytest.mark.parametrize("targets", [[np.nan], [0.5, np.inf], [-np.inf, 1.0]])
+def test_solve_monotone_stalls_on_non_finite_targets(targets):
+    # a non-finite target gets NaN weights and a base index that the % m of
+    # _lagrange_weights keeps in range, so its residual stays NaN and Newton
+    # stalls; nothing indexes out of range
+    g = CircleDiffeo.from_fourier([(1, 0.0, 0.1), (2, 0.05, 0.0)], 64)
+    with np.errstate(invalid="ignore"), pytest.raises(ConvergenceError):
+        solve_monotone(g, np.array(targets))
 
 
 def test_diffeo_holds_no_interpolation_helper():

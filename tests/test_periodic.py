@@ -89,6 +89,63 @@ def test_stencil_weights_partition_unity_and_reproduce_monomials(m):
         assert np.abs(w @ (_OFFSETS / 5.0) ** d - (u / 5.0) ** d).max() <= 1e-13, d
 
 
+def _index_array_read(stencil, cache):
+    """The read through an explicit (M, 10) index array, written out."""
+    j0, w = stencil
+    return np.einsum("ps,ps->p" if cache.ndim == 1 else "ps,ps...->p...", w, cache[j0[:, None] + np.arange(10)])
+
+
+@pytest.mark.parametrize("factor", [1, 4])
+def test_window_view_read_gives_the_index_array_reads_bytes(factor):
+    """_lagrange_apply's window-view gather reads real, complex and matrix
+    caches bit for bit as an index array does: in the first and last cells,
+    within the snap distance of nodes either way, at negative angles and
+    angles past 2*pi, and for 0, 1 and 1024 points."""
+    n = 64
+    rng = rng_for(32, factor)
+    caches = [
+        PeriodicFunction(samples)._cache(factor)
+        for samples in (
+            rng.normal(size=n) / np.arange(1, n + 1),
+            rng.normal(size=n) + 1j * rng.normal(size=n),
+            rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2)),
+        )
+    ]
+    m = factor * n
+    h = TWO_PI / m
+    edges = np.array([0.0, 0.3 * h, h - 1e-3 * h, TWO_PI - 0.5 * h, TWO_PI - 1e-3 * h, np.nextafter(TWO_PI, 0.0)])
+    nodes = h * np.arange(m)
+    near = np.concatenate([nodes + d * _SNAP * h for d in (0.5, -0.5, 2.0, -2.0)])
+    spread = rng.uniform(0.0, TWO_PI, 1024)
+    points = [
+        np.empty(0),
+        np.array([1.0]),
+        spread,
+        edges,
+        near,
+        spread - TWO_PI,
+        -spread,
+        spread + TWO_PI,
+        np.concatenate([edges - 3 * TWO_PI, edges + 2 * TWO_PI, [TWO_PI]]),
+    ]
+    for t in points:
+        stencil = _lagrange_weights(t, m)
+        reads = _lagrange_apply(stencil, *caches)
+        for cache, out in zip(caches, reads):
+            ref = _index_array_read(stencil, cache)
+            assert out.shape == ref.shape == (len(t),) + cache.shape[1:]
+            assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
+
+
+def test_eval_at_non_finite_points_is_nan():
+    t = grid(64)
+    for f in (PeriodicFunction(np.cos(3 * t)), PeriodicFunction(np.sin(t) + 0.5j * np.cos(2 * t))):
+        with np.errstate(invalid="ignore"):
+            out = f.eval(np.array([np.nan, np.inf, -np.inf, 1.0]))
+            assert np.isnan(f.eval(np.nan))
+        assert np.isnan(out[:3]).all() and np.isfinite(out[3])
+
+
 def test_derivative_analytic():
     t = grid(1024)
     f = PeriodicFunction(np.sin(t))
