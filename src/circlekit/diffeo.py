@@ -20,6 +20,7 @@ from .periodic import (
     PeriodicFunction,
     _check_tail,
     _fourier_samples,
+    _mod_two_pi,
     grid,
 )
 
@@ -61,7 +62,7 @@ class IntervalArc:
 
     def offset(self, t):
         """Angle from the arc's start a to t, counterclockwise, modulo 2*pi."""
-        return np.mod(np.asarray(t, dtype=float) - self.a, TWO_PI)
+        return _mod_two_pi(np.asarray(t, dtype=float) - self.a)
 
     def contains(self, t) -> np.ndarray:
         """Pointwise membership, circularly."""

@@ -241,7 +241,7 @@ def _stage_coefficients(g: CircleDiffeo, stage: _Stage):
     """alpha, beta (boundary form), the beta used in the construction, and
     (gamma' - 1) * Dc on the fine grid."""
     a, ha, hb, b = stage.endpoints
-    fine = PeriodicFunction(stage.integrand(g))
+    fine = PeriodicFunction._adopt(stage.integrand(g))
     mean = fine.spectrum[0].real
     f_vals = 2.0 * stage.boundary_sums(fine._antiderivative_spectrum()).real
     g_ha, g_hb = g.eval(np.array([ha, hb]))
@@ -297,7 +297,7 @@ def _remainder(xi_fine: CircleDiffeo, stage: _Stage, p: np.ndarray) -> CircleDif
     u[own] = t[own]
     solve = ~own & stage.interval.contains(u)
     u[solve] = solve_monotone(xi_fine, u[solve])
-    return CircleDiffeo(PeriodicFunction(u - t))
+    return CircleDiffeo(PeriodicFunction._adopt(u - t))
 
 
 def _build_factor(n: int) -> int:

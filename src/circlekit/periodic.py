@@ -40,7 +40,13 @@ caller switches it off, `_same_grid` refuses operands on two grids, and
 too: `PeriodicFunction._cache` builds and pads each, `_cache_factor` gives a
 cache's factor and `_read` reads through a stencil the caller may keep.  A
 read gathers whole 10-entry rows of a window view of the padded cache, whose
-item j is the stencil row at base index j, so it allocates no index array.
+item j is the stencil row at base index j, so it allocates no index array,
+and contracts a matrix cache's rows on their float64 view.  Angles are
+reduced modulo 2pi in one helper, `_mod_two_pi`, with np.mod's bytes but,
+on long arrays inside [-4pi, 4pi), by masked steps of 2pi that round only
+where np.mod rounds, instead of numpy's float divmod; the stencil then
+truncates the non-negative cell position and wraps its base index with a
+power-of-two mask.
 """
 
 from __future__ import annotations
@@ -97,6 +103,9 @@ _MODE_ERROR_CAP = 2.57
 
 # An evaluation cache is certified when its stencil error bound is at most this.
 _OWN_SAMPLES_TOL = 1e-12
+
+# Relative to its largest coefficient, derivative() zeroes coefficients below this.
+_ROUNDOFF_FLOOR = 4.0 * np.finfo(float).eps
 
 
 def grid(n: int) -> np.ndarray:
@@ -220,6 +229,38 @@ def _write_csv(samples: np.ndarray, path) -> None:
         fh.writelines(fmt.format(*row) for row in np.column_stack([grid(n), cols]).tolist())
 
 
+# Arrays shorter than this take one np.mod in _mod_two_pi.  Its steps cost
+# about 3 us a call on angles in [0, 2pi) and 6 us when some need a shift,
+# against 12 ns an entry for numpy's float divmod, so they break even between
+# about 250 and 700 entries (numpy 2.4 on one Xeon core).
+_MOD_CROSSOVER = 512
+
+
+def _mod_two_pi(t):
+    """np.mod(t, TWO_PI), bit for bit, for a float64 array or scalar t.
+
+    On an array of at least _MOD_CROSSOVER entries inside [-4 pi, 4 pi), with
+    masks read off t itself: 2 pi is subtracted where t >= 2 pi and added where
+    t < -2 pi, both exact by Sterbenz's lemma as numpy's fmod is, and then
+    added where t < 0, the one rounded step, which numpy's divmod takes too.
+    Each step adds a mask times 2 pi, so elsewhere it adds an exact zero.
+    Adding 0.0 first turns -0.0 into +0.0, as np.mod does.  NaN, infinities,
+    farther angles, scalars and short arrays go to np.mod itself."""
+    if t.ndim == 0 or t.size < _MOD_CROSSOVER:
+        return np.mod(t, TWO_PI)
+    lo, hi = np.minimum.reduce(t, axis=None), np.maximum.reduce(t, axis=None)
+    if not (-2.0 * TWO_PI <= lo and hi < 2.0 * TWO_PI):  # NaN fails too
+        return np.mod(t, TWO_PI)
+    r = t + 0.0
+    if hi >= TWO_PI:
+        r -= (t >= TWO_PI) * TWO_PI
+    if lo < -TWO_PI:
+        r += (t < -TWO_PI) * TWO_PI
+    if lo < 0.0:
+        r += (t < 0.0) * TWO_PI
+    return r
+
+
 def _lagrange_weights(t: np.ndarray, m: int):
     """Stencil base indices into a padded cache and the 10 Lagrange weights,
     as the powers of the cell offset u times _MONOMIAL.
@@ -228,14 +269,17 @@ def _lagrange_weights(t: np.ndarray, m: int):
     grid point) are moved onto it, u = 0, where the weight row is exactly
     one-hot, so those evaluations are sample-exact.  A point just below a
     cell's right node moves to the next cell, which after the last cell is
-    cell 0.
+    cell 0.  The reduced position x is at least 0 or NaN, so truncation is its
+    floor, and m is a power of two, so the wrap is a mask; a non-finite point
+    casts to the most negative index, which the mask sends to 0 as % m would.
     """
-    x = np.mod(t, TWO_PI) * (m / TWO_PI)
+    x = _mod_two_pi(t)
+    x *= m / TWO_PI
     x[x >= m] -= m  # mod can round up to the period boundary
-    j0 = np.floor(x).astype(np.intp)
+    j0 = x.astype(np.intp)
     u = x - j0
     near1 = u > 1.0 - _SNAP
-    j0 = (j0 + near1) % m
+    j0 = (j0 + near1) & (m - 1)
     u[(u < _SNAP) | near1] = 0.0
     powers = np.empty((_STENCIL, len(u)))
     powers[0] = 1.0
@@ -253,13 +297,21 @@ def _lagrange_apply(stencil, *caches: np.ndarray) -> list:
     the 10 entries c[j : j + 10].  A base index is an item index of that
     view, so indexing it with j0 gathers the rows, one copy each, into the
     C-contiguous (M, 10[, ...]) array that c[j0 + arange(10)] gives, with no
-    (M, 10) index array built."""
+    (M, 10) index array built.  A matrix cache's rows are contracted as
+    their float64 view, (M, 10, k) with the real and imaginary parts of each
+    entry side by side, and the (M, k) result is viewed back as the cache's
+    dtype.  The complex contraction's products differ from these only in
+    the sign of a zero, which sums started at +0 do not keep, so the bits
+    are the same, in about a fifth of the time."""
     j0, w = stencil
     out = []
     for c in caches:
         rows = np.ndarray((len(c) - _STENCIL + 1,), (np.void, _STENCIL * c.strides[0]), c, 0, c.strides[:1])
-        gathered = rows[j0].view(c.dtype).reshape((len(j0), _STENCIL) + c.shape[1:])
-        out.append(np.einsum("ps,ps->p" if c.ndim == 1 else "ps,ps...->p...", w, gathered))
+        if c.ndim == 1:
+            out.append(np.einsum("ps,ps->p", w, rows[j0].view(c.dtype).reshape(len(j0), _STENCIL)))
+        else:
+            gathered = rows[j0].view(np.float64).reshape(len(j0), _STENCIL, c.strides[0] // 8)
+            out.append(np.einsum("ps,psk->pk", w, gathered).view(c.dtype).reshape((len(j0),) + c.shape[1:]))
     return out
 
 
@@ -273,15 +325,14 @@ class PeriodicFunction:
         if arr.ndim not in (1, 3):
             raise ValueError("samples must be a vector or a stack of matrices")
         _check_grid_size(arr.shape[0])
-        if np.iscomplexobj(arr):
-            arr = arr.astype(complex)
-            self.is_real = False
-        else:
-            arr = arr.astype(float)
-            self.is_real = True
-        arr.setflags(write=False)
+        self._hold(arr.astype(complex if np.iscomplexobj(arr) else float))
+
+    def _hold(self, arr: np.ndarray) -> None:
+        """Hold a float64 or complex128 array of grid samples, made read-only."""
+        arr.flags.writeable = False
         self.samples = arr
         self.n = arr.shape[0]
+        self.is_real = arr.dtype == np.float64
         self._spectrum = None
         self._fine = None
 
@@ -300,11 +351,20 @@ class PeriodicFunction:
         return cls(np.full(n, float(value)))
 
     @classmethod
-    def _with_spectrum(cls, samples, spectrum: np.ndarray) -> "PeriodicFunction":
-        """The function of these samples, whose spectrum (in the layout and
+    def _adopt(cls, arr: np.ndarray) -> "PeriodicFunction":
+        """The function of a float64 or complex128 array of grid samples that
+        the library has just allocated and holds nowhere else: made read-only
+        and held as the samples, not copied as the constructor copies."""
+        pf = cls.__new__(cls)
+        pf._hold(arr)
+        return pf
+
+    @classmethod
+    def _with_spectrum(cls, samples: np.ndarray, spectrum: np.ndarray) -> "PeriodicFunction":
+        """`_adopt` of these fresh samples, whose spectrum (in the layout and
         normalization of `spectrum`) the caller already knows, so the forward
         transform is skipped; nothing checks that the two agree."""
-        pf = cls(samples)
+        pf = cls._adopt(samples)
         pf._spectrum = spectrum
         return pf
 
@@ -399,10 +459,10 @@ class PeriodicFunction:
             raise ValueError("derivative order must be 1, 2 or 3")
         c = self.spectrum.copy()
         a = np.abs(c)
-        c[a < 4.0 * np.finfo(float).eps * a.max()] = 0.0
+        c[a < _ROUNDOFF_FLOOR * a.max()] = 0.0
         c *= _along_first_axis(_mode_factors(self.n, self.is_real, order), c)
         c[self.n // 2] = 0.0  # Nyquist mode dropped by convention
-        return PeriodicFunction(self._from_spectrum(c))
+        return PeriodicFunction._adopt(self._from_spectrum(c))
 
     @property
     def mean(self):

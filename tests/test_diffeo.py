@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,6 +116,16 @@ def test_diffeo_holds_no_interpolation_helper():
     helpers = {"_lagrange_weights", "_lagrange_apply", "_lagrange_eval", "_pad_fine", "_cache_length"}
     assert not helpers & set(vars(diffeo))
     assert not {"_lagrange_eval", "_pad_fine", "_cache_length"} & set(vars(periodic))
+
+
+def test_diffeo_reduces_arrays_through_periodic():
+    """The 2pi reduction of arrays has one owner, periodic._mod_two_pi: the one
+    np.mod left in diffeo.py reduces an IntervalArc's scalar start."""
+    tree = ast.parse(Path(diffeo.__file__).read_text())
+    reductions = {"np.mod", "np.remainder", "np.fmod", "np.divmod"}
+    calls = [ast.unparse(c) for c in ast.walk(tree) if isinstance(c, ast.Call) and ast.unparse(c.func) in reductions]
+    assert calls == ["np.mod(self.a, TWO_PI)"]
+    assert diffeo._mod_two_pi is periodic._mod_two_pi
 
 
 @pytest.mark.parametrize("terms, n, factor", [([(1, 0, 0.1)], 16, 4), ([(1, 0, 0.3), (2, 0.05, 0)], 64, 2)])
@@ -410,6 +422,29 @@ def test_interval_arc_wrapping():
     assert not arc.contains(1.0)
     with pytest.raises(GeometryError):
         IntervalArc(0.0, TWO_PI)
+
+
+@pytest.mark.parametrize("a, b", [(5.8, TWO_PI + 0.5), (0.3, 2.6), (-1.0, 4.0)])
+def test_arc_offset_and_contains_are_the_np_mod_formulas(a, b):
+    """offset and contains give np.mod(t - a, 2pi)'s bytes and the membership
+    read off it, on long, short and 2-d arrays and on scalars, at the arc's
+    ends and their ulp neighbours, far out and at non-finite angles."""
+    arc = IntervalArc(a, b)
+    rng = rng_for(33)
+    ends = [x + k * TWO_PI for x in (arc.a, arc.b) for k in (-1, 0, 1)]
+    edges = np.array([y for x in ends for y in (np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf))])
+    long = np.concatenate([grid(4096), rng.uniform(-TWO_PI, 2.0 * TWO_PI, 1000), edges])
+    arrays = [long, long.reshape(2, -1), grid(4096) - 2.0 * TWO_PI, rng.uniform(-30.0, 30.0, 700), edges]
+    arrays += [np.append(long, np.nan), np.empty(0)]
+    with np.errstate(invalid="ignore"):
+        for t in arrays:
+            ref = np.mod(t - arc.a, TWO_PI)
+            assert arc.offset(t).tobytes() == ref.tobytes()
+            assert np.array_equal(arc.contains(t), (ref > 0) & (ref < arc.length))
+        for x in np.concatenate([edges, [-0.0, np.inf, np.nan]]):
+            ref = np.mod(np.float64(x) - arc.a, TWO_PI)
+            assert type(arc.offset(x)) is type(ref) and arc.offset(x).tobytes() == ref.tobytes()
+            assert arc.contains(float(x)) == ((ref > 0) & (ref < arc.length))
 
 
 def test_max_abs_outside():

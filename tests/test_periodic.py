@@ -10,8 +10,11 @@ from circlekit.diffeo import CircleDiffeo, IntervalArc
 from circlekit.errors import AliasingError
 from circlekit.frag_diff import fragment, fragment_pair
 from circlekit.loops import LoopAlgebraElement, exp_loop, multiply
+from circlekit import periodic
 from circlekit.periodic import (
+    _MOD_CROSSOVER,
     _MODE_ERROR_CAP,
+    _MONOMIAL,
     _OFFSETS,
     _REMAINDER,
     _SNAP,
@@ -19,6 +22,7 @@ from circlekit.periodic import (
     PeriodicFunction,
     _lagrange_apply,
     _lagrange_weights,
+    _mod_two_pi,
     _mode_factors,
     _stencil_error_bound,
     _stencil_mode_errors,
@@ -144,6 +148,104 @@ def test_eval_at_non_finite_points_is_nan():
             out = f.eval(np.array([np.nan, np.inf, -np.inf, 1.0]))
             assert np.isnan(f.eval(np.nan))
         assert np.isnan(out[:3]).all() and np.isfinite(out[3])
+
+
+def _around(x):
+    """x and its two ulp neighbours."""
+    return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+
+# -0.0, +-2pi, +-4pi and their ulp neighbours, and negatives so small that
+# adding 2pi rounds to 2pi: np.mod gives 2pi for those, not 0
+_REDUCTION_EDGES = np.array(
+    [-0.0, 0.0, 5e-324, -5e-324, -1e-17, -1e-16, -2.0**-53, -2.0**-52]
+    + [x for k in (-2, -1, 1, 2) for x in _around(k * TWO_PI)]
+)
+_NON_FINITE = np.array([np.nan, np.inf, -np.inf, 1e300, -1e300])
+
+
+def test_reduction_is_np_mod_bit_for_bit(monkeypatch):
+    """_mod_two_pi gives np.mod(t, 2pi)'s bytes and type: on arrays inside
+    [-4pi, 4pi) of at least _MOD_CROSSOVER entries by its own masked steps,
+    with no call to np.mod, and on everything else by one np.mod."""
+    rng = rng_for(33)
+    bulk = rng.uniform(-2.0 * TWO_PI, 2.0 * TWO_PI, _MOD_CROSSOVER)
+    inside = (_REDUCTION_EDGES >= -2.0 * TWO_PI) & (_REDUCTION_EDGES < 2.0 * TWO_PI)
+    fast = [
+        bulk,
+        np.concatenate([bulk, _REDUCTION_EDGES[inside]]),
+        np.concatenate([rng.uniform(0.0, TWO_PI, _MOD_CROSSOVER), [-0.0, -1e-17]]),
+        np.concatenate([rng.uniform(0.0, 2.0 * TWO_PI, _MOD_CROSSOVER), [-0.0, np.nextafter(2.0 * TWO_PI, 0.0)]]),
+        np.concatenate([-bulk[bulk > 0], np.full(_MOD_CROSSOVER, -2.0 * TWO_PI)]),
+    ]
+    slow = [np.concatenate([bulk, [x]]) for x in np.concatenate([_REDUCTION_EDGES[~inside], _NON_FINITE])]
+    slow += [np.empty(0), np.array([-1e-17]), _REDUCTION_EDGES, bulk[:63], bulk[: _MOD_CROSSOVER - 1]]
+    slow += [np.float64(x) for x in np.concatenate([_REDUCTION_EDGES, _NON_FINITE])]
+    slow += [np.array(-1e-17)]
+    with np.errstate(invalid="ignore"):
+        expected = [np.mod(t, TWO_PI) for t in fast + slow]
+        calls, real_mod = [], np.mod
+        monkeypatch.setattr(np, "mod", lambda x, y: calls.append(x) or real_mod(x, y))
+        got = [_mod_two_pi(t) for t in fast + slow]
+    assert len(calls) == len(slow)
+    for t, out, ref in zip(fast + slow, got, expected):
+        assert type(out) is type(ref) and out.tobytes() == ref.tobytes(), t
+
+
+def _divmod_weights(t, m):
+    """_lagrange_weights written with np.mod, np.floor and % m."""
+    x = np.mod(t, TWO_PI) * (m / TWO_PI)
+    x[x >= m] -= m
+    j0 = np.floor(x).astype(np.intp)
+    u = x - j0
+    near1 = u > 1.0 - _SNAP
+    j0 = (j0 + near1) % m
+    u[(u < _SNAP) | near1] = 0.0
+    powers = np.empty((10, len(u)))
+    powers[0] = 1.0
+    for d in range(1, 10):
+        powers[d] = powers[d - 1] * u
+    return j0, powers.T @ _MONOMIAL
+
+
+@pytest.mark.parametrize("m", [16, 1024, 8192, 16384])
+def test_stencil_gives_the_divmod_formulas_bytes(m):
+    """Base indices and weights as np.mod, np.floor and % m give them, for
+    short and long arrays of points: at and near nodes, at the reduction's
+    edges, far out, and at NaN and +-inf, whose base index is 0."""
+    rng = rng_for(33, m)
+    h = TWO_PI / m
+    nodes = h * rng.integers(1 - 2 * m, 2 * m - 1, 300)
+    spread = rng.uniform(-2.0 * TWO_PI, 2.0 * TWO_PI, 2 * _MOD_CROSSOVER)
+    near = np.concatenate([nodes + d * _SNAP * h for d in (0.0, 0.5, -0.5, 2.0, -2.0)])
+    edges = np.concatenate([_REDUCTION_EDGES, [np.nextafter(TWO_PI, 0.0) - 0.5 * _SNAP * h]])
+    points = [spread, near, edges, rng.uniform(-30.0, 30.0, 700), np.concatenate([spread, near, edges])]
+    points += [np.concatenate([t, _NON_FINITE]) for t in (spread, edges)]
+    with np.errstate(invalid="ignore"):
+        for t in points:
+            (j0, w), (ref_j0, ref_w) = _lagrange_weights(t, m), _divmod_weights(t, m)
+            assert j0.dtype == ref_j0.dtype and np.array_equal(j0, ref_j0)
+            assert w.tobytes() == ref_w.tobytes()
+        j0, w = _lagrange_weights(np.concatenate([spread, [np.nan, np.inf, -np.inf]]), m)
+    assert np.array_equal(j0[-3:], [0, 0, 0]) and np.isnan(w[-3:]).all()
+
+
+def test_constructor_copies_and_library_arrays_are_adopted_read_only():
+    """PeriodicFunction(arr) copies a caller's array and leaves it writable;
+    derivative() and _with_spectrum hold the array they are given, read-only."""
+    samples = np.sin(grid(64))
+    f = PeriodicFunction(samples)
+    assert samples.flags.writeable and not np.shares_memory(f.samples, samples)
+    samples[0] = 5.0
+    assert f.samples[0] == 0.0
+    with pytest.raises(ValueError):
+        f.samples[0] = 1.0
+    for df in (f.derivative(), PeriodicFunction(np.exp(1j * grid(64))).derivative(2)):
+        assert not df.samples.flags.writeable and df.samples.flags.c_contiguous
+        assert df.is_real == np.isrealobj(df.samples)
+    fresh = samples.copy()
+    g = PeriodicFunction._with_spectrum(fresh, np.fft.rfft(fresh, norm="forward"))
+    assert g.samples is fresh and not fresh.flags.writeable and g.is_real and g.n == 64
 
 
 def test_derivative_analytic():
