@@ -8,7 +8,14 @@ X / sinc(theta / pi) with theta = arccos a, exp X is the axis-angle factor
 cos(theta) I + sinc(theta / pi) X with theta = |X| = sqrt(p^2 + |q|^2), and
 products are written out entry by entry.  a I + X is normal with eigenvalues
 a +- i |X|, so both its singular values equal sqrt(a^2 + |X|^2): the
-operator norm of X and of U - I.  SU(n) with n > 2 takes batched numpy
+operator norm of X and of U - I.  These closed forms give the bytes of
+their whole-array expressions without their temporaries: _sinc is
+np.sinc(theta / pi) bit for bit without its Python wrapper, _su2_parts,
+_su2_norm and _su2_log compute in place on arrays they allocate, _su2_exp
+overwrites the fresh arrays its callers hand it, and _su2_samples writes
+each entry through a view of its output.  A loop the library has just built
+is held by _Loop._adopt, read-only and not copied; the constructors still
+copy a caller's array.  SU(n) with n > 2 takes batched numpy
 eigensolves (exp: eigh of the hermitian -i X; log: eig of U; fragment_loop:
 the log's eig plus one eigh), batched matmul and SVD norms.  The invariant
 bilinear form is tr(XY) in the defining representation, normalized so the
@@ -71,6 +78,16 @@ class _Loop:
         self.pf = samples
         if check:
             self._check(self.pf.samples)
+
+    @classmethod
+    def _adopt(cls, samples: np.ndarray):
+        """The loop of a C-contiguous complex128 (N, n, n) array of grid samples
+        that the library has just built and holds nowhere else: held read-only
+        as the samples through PeriodicFunction._adopt, neither checked nor
+        copied as the constructor does."""
+        loop = cls.__new__(cls)
+        loop.pf = PeriodicFunction._adopt(samples)
+        return loop
 
     @property
     def samples(self) -> np.ndarray:
@@ -186,50 +203,82 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _su2_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(a, p, q) of 2x2 samples: a = Re tr x / 2 and the traceless anti-hermitian
-    part [[i p, q], [-conj q, -i p]], the projection onto su(2), from the entries."""
-    a = 0.5 * (x[:, 0, 0].real + x[:, 1, 1].real)
-    p = 0.5 * (x[:, 0, 0].imag - x[:, 1, 1].imag)
-    q = 0.5 * (x[:, 0, 1] - np.conj(x[:, 1, 0]))
+    part [[i p, q], [-conj q, -i p]], the projection onto su(2), from the entries.
+    Each part is one fresh array, halved in place."""
+    a = np.add(x[:, 0, 0].real, x[:, 1, 1].real)
+    a *= 0.5
+    p = np.subtract(x[:, 0, 0].imag, x[:, 1, 1].imag)
+    p *= 0.5
+    q = np.conj(x[:, 1, 0])
+    np.subtract(x[:, 0, 1], q, out=q)
+    q *= 0.5
     return a, p, q
 
 
 def _su2_samples(w: np.ndarray | float, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Samples w I + [[i p, q], [-conj q, -i p]].  Entries are written as x + 0
-    and 0 - x, so a zero entry is +0, as in the matrix arithmetic, and a
-    written loop carries no "-0"."""
+    and 0 - x straight into views of the output, so a zero entry is +0, as in
+    the matrix arithmetic, and a written loop carries no "-0"."""
     out = np.empty((len(p), 2, 2), dtype=complex)
-    out.real[:, 0, 0] = out.real[:, 1, 1] = w
-    out.imag[:, 0, 0] = p + 0.0
-    out.imag[:, 1, 1] = 0.0 - p
-    out[:, 0, 1] = q + 0.0
-    out[:, 1, 0] = 0.0 - np.conj(q)
+    re, im = out.real, out.imag
+    re[:, 0, 0] = re[:, 1, 1] = w
+    np.add(p, 0.0, out=im[:, 0, 0])
+    np.subtract(0.0, p, out=im[:, 1, 1])
+    np.add(q, 0.0, out=out[:, 0, 1])
+    np.subtract(0.0, q.real, out=re[:, 1, 0])
+    im[:, 1, 0] = im[:, 0, 1]  # 0 - (-Im q) is Im q + 0
     return out
+
+
+def _sinc(theta: np.ndarray) -> np.ndarray:
+    """sin(theta) / theta, bit for bit np.sinc(theta / np.pi) (whose Python
+    wrapper costs five ufunc calls and their temporaries): the argument is
+    divided by pi and multiplied back, and a zero becomes a tiny nonzero
+    angle, where the quotient is exactly 1."""
+    y = theta / np.pi
+    y[y == 0] = 1e-20
+    y *= np.pi
+    s = np.sin(y)
+    s /= y
+    return s
 
 
 def _su2_log(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """su(2) parts (p, q) of the principal logarithm X / sinc(theta / pi) of SU(2)
     samples, theta = arccos(Re tr U / 2); BranchError when theta comes within
-    BRANCH_TOL of pi."""
+    BRANCH_TOL of pi.  The parts are scaled in place."""
     w, p, q = _su2_parts(u)
-    theta = np.arccos(np.clip(w, -1.0, 1.0))
+    theta = np.arccos(np.clip(w, -1.0, 1.0, out=w), out=w)
     if theta.max() >= np.pi - BRANCH_TOL:
         raise BranchError(
             f"sample with rotation angle {theta.max():.6f} is at the branch cut"
         )
-    factor = 1.0 / np.sinc(theta / np.pi)
-    return factor * p, factor * q
+    factor = _sinc(theta)
+    np.divide(1.0, factor, out=factor)
+    p *= factor
+    q *= factor
+    return p, q
 
 
 def _su2_norm(a: np.ndarray | float, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Operator norm sqrt(p^2 + |q|^2 + a^2) of the samples a I + [[i p, q], [-conj q, -i p]]."""
-    return np.sqrt(p**2 + q.real**2 + q.imag**2 + a**2)
+    """Operator norm sqrt(p^2 + |q|^2 + a^2) of the samples a I + [[i p, q], [-conj q, -i p]],
+    summed in that order in one fresh array."""
+    out = p * p
+    sq = q.real * q.real
+    out += sq
+    out += np.multiply(q.imag, q.imag, out=sq)
+    out += np.multiply(a, a, out=sq) if np.ndim(a) else a * a
+    return np.sqrt(out, out=out)
 
 
 def _su2_exp(theta: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Axis-angle factor cos(theta) I + sinc(theta / pi) X of the su(2) samples
-    X = [[i p, q], [-conj q, -i p]] of norm theta."""
-    s = np.sinc(theta / np.pi)
-    return _su2_samples(np.cos(theta), s * p, s * q)
+    X = [[i p, q], [-conj q, -i p]] of norm theta.  The three arrays are the
+    caller's fresh ones and are overwritten: p and q scaled, theta cosined."""
+    s = _sinc(theta)
+    p *= s
+    q *= s
+    return _su2_samples(np.cos(theta, out=theta), p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +289,9 @@ def _su2_exp(theta: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
 def multiply(g1: LoopElement, g2: LoopElement, tail_tol: float = DEFAULT_TAIL_TOL) -> LoopElement:
     """Pointwise matrix product."""
     _same_grid(g1, g2)
-    product = PeriodicFunction(_product(g1.samples, g2.samples))
-    return LoopElement(_check_tail(product, tail_tol, "loop product"), check=False)
+    product = LoopElement._adopt(_product(g1.samples, g2.samples))
+    _check_tail(product.pf, tail_tol, "loop product")
+    return product
 
 
 def inverse_loop(g: LoopElement) -> LoopElement:
@@ -260,8 +310,8 @@ def exp_loop(xi: LoopAlgebraElement) -> LoopElement:
     the eigenbasis of the hermitian -i X: v diag(e^{i w}) v^H."""
     if xi.dim == 2:
         _, p, q = _su2_parts(xi.samples)
-        return LoopElement(_su2_exp(_su2_norm(0.0, p, q), p, q), check=False)
-    return LoopElement(_unitary(*np.linalg.eigh(-1j * xi.samples)), check=False)
+        return LoopElement._adopt(_su2_exp(_su2_norm(0.0, p, q), p, q))
+    return LoopElement._adopt(_unitary(*np.linalg.eigh(-1j * xi.samples)))
 
 
 def log_loop(g: LoopElement) -> LoopAlgebraElement:
@@ -276,7 +326,7 @@ def log_loop(g: LoopElement) -> LoopAlgebraElement:
     u = g.samples
     if g.dim == 2:
         p, q = _su2_log(u)
-        return LoopAlgebraElement(_su2_samples(0.0, p, q), check=False)
+        return LoopAlgebraElement._adopt(_su2_samples(0.0, p, q))
     eigenvalues, v = np.linalg.eig(u)
     phases = np.angle(eigenvalues)
     if np.abs(phases).max() >= np.pi - BRANCH_TOL:
@@ -287,7 +337,7 @@ def log_loop(g: LoopElement) -> LoopAlgebraElement:
     # project exactly onto su(n) to absorb roundoff
     x = 0.5 * (x - np.conj(np.swapaxes(x, 1, 2)))
     x = x - (np.trace(x, axis1=1, axis2=2) / g.dim)[:, None, None] * np.eye(g.dim)
-    return LoopAlgebraElement(x, check=False)
+    return LoopAlgebraElement._adopt(x)
 
 
 def _real_if_roundoff(value: complex):
@@ -379,9 +429,9 @@ def fragment_loop(
     if g.dim == 2:
         p, q = _su2_log(g.samples)
         theta = _su2_norm(0.0, p, q)
-        return tuple(LoopElement(_su2_exp(c * theta, c * p, c * q), check=False) for c in weights)
+        return tuple(LoopElement._adopt(_su2_exp(c * theta, c * p, c * q)) for c in weights)
     w, v = np.linalg.eigh(-1j * log_loop(g).samples)
-    return tuple(LoopElement(_unitary(c[:, None] * w, v), check=False) for c in weights)
+    return tuple(LoopElement._adopt(_unitary(c[:, None] * w, v)) for c in weights)
 
 
 def fragment_loop_sequential(

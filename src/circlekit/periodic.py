@@ -441,9 +441,11 @@ class PeriodicFunction:
         return self._from_spectrum(padded, m)
 
     def eval(self, t):
-        """Trigonometric interpolant at angle(s) t; exact at grid points."""
-        [out] = self._read(np.atleast_1d(np.asarray(t, dtype=float)), {})
-        return out[0] if np.isscalar(t) or np.ndim(t) == 0 else out
+        """Trigonometric interpolant at angle(s) t of any shape, read as one
+        flat array; exact at grid points."""
+        t = np.asarray(t, dtype=float)
+        [out] = self._read(t.ravel(), {})
+        return out[0] if t.ndim == 0 else out.reshape(t.shape + out.shape[1:])
 
     __call__ = eval
 

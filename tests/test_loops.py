@@ -387,9 +387,120 @@ def test_su2_identity_loop_is_exact():
 def test_su2_zero_entries_are_positive_zeros():
     # as in the matrix arithmetic: a written loop carries no "-0"
     g = exp_loop(random_loop_algebra(rng_for(23, 2), 0.05, N))
-    for part in (g, *fragment_loop(g, COVER), log_loop(g)):
+    e = LoopElement.identity(N)
+    zero = LoopAlgebraElement.zero(N)
+    parts = (g, *fragment_loop(g, COVER), log_loop(g), *fragment_loop(e, COVER), log_loop(e), exp_loop(zero))
+    for part in parts:
         for x in (part.samples.real, part.samples.imag):
             assert not np.signbit(x[x == 0]).any()
+
+
+def test_sinc_is_np_sinc_bit_for_bit():
+    tiny = np.finfo(float).smallest_subnormal
+    special = [0.0, -0.0, tiny, -tiny, 1e-310, -1e-310, 2.2e-308, 1e-20, np.pi, -np.pi, 2 * np.pi,
+               3 * np.pi, 1e3 * np.pi, 1e300, -1e300, np.inf, -np.inf, np.nan]
+    theta = np.concatenate([special, np.random.default_rng(5).uniform(-4.0, 4.0, 1000)])
+    given = theta.copy()
+    with np.errstate(invalid="ignore"):  # sin(+-inf)
+        assert loops._sinc(theta).tobytes() == np.sinc(theta / np.pi).tobytes()
+    assert theta.tobytes() == given.tobytes()
+
+
+def _parent_su2_formulas():
+    """The SU(2) closed forms as whole-array expressions, each result a new
+    temporary: the reference for the in-place kernels' bytes."""
+
+    def parts(x):
+        a = 0.5 * (x[:, 0, 0].real + x[:, 1, 1].real)
+        p = 0.5 * (x[:, 0, 0].imag - x[:, 1, 1].imag)
+        return a, p, 0.5 * (x[:, 0, 1] - np.conj(x[:, 1, 0]))
+
+    def samples(w, p, q):
+        out = np.empty((len(p), 2, 2), dtype=complex)
+        out.real[:, 0, 0] = out.real[:, 1, 1] = w
+        out.imag[:, 0, 0] = p + 0.0
+        out.imag[:, 1, 1] = 0.0 - p
+        out[:, 0, 1] = q + 0.0
+        out[:, 1, 0] = 0.0 - np.conj(q)
+        return out
+
+    def log(u):
+        w, p, q = parts(u)
+        factor = 1.0 / np.sinc(np.arccos(np.clip(w, -1.0, 1.0)) / np.pi)
+        return factor * p, factor * q
+
+    def norm(a, p, q):
+        return np.sqrt(p**2 + q.real**2 + q.imag**2 + a**2)
+
+    def exp(theta, p, q):
+        s = np.sinc(theta / np.pi)
+        return samples(np.cos(theta), s * p, s * q)
+
+    return parts, samples, log, norm, exp
+
+
+def _with_signed_zeros(rng, x):
+    """x with a third of its real and imaginary parts set to +0 or -0."""
+    v = x.copy().view(float)
+    hit = rng.random(v.shape) < 1 / 3
+    v[hit] = np.where(rng.random(hit.sum()) < 0.5, 0.0, -0.0)
+    return v.view(complex)
+
+
+def test_su2_kernels_give_the_whole_array_formulas_bytes():
+    parts, samples, log, norm, exp = _parent_su2_formulas()
+    rng = np.random.default_rng(34)
+    xi = random_loop_algebra(rng_for(34, 1), 0.7, N)
+    group = exp_loop(xi).samples
+    algebra = _with_signed_zeros(rng, xi.samples)
+    general = _with_signed_zeros(rng, rng.normal(size=(N, 2, 2)) + 1j * rng.normal(size=(N, 2, 2)))
+    for x in (group, xi.samples, algebra, general, LoopElement.identity(N).samples):
+        for got, want in zip(loops._su2_parts(x), parts(x)):
+            assert got.tobytes() == want.tobytes()
+        for a in (parts(x)[0], 0.0):
+            assert loops._su2_norm(a, *parts(x)[1:]).tobytes() == norm(a, *parts(x)[1:]).tobytes()
+        _, p, q = parts(x)
+        assert loops._su2_samples(0.5, p, q).tobytes() == samples(0.5, p, q).tobytes()
+        theta = norm(0.0, p, q)
+        assert loops._su2_exp(theta.copy(), p.copy(), q.copy()).tobytes() == exp(theta, p, q).tobytes()
+    for u in (group, LoopElement.identity(N).samples):
+        for got, want in zip(loops._su2_log(u), log(u)):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_loops_adopt_the_arrays_they_build_and_copy_the_callers(monkeypatch):
+    """Factors, exponentials and logarithms are read-only; an array a caller
+    hands to a constructor is copied; only fresh C-contiguous complex128
+    arrays that own their data are adopted without a copy."""
+    adopted = []
+    adopt = loops._Loop.__dict__["_adopt"].__func__
+
+    def spy(cls, samples):
+        adopted.append(samples)
+        return adopt(cls, samples)
+
+    monkeypatch.setattr(loops._Loop, "_adopt", classmethod(spy))
+    g2 = exp_loop(random_loop_algebra(rng_for(34, 2), 0.3, N))
+    g3 = exp_loop(_su3_loop_algebra(64, 0.5))
+    d = random_diffeo(rng_for(34, 3), 0.05, N)
+    for g in (g2, g3):
+        inv = inverse_loop(g)
+        assert not inv.samples.flags.c_contiguous  # a view-ordered transpose, never adopted
+        made = [*fragment_loop(g, COVER), *fragment_loop_sequential(g, COVER), exp_loop(log_loop(g)), log_loop(g),
+                multiply(g, inv), precompose(g, d)]
+        for el in made:
+            assert not el.samples.flags.writeable
+            with pytest.raises(ValueError):
+                el.samples[0, 0, 0] = 2.0
+    assert len(adopted) >= 20
+    for arr in adopted:
+        assert arr.flags.c_contiguous and arr.flags.owndata and arr.dtype == np.complex128
+    for cls, arr in ((LoopElement, g2.samples.copy()), (LoopAlgebraElement, log_loop(g2).samples.copy())):
+        before = arr.copy()
+        el = cls(arr)
+        arr[:] = 0.0
+        assert arr.flags.writeable and not np.shares_memory(el.samples, arr)
+        assert el.samples.tobytes() == before.tobytes()
 
 
 def test_cutoff_weight_memo_is_bounded_and_read_only():

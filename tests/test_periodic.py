@@ -53,6 +53,23 @@ def test_eval_exact_at_grid_points():
     assert np.array_equal(f.eval(grid(256)), samples)
 
 
+def test_eval_reads_any_shape_of_angles():
+    """An n-d array of angles reads as its flat array, reshaped; a scalar or
+    0-d angle reads as the one entry of a 1-entry array."""
+    t = grid(64)
+    loop = exp_loop(LoopAlgebraElement.from_components(0.3 * np.cos(t), 0.2 * np.sin(2 * t), 0.0 * t))
+    gamma = CircleDiffeo.from_fourier([(1, 0.02, 0.01), (3, 0.0, 0.005)], 64)
+    angles = np.array([[0.1, -2.0, 7.5], [np.pi, 0.0, 1e-3]])
+    for f in (PeriodicFunction(np.sin(t)), PeriodicFunction(np.sin(t) + 0.5j * np.cos(2 * t)), loop.pf, gamma):
+        flat = f.eval(angles.ravel())
+        out = f.eval(angles)
+        assert out.shape == angles.shape + flat.shape[1:]
+        assert out.tobytes() == flat.tobytes()
+        for x in (0.1, np.float64(0.1), np.array(0.1)):
+            assert np.asarray(f.eval(x)).tobytes() == f.eval(np.array([0.1]))[0].tobytes()
+            assert np.shape(f.eval(x)) == flat.shape[1:]
+
+
 @pytest.mark.parametrize("m", [16, 1024, 8192])
 def test_stencil_sample_exact_at_and_near_nodes(m):
     """Nodes, nodes moved by half the snap distance either way, and points just
