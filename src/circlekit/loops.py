@@ -13,9 +13,9 @@ their whole-array expressions without their temporaries: _sinc is
 np.sinc(theta / pi) bit for bit without its Python wrapper, _su2_parts,
 _su2_norm and _su2_log compute in place on arrays they allocate, _su2_exp
 overwrites the fresh arrays its callers hand it, and _su2_samples writes
-each entry through a view of its output.  A loop the library has just built
-is held by _Loop._adopt, read-only and not copied; the constructors still
-copy a caller's array.  SU(n) with n > 2 takes batched numpy
+each entry through a view of its output.  A loop has two ways in: the
+constructors copy and check a caller's array; _Loop._adopt holds the
+fresh result of an operation on loops.  SU(n) with n > 2 takes batched numpy
 eigensolves (exp: eigh of the hermitian -i X; log: eig of U; fragment_loop:
 the log's eig plus one eigh), batched matmul and SVD norms.  The invariant
 bilinear form is tr(XY) in the defining representation, normalized so the
@@ -64,27 +64,24 @@ def su2_generators() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 class _Loop:
-    """Grid samples of matrices, held as a PeriodicFunction; check=True runs
-    the subclass's _check on them."""
+    """Grid samples of matrices, held as a PeriodicFunction: the constructor
+    copies and checks a caller's array, _adopt holds an operation's result."""
 
     __slots__ = ("pf",)
 
-    def __init__(self, samples, check: bool = True) -> None:
-        if not isinstance(samples, PeriodicFunction):
-            samples = np.asarray(samples, dtype=complex)
-            if samples.ndim != 3 or samples.shape[1] != samples.shape[2]:
-                raise ValueError("loop samples must have shape (N, n, n)")
-            samples = PeriodicFunction(samples)
-        self.pf = samples
-        if check:
-            self._check(self.pf.samples)
+    def __init__(self, samples) -> None:
+        samples = np.asarray(samples, dtype=complex)
+        if samples.ndim != 3 or samples.shape[1] != samples.shape[2]:
+            raise ValueError("loop samples must have shape (N, n, n)")
+        self.pf = PeriodicFunction(samples)
+        self._check(self.pf.samples)
 
     @classmethod
     def _adopt(cls, samples: np.ndarray):
-        """The loop of a C-contiguous complex128 (N, n, n) array of grid samples
-        that the library has just built and holds nowhere else: held read-only
-        as the samples through PeriodicFunction._adopt, neither checked nor
-        copied as the constructor does."""
+        """The loop of a C-contiguous complex128 (N, n, n) array that an
+        operation on existing loops has just computed, sharing memory with no
+        operand: held read-only as the samples through PeriodicFunction._adopt,
+        neither checked nor copied as the constructor does."""
         loop = cls.__new__(cls)
         loop.pf = PeriodicFunction._adopt(samples)
         return loop
@@ -118,18 +115,20 @@ class LoopAlgebraElement(_Loop):
 
     @classmethod
     def zero(cls, n: int = 1024, dim: int = 2) -> "LoopAlgebraElement":
-        return cls(np.zeros((n, dim, dim), dtype=complex), check=False)
+        return cls(np.zeros((n, dim, dim)))
 
     @classmethod
     def from_components(cls, cx, cy, cz) -> "LoopAlgebraElement":
         """su(2) element c_x i sigma_1 + c_y i sigma_2 + c_z i sigma_3: p = c_z, q = c_y + i c_x."""
         cx, cy, cz = (np.asarray(c, dtype=float) for c in (cx, cy, cz))
-        return cls(_su2_samples(0.0, cz, cy + 1j * cx), check=False)
+        return cls(_su2_samples(0.0, cz, cy + 1j * cx))
 
     def scaled(self, factors) -> "LoopAlgebraElement":
-        """Pointwise multiplication by a real scalar function (cutoff)."""
+        """Pointwise multiplication by the 1-d grid samples of a real function (cutoff)."""
         f = np.asarray(factors, dtype=float)
-        return LoopAlgebraElement(self.samples * f[:, None, None], check=False)
+        if f.shape != (self.n,):
+            raise ValueError(f"factors must be the {self.n} grid samples, got shape {f.shape}")
+        return LoopAlgebraElement._adopt(self.samples * f[:, None, None])
 
     def norm(self) -> float:
         """Sup over the grid of the operator norm; for su(2), exact on su(2)
@@ -137,10 +136,12 @@ class LoopAlgebraElement(_Loop):
         return float(_operator_norms(self.samples).max())
 
     def __add__(self, other):
-        return LoopAlgebraElement(self.samples + other.samples, check=False)
+        _same_shape(self, other)
+        return LoopAlgebraElement._adopt(self.samples + other.samples)
 
     def __sub__(self, other):
-        return LoopAlgebraElement(self.samples - other.samples, check=False)
+        _same_shape(self, other)
+        return LoopAlgebraElement._adopt(self.samples - other.samples)
 
     def __repr__(self) -> str:
         return f"LoopAlgebraElement(n={self.n}, su({self.dim}), norm={self.norm():.3e})"
@@ -163,7 +164,7 @@ class LoopElement(_Loop):
 
     @classmethod
     def identity(cls, n: int = 1024, dim: int = 2) -> "LoopElement":
-        return cls(np.broadcast_to(np.eye(dim, dtype=complex), (n, dim, dim)).copy(), check=False)
+        return cls(np.broadcast_to(np.eye(dim), (n, dim, dim)))
 
     def distance_to_identity(self) -> np.ndarray:
         """Per-sample operator norm of U - I; for SU(2), blind as norm() is."""
@@ -286,9 +287,16 @@ def _su2_exp(theta: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _same_shape(a: _Loop, b: _Loop) -> None:
+    """ValueError unless the loops a and b share one grid (_same_grid) and one matrix size."""
+    _same_grid(a, b)
+    if a.dim != b.dim:
+        raise ValueError(f"matrix size mismatch: {a.dim}x{a.dim} and {b.dim}x{b.dim} samples")
+
+
 def multiply(g1: LoopElement, g2: LoopElement, tail_tol: float = DEFAULT_TAIL_TOL) -> LoopElement:
     """Pointwise matrix product."""
-    _same_grid(g1, g2)
+    _same_shape(g1, g2)
     product = LoopElement._adopt(_product(g1.samples, g2.samples))
     _check_tail(product.pf, tail_tol, "loop product")
     return product
@@ -296,7 +304,7 @@ def multiply(g1: LoopElement, g2: LoopElement, tail_tol: float = DEFAULT_TAIL_TO
 
 def inverse_loop(g: LoopElement) -> LoopElement:
     """Pointwise inverse (conjugate transpose)."""
-    return LoopElement(np.conj(np.swapaxes(g.samples, 1, 2)), check=False)
+    return LoopElement._adopt(np.conj(np.swapaxes(g.samples, 1, 2), order="C"))
 
 
 def _unitary(w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -356,14 +364,14 @@ def killing_form(x: np.ndarray, y: np.ndarray):
 
 def bracket(xi: LoopAlgebraElement, eta: LoopAlgebraElement) -> LoopAlgebraElement:
     """Pointwise commutator [xi, eta](t) = xi(t) eta(t) - eta(t) xi(t)."""
-    _same_grid(xi, eta)
+    _same_shape(xi, eta)
     a, b = xi.samples, eta.samples
-    return LoopAlgebraElement(_product(a, b) - _product(b, a), check=False)
+    return LoopAlgebraElement._adopt(_product(a, b) - _product(b, a))
 
 
 def omega(xi: LoopAlgebraElement, eta: LoopAlgebraElement):
     """Central-extension cocycle (1/2pi) * int tr(xi(t) eta'(t)) dt."""
-    _same_grid(xi, eta)
+    _same_shape(xi, eta)
     deta = eta.pf.derivative()
     integrand = np.einsum("tij,tji->t", xi.samples, deta.samples)
     return _real_if_roundoff(complex(integrand.mean()))
@@ -371,7 +379,7 @@ def omega(xi: LoopAlgebraElement, eta: LoopAlgebraElement):
 
 def precompose(el, diffeo: CircleDiffeo):
     """Reparametrize a loop (group or algebra element) by a diffeomorphism."""
-    return type(el)(diffeo._pull_back(el.pf), check=False)
+    return type(el)._adopt(diffeo._pull_back(el.pf))
 
 
 def loop_support(g: LoopElement, tol: float = 1e-10):
@@ -472,6 +480,8 @@ def loop_to_csv(el, path) -> None:
 
 def loop_from_csv(path, kind="group"):
     """Read a loop written by loop_to_csv; kind is "group" or "algebra"."""
+    if kind not in ("group", "algebra"):
+        raise ValueError(f'kind must be "group" or "algebra", got {kind!r}')
     data = np.loadtxt(path, delimiter=",")
     n, cols = data.shape
     d = int(round(np.sqrt((cols - 1) // 2)))

@@ -325,7 +325,7 @@ class PeriodicFunction:
         if arr.ndim not in (1, 3):
             raise ValueError("samples must be a vector or a stack of matrices")
         _check_grid_size(arr.shape[0])
-        self._hold(arr.astype(complex if np.iscomplexobj(arr) else float))
+        self._hold(arr.astype(complex if np.iscomplexobj(arr) else float, order="C"))
 
     def _hold(self, arr: np.ndarray) -> None:
         """Hold a float64 or complex128 array of grid samples, made read-only."""

@@ -190,6 +190,21 @@ def test_loop_csv_roundtrip(tmp_path):
     assert np.abs(back.samples - g.samples).max() < 1e-15
 
 
+def test_loop_from_csv_reads_only_the_two_kinds(tmp_path):
+    xi = random_loop_algebra(rng_for(35, 4), 0.4, 64)
+    path = tmp_path / "xi.csv"
+    loop_to_csv(xi, path)
+    for kind in ("Group", "algebr", "", None):
+        with pytest.raises(ValueError, match="kind must be"):
+            loop_from_csv(path, kind=kind)
+    with pytest.raises(ValueError, match="kind must be"):
+        loop_from_csv(tmp_path / "missing.csv", kind="loop")  # refused before the file is read
+    back = loop_from_csv(path, kind="algebra")
+    assert type(back) is LoopAlgebraElement and back.samples.tobytes() == xi.samples.tobytes()
+    loop_to_csv(exp_loop(xi), path)
+    assert type(loop_from_csv(path, kind="group")) is LoopElement
+
+
 def test_su2_samples_carry_no_negative_zero(tmp_path):
     """from_components writes its samples as _su2_samples does, so a zero
     entry is +0 and the algebra loop's CSV has no "-0" field."""
@@ -205,14 +220,14 @@ def test_su2_samples_carry_no_negative_zero(tmp_path):
 def test_su2_norm_reads_only_real_trace_and_su2_part():
     """The 2x2 operator norm is exact on a I + su(2): X reads |X| and U - I
     reads 2 sin(t / 2) for U = exp(t X / |X|).  By design it reads 0 in the
-    parts a sample admitted with check=False has outside a I + su(2)."""
+    parts a sample adopted unchecked has outside a I + su(2)."""
     x = np.array([[0.3j, 0.4 - 1.2j], [-0.4 - 1.2j, -0.3j]])
     xi = LoopAlgebraElement(np.broadcast_to(x, (N, 2, 2)).copy())
     assert xi.norm() == pytest.approx(1.3, abs=1e-15)
     assert np.abs(exp_loop(xi).distance_to_identity() - 2.0 * np.sin(0.65)).max() <= 1e-15
     for outside in (1j * np.eye(2), np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])):
-        samples = np.broadcast_to(outside.astype(complex), (N, 2, 2)).copy()
-        assert LoopAlgebraElement(samples, check=False).norm() == 0.0
+        samples = np.broadcast_to(outside.astype(complex), (N, 2, 2))
+        assert LoopAlgebraElement._adopt(samples.copy()).norm() == 0.0
 
 
 def test_invariant_validation():
@@ -343,7 +358,7 @@ def test_su2_exp_and_norm_match_expm_and_svd(xi):
 @given(su2_loops())
 def test_su2_log_fragment_and_distance_match_generic(loop):
     u, eps = loop
-    g = LoopElement(u, check=False)
+    g = LoopElement._adopt(u.copy())
     dist = g.distance_to_identity()
     svd = _svd_norms(u - EYE)
     # exact on SU(2); a perturbation of entry size eps moves either norm by at most 2 eps
@@ -369,7 +384,7 @@ def test_su2_log_fragment_and_distance_match_generic(loop):
 @given(su2_loops(), su2_loops(), su2_algebra(), su2_algebra())
 def test_su2_products_match_matmul(loop_u, loop_v, xi, eta):
     u, v = loop_u[0], loop_v[0]
-    prod = multiply(LoopElement(u, check=False), LoopElement(v, check=False), None).samples
+    prod = multiply(LoopElement._adopt(u.copy()), LoopElement._adopt(v.copy()), None).samples
     assert np.abs(prod - u @ v).max() < 1e-15
     a, b = xi.samples, eta.samples
     comm = bracket(xi, eta).samples
@@ -471,7 +486,7 @@ def test_su2_kernels_give_the_whole_array_formulas_bytes():
 def test_loops_adopt_the_arrays_they_build_and_copy_the_callers(monkeypatch):
     """Factors, exponentials and logarithms are read-only; an array a caller
     hands to a constructor is copied; only fresh C-contiguous complex128
-    arrays that own their data are adopted without a copy."""
+    arrays that share memory with no operand are adopted without a copy."""
     adopted = []
     adopt = loops._Loop.__dict__["_adopt"].__func__
 
@@ -485,7 +500,7 @@ def test_loops_adopt_the_arrays_they_build_and_copy_the_callers(monkeypatch):
     d = random_diffeo(rng_for(34, 3), 0.05, N)
     for g in (g2, g3):
         inv = inverse_loop(g)
-        assert not inv.samples.flags.c_contiguous  # a view-ordered transpose, never adopted
+        assert inv.samples.flags.c_contiguous  # the transpose is written in C order
         made = [*fragment_loop(g, COVER), *fragment_loop_sequential(g, COVER), exp_loop(log_loop(g)), log_loop(g),
                 multiply(g, inv), precompose(g, d)]
         for el in made:
@@ -493,14 +508,110 @@ def test_loops_adopt_the_arrays_they_build_and_copy_the_callers(monkeypatch):
             with pytest.raises(ValueError):
                 el.samples[0, 0, 0] = 2.0
     assert len(adopted) >= 20
-    for arr in adopted:
-        assert arr.flags.c_contiguous and arr.flags.owndata and arr.dtype == np.complex128
+    assert adopted[0] is g2.samples  # g2 and g3 are adopted too: each array is its own buffer
+    for i, arr in enumerate(adopted):
+        assert arr.flags.c_contiguous and arr.dtype == np.complex128
+        assert not any(np.shares_memory(arr, other) for other in [d.samples, *adopted[:i]])
     for cls, arr in ((LoopElement, g2.samples.copy()), (LoopAlgebraElement, log_loop(g2).samples.copy())):
         before = arr.copy()
         el = cls(arr)
         arr[:] = 0.0
         assert arr.flags.writeable and not np.shares_memory(el.samples, arr)
         assert el.samples.tobytes() == before.tobytes()
+
+
+def test_constructors_refuse_a_grid_that_is_no_power_of_two():
+    """zero, identity and from_components take a caller's grid size or arrays
+    and go through the checked constructor."""
+    for make in (
+        lambda: LoopAlgebraElement.zero(10),
+        lambda: LoopAlgebraElement.zero(10, 3),
+        lambda: LoopElement.identity(10),
+        lambda: LoopElement.identity(10, 3),
+        lambda: LoopAlgebraElement.from_components(*np.zeros((3, 10))),
+        lambda: LoopAlgebraElement.from_components(np.ones(10), np.zeros(10), np.zeros(10)),
+    ):
+        with pytest.raises(ValueError, match="power of two"):
+            make()
+
+
+def test_scaled_refuses_factors_that_are_not_the_grid_samples():
+    """0-d, 2-d and other-length factors are refused before any product, not
+    broadcast into a constant factor or a (64, 64, 2, 2) array."""
+    xi = random_loop_algebra(rng_for(35, 5), 0.4, 64)
+    for factors in (1.0, np.float64(0.5), [2.0], np.ones(32), np.ones((64, 1)), np.ones((1, 64)), np.ones((64, 64))):
+        with pytest.raises(ValueError, match="factors must be the 64 grid samples"):
+            xi.scaled(factors)
+
+
+def test_binary_operations_refuse_loops_of_another_shape():
+    """One operand gate: a different grid size or matrix size is a ValueError,
+    not a broadcast error or a product read from one operand's top-left block."""
+    for n2, dim2 in ((64, 3), (128, 2)):
+        g, h = LoopElement.identity(64, 2), LoopElement.identity(n2, dim2)
+        xi, eta = LoopAlgebraElement.zero(64, 2), LoopAlgebraElement.zero(n2, dim2)
+        for op in (
+            lambda: multiply(g, h),
+            lambda: multiply(h, g),
+            lambda: bracket(xi, eta),
+            lambda: omega(xi, eta),
+            lambda: omega(eta, xi),
+            lambda: xi + eta,
+            lambda: xi - eta,
+            lambda: eta - xi,
+        ):
+            with pytest.raises(ValueError, match=f"^{'grid' if n2 != 64 else 'matrix'} size mismatch"):
+                op()
+
+
+def test_operations_on_loops_give_fresh_read_only_arrays():
+    """scaled, +, -, bracket, inverse_loop and precompose adopt what they
+    compute: read-only, C-contiguous complex128 and sharing memory with no
+    operand's samples and none of the caller's factors, also where a zero
+    operand or unit factors would allow the result to be an operand."""
+    d = random_diffeo(rng_for(35, 6), 0.05, N)
+    for xi, eta in (
+        (random_loop_algebra(rng_for(35, 7), 0.4, N), random_loop_algebra(rng_for(35, 8), 0.4, N)),
+        (_su3_loop_algebra(N, 0.5), _su3_loop_algebra(N, -0.3)),
+    ):
+        zero, g = LoopAlgebraElement.zero(N, xi.dim), exp_loop(xi)
+        cutoff, ones = np.cos(T), np.ones(N)
+        cases = [
+            (xi.scaled(cutoff), [xi.samples, cutoff]),
+            (xi.scaled(ones), [xi.samples, ones]),
+            (xi + eta, [xi.samples, eta.samples]),
+            (xi + zero, [xi.samples, zero.samples]),
+            (xi - eta, [xi.samples, eta.samples]),
+            (zero - xi, [xi.samples, zero.samples]),
+            (bracket(xi, eta), [xi.samples, eta.samples]),
+            (inverse_loop(g), [g.samples]),
+            (precompose(g, d), [g.samples, d.samples]),
+            (precompose(xi, d), [xi.samples, d.samples]),
+        ]
+        for el, operands in cases:
+            arr = el.samples
+            assert not arr.flags.writeable and arr.flags.c_contiguous and arr.dtype == np.complex128
+            assert arr.shape == xi.samples.shape
+            assert not any(np.shares_memory(arr, op) for op in operands)
+            with pytest.raises(ValueError):
+                arr[0, 0, 0] = 2.0
+        assert cutoff.flags.writeable and ones.flags.writeable
+
+
+def test_loops_of_transposed_or_broadcast_arrays_evaluate():
+    """The constructor copies a caller's array in C order and inverse_loop
+    writes its transpose in C order, so both read through the evaluation
+    cache's stencil-row view, which needs a C-contiguous cache."""
+    d = random_diffeo(rng_for(35, 9), 0.05, N)
+    t = np.linspace(0.0, 6.0, 41)
+    ident = LoopElement(np.broadcast_to(np.eye(2), (N, 2, 2)))
+    assert ident.samples.flags.c_contiguous
+    assert np.abs(ident.pf.eval(t) - np.eye(2)).max() <= 1e-15
+    g = exp_loop(random_loop_algebra(rng_for(35, 10), 0.3, N))
+    for u in (inverse_loop(g), LoopElement(np.conj(np.swapaxes(g.samples, 1, 2)))):
+        assert u.samples.flags.c_contiguous
+        assert np.abs(u.pf.eval(t) - np.conj(np.swapaxes(g.pf.eval(t), 1, 2))).max() <= 1e-15
+        assert np.abs(precompose(u, d).samples - inverse_loop(precompose(g, d)).samples).max() <= 1e-15
 
 
 def test_cutoff_weight_memo_is_bounded_and_read_only():

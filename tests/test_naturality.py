@@ -38,7 +38,7 @@ def conjugated(g: CircleDiffeo, k: int) -> CircleDiffeo:
 
 
 def rolled(el, k: int):
-    return type(el)(np.roll(el.samples, k, axis=0), check=False)
+    return type(el)(np.roll(el.samples, k, axis=0))
 
 
 @pytest.mark.parametrize("k", TURNS)

@@ -33,7 +33,7 @@ PACKAGE_NAMES = [
 
 
 # defaulted parameters of the exported callables, see test_defaulted_parameter_count
-DEFAULTED_PARAMETERS = 49
+DEFAULTED_PARAMETERS = 47
 
 
 @pytest.mark.parametrize("name", MODULES)
