@@ -74,6 +74,8 @@ class _Loop:
         if samples.ndim != 3 or samples.shape[1] != samples.shape[2]:
             raise ValueError("loop samples must have shape (N, n, n)")
         self.pf = PeriodicFunction(samples)
+        if not np.isfinite(self.pf.samples).all():  # NaN passes every "max > tol" of _check
+            raise ValueError("loop samples are not finite")
         self._check(self.pf.samples)
 
     @classmethod
@@ -107,7 +109,7 @@ class LoopAlgebraElement(_Loop):
     @staticmethod
     def _check(x: np.ndarray) -> None:
         herm = np.abs(x + np.conj(np.swapaxes(x, 1, 2))).max()
-        tr = np.abs(np.trace(x, axis1=1, axis2=2)).max()
+        tr = np.abs(np.einsum("nii->n", x)).max()
         if herm > 1e-12 or tr > 1e-12:
             raise ValueError(
                 f"samples not in su(n): anti-hermiticity {herm:.2e}, trace {tr:.2e}"
@@ -288,7 +290,10 @@ def _su2_exp(theta: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _same_shape(a: _Loop, b: _Loop) -> None:
-    """ValueError unless the loops a and b share one grid (_same_grid) and one matrix size."""
+    """TypeError unless a and b are loops, ValueError unless they share one
+    grid (_same_grid) and one matrix size."""
+    if not (isinstance(a, _Loop) and isinstance(b, _Loop)):
+        raise TypeError(f"operands must be loops, got {type(a).__name__} and {type(b).__name__}")
     _same_grid(a, b)
     if a.dim != b.dim:
         raise ValueError(f"matrix size mismatch: {a.dim}x{a.dim} and {b.dim}x{b.dim} samples")
@@ -485,6 +490,5 @@ def loop_from_csv(path, kind="group"):
     data = np.loadtxt(path, delimiter=",")
     n, cols = data.shape
     d = int(round(np.sqrt((cols - 1) // 2)))
-    vals = data[:, 1:].reshape(n, d, d, 2)
-    samples = vals[..., 0] + 1j * vals[..., 1]
+    samples = data[:, 1:].reshape(n, d, d, 2).view(complex)[..., 0]  # each (re, im) pair read as it was written
     return LoopElement(samples) if kind == "group" else LoopAlgebraElement(samples)

@@ -12,7 +12,7 @@ import functools
 import numpy as np
 
 from .diffeo import CircleDiffeo, IntervalArc, _c1_distance, make_bump
-from .loops import LoopAlgebraElement
+from .loops import LoopAlgebraElement, _su2_norm
 from .periodic import PeriodicFunction, grid
 
 __all__ = [
@@ -49,10 +49,12 @@ def _band_limited(rng: np.random.Generator, n: int, modes: int) -> np.ndarray:
 
 
 def _scaled_diffeo(p: np.ndarray, eps: float, fill: float) -> CircleDiffeo:
-    """gamma = t + scale * p with C^1 distance fill * eps from the identity."""
-    dp = PeriodicFunction(p).derivative().samples
+    """gamma = t + scale * p at C^1 distance fill * eps from the identity, built from p's derivative and spectrum."""
+    pf = PeriodicFunction(p)
+    dp = pf.derivative().samples
     scale = fill * eps / max(_c1_distance(p, dp), 1e-300)
-    return CircleDiffeo(PeriodicFunction(scale * p))
+    part = PeriodicFunction._with_spectrum(scale * p, scale * pf.spectrum)
+    return CircleDiffeo._from_parts(part, PeriodicFunction._adopt(scale * dp))
 
 
 def random_diffeo(rng: np.random.Generator, eps: float, n: int = 1024, fill: float = 0.9) -> CircleDiffeo:
@@ -70,10 +72,9 @@ def random_vect_field(rng: np.random.Generator, n: int = 1024, modes: int = 6) -
 
 def random_loop_algebra(rng: np.random.Generator, norm: float, n: int = 1024) -> LoopAlgebraElement:
     """su(2)-valued loop from 6 modes with sup operator norm about 0.9 * norm."""
-    comps = np.stack([_band_limited(rng, n, 6) for _ in range(3)])
-    point = np.sqrt((comps**2).sum(axis=0)).max()
-    comps *= 0.9 * norm / max(point, 1e-300)
-    return LoopAlgebraElement.from_components(*comps)
+    cx, cy, cz = (_band_limited(rng, n, 6) for _ in range(3))
+    scale = 0.9 * norm / max(_su2_norm(0.0, cz, cy + 1j * cx).max(), 1e-300)
+    return LoopAlgebraElement.from_components(scale * cx, scale * cy, scale * cz)
 
 
 def random_supported_diffeo(
@@ -87,7 +88,6 @@ def random_supported_diffeo(
     """
     inset = rng.uniform(0.22, 0.35, size=2) * arc.length
     plateau = IntervalArc(arc.a + inset[0], arc.b - inset[1])
-    bump = make_bump(arc, plateau)
     t = grid(n)
     wobble = 1.0 + 0.3 * np.sin(rng.integers(1, 4) * t + rng.uniform(0, 2 * np.pi))
-    return _scaled_diffeo(bump.values(t) * wobble * rng.choice([-1.0, 1.0]), eps, 0.9)
+    return _scaled_diffeo(make_bump(arc, plateau).values(t) * wobble * rng.choice([-1.0, 1.0]), eps, 0.9)

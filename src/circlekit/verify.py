@@ -454,8 +454,7 @@ def verma_suite(n: int) -> list:
 
     return [
         CheckResult("verma.commutators_exact", float(failures), 0.5),
-        # name kept for the byte-stable JSON report; checks the level-1 and level-2 closed forms
-        CheckResult("verma.gram_level1_and_symmetry", float(gram_bad), 0.5),
+        CheckResult("verma.gram_levels1_2_closed_form", float(gram_bad), 0.5),
         CheckResult("verma.gram_level2_determinants", float(det_bad), 0.5),
         CheckResult("verma.central_scalar", float(central_bad), 0.5),
     ]

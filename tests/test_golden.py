@@ -31,7 +31,7 @@ GRAM_DIGESTS = {
     "26 3/2": "9e0a55e17da8052582e7f1b1cdf06b21c26c156211df0f468abf5f950a192d65",
 }
 
-VERIFY_ALL_REPORT = "de8df0e8002266bc1dd19dd43d28092a336815faa8dfad9e7d71ef20b280877c"
+VERIFY_ALL_REPORT = "3e3f2ebc710e28423d9a8bddc99737adc29c659a2a9566778944e0630782c0a5"
 
 # the files one CLI run writes, by command
 CSV_DIGESTS = {
@@ -63,7 +63,7 @@ SCALAR_CSV_DIGESTS = {
 SPECTRAL_DIGEST = "f767a8a4db8a68f7934e7df2a5729311229b572440cb1ce593fa0c28a0e5610d"
 
 # the bytes of the cover geometry, see test_geometry_digest
-GEOMETRY_DIGEST = "28bd1ca6f09d17f2c189ac01e2954a0dcca240a53d57d545a1a8333af336959a"
+GEOMETRY_DIGEST = "9d92cfe28f8ff02a04bd724f7e81a0ca918bc1441a318a9abfca76543e845a5a"
 
 
 def test_verma_cli_stdout_digest():

@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -562,6 +563,50 @@ def test_binary_operations_refuse_loops_of_another_shape():
         ):
             with pytest.raises(ValueError, match=f"^{'grid' if n2 != 64 else 'matrix'} size mismatch"):
                 op()
+
+
+def test_binary_operations_refuse_operands_that_are_not_loops():
+    """The operand gate refuses an array or a number with a TypeError, on
+    either side, before it reads a grid size."""
+    g, xi = LoopElement.identity(64, 2), LoopAlgebraElement.zero(64, 2)
+    for other in (np.zeros((64, 2, 2)), 1.0, None):
+        for op in (
+            lambda: xi + other,
+            lambda: xi - other,
+            lambda: multiply(g, other),
+            lambda: multiply(other, g),
+            lambda: bracket(xi, other),
+            lambda: bracket(other, xi),
+            lambda: omega(xi, other),
+            lambda: omega(other, xi),
+        ):
+            with pytest.raises(TypeError, match="operands must be loops"):
+                op()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_constructors_refuse_samples_that_are_not_finite(bad, tmp_path):
+    """A NaN or an infinity in the real or the imaginary part of one entry is
+    refused before the membership checks, whose "max > tol" comparisons are
+    False for NaN, and before LoopElement's determinant, which warns on it;
+    loop_from_csv and from_components go through the same gate."""
+    xi = random_loop_algebra(rng_for(36, 4), 0.4, 64)
+    path = tmp_path / "loop.csv"
+    for kind, cls, loop in (("algebra", LoopAlgebraElement, xi), ("group", LoopElement, exp_loop(xi))):
+        for part in ("real", "imag"):
+            samples = loop.samples.copy()
+            getattr(samples, part)[5, 0, 1] = bad
+            loop_to_csv(cls._adopt(samples), path)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for make in (lambda: cls(samples), lambda: loop_from_csv(path, kind=kind)):
+                    with pytest.raises(ValueError, match="^loop samples are not finite$"):
+                        make()
+    for axis in range(3):
+        comps = [np.zeros(64) for _ in range(3)]
+        comps[axis][7] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="^loop samples are not finite$"):
+            LoopAlgebraElement.from_components(*comps)
 
 
 def test_operations_on_loops_give_fresh_read_only_arrays():

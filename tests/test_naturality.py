@@ -1,4 +1,5 @@
-"""Naturality under rotations by whole grid steps, checked to round-off.
+"""Naturality under rotations by whole grid steps, and of the loop cocycle
+under every diffeomorphism, checked to round-off.
 
 The covariance cocycles are natural under the action of diffeomorphisms.
 Rotation R by k grid steps is the one such action that a grid represents
@@ -7,6 +8,12 @@ field with R, rolls its samples by k.  So fragmenting over the cover turned
 by k steps must roll the factors, and the cocycles must not change.  A bug in
 an integration origin, a cover index or a quadrature offset breaks this far
 above round-off, though a 1e-7 reconstruction bound would let it through.
+
+The loop cocycle omega(X, Y) = (1/2pi) int tr(X dY) is moreover invariant
+under any reparametrization, omega(X o phi, Y o phi) = omega(X, Y), by
+substitution (Pressley & Segal 1986, 4.2).  For phi far from the identity
+precompose reads the matrix caches between their nodes, so the test pins
+those reads against an exact invariant.
 """
 
 import numpy as np
@@ -15,7 +22,7 @@ import pytest
 from circlekit.cocycles import bott, vect_cocycle
 from circlekit.diffeo import CircleDiffeo, CoverConfig, IntervalArc
 from circlekit.frag_diff import fragment
-from circlekit.loops import exp_loop, fragment_loop, omega
+from circlekit.loops import exp_loop, fragment_loop, omega, precompose
 from circlekit.periodic import TWO_PI, PeriodicFunction
 from circlekit.sampling import random_diffeo, random_loop_algebra, random_vect_field, rng_for
 
@@ -88,3 +95,12 @@ def test_omega_is_invariant_under_a_node_shift(k):
         xi, eta = (random_loop_algebra(rng_for(27, j, i), 0.5, N) for j in (7, 8))
         scale = np.abs(np.einsum("tij,tji->t", xi.samples, eta.pf.derivative().samples)).mean()
         assert abs(omega(rolled(xi, k), rolled(eta, k)) - omega(xi, eta)) <= TOL * scale
+
+
+@pytest.mark.parametrize("n", [1024, 4096])
+def test_omega_is_invariant_under_reparametrization(n):
+    for i in range(4):
+        phi = random_diffeo(rng_for(5, i), 0.3, n)
+        xi, eta = (random_loop_algebra(rng_for(28, j, i), 0.5, n) for j in (1, 2))
+        scale = np.abs(np.einsum("tij,tji->t", xi.samples, eta.pf.derivative().samples)).mean()
+        assert abs(omega(precompose(xi, phi), precompose(eta, phi)) - omega(xi, eta)) <= 1e-13 * scale
